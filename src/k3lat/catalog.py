@@ -131,7 +131,7 @@ class LeechModel:
     @property
     def solver(self):
         if self._solver is None:
-            self._solver = isometries.basis_solver(self.basis)
+            self._solver = linalg.rowspace_solver(self.basis)
         return self._solver
 
     def golay_code(self):
@@ -168,10 +168,10 @@ class LeechModel:
 
     def vector(self, scaled_coords):
         """The lattice vector with the given sqrt(8)-scaled coordinates."""
-        x = linalg.solve_in_rowspace(self.basis, list(scaled_coords))
-        if x is None or any(c.denominator != 1 for c in x):
+        sol = self.solver([list(scaled_coords)])
+        if sol is None or sol[1] != 1:
             raise ValueError("coordinates are not in the Leech lattice")
-        return self.lattice.vector([int(c) for c in x])
+        return self.lattice.vector(sol[0][0])
 
     def permutation_isometry(self, perm):
         """Isometry from a coordinate permutation i -> perm[i]."""
@@ -360,7 +360,7 @@ class HolyFrame:
     @property
     def solver(self):
         if self._solver is None:
-            self._solver = isometries.basis_solver(self.basis)
+            self._solver = linalg.rowspace_solver(self.basis)
         return self._solver
 
     def glue_translation(self, word):

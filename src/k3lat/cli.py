@@ -7,7 +7,8 @@ produces the same bytes as any other value (the computations are
 single-threaded and exact).
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
-2 malformed input.
+2 malformed input or an enumeration that outgrew its --cap (the message
+names the cap; rerun with a larger one).
 """
 
 import argparse
@@ -42,6 +43,21 @@ def _load_lattice(path):
         return Lattice.from_json(obj)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
+
+
+def _load_mukai_sublattice(path, mukai):
+    """A sublattice record {"coords": rows in the Mukai basis, "gram"?}."""
+    obj = _load_json(path)
+    coords = obj.get("coords") if isinstance(obj, dict) else None
+    if not isinstance(coords, list) or not all(
+            isinstance(row, list) and len(row) == mukai.rank
+            and all(isinstance(a, int) for a in row) for row in coords):
+        raise InputError(f"{path}: needs 'coords', integer rows in the "
+                         f"{mukai.rank}-dimensional Mukai basis")
+    S = mukai.sublattice(coords)
+    if "gram" in obj and obj["gram"] != S.gram:
+        raise InputError(f"{path}: 'gram' is not the Gram matrix of 'coords'")
+    return S
 
 
 def _emit(obj, args):
@@ -149,9 +165,8 @@ def cmd_walls(args):
         raise InputError(f"unknown walls action {args.action}")
     ctx = walls.wall_context(args.n)
     if args.lattice:
-        L = _load_lattice(args.lattice)
-        S = ctx.mukai.sublattice(L.coords if L.coords else L.gram)
-        report = walls.numerical_wall_in(S, ctx)
+        S = _load_mukai_sublattice(args.lattice, ctx.mukai)
+        report = walls.numerical_wall_in(S, ctx, cap=args.cap)
         out = {"wall_found": report is not None}
         if report is not None:
             out["wall"] = report.to_json()
@@ -334,7 +349,7 @@ def _suite_checks(fast):
     def milgram_battery():
         names = ["U", "U(2)", "U(3)", "A2", "A2(-1)", "A2(3)", "A3", "A4",
                  "D4", "E6", "E7", "E8", "E8(-1)", "E8(-2)", "E8(-3)",
-                 "L_2", "L_3", "L_6", "L_M", "K3", "N22", "N23", "N20",
+                 "L_2", "L_3", "L_6", "L_M", "K3", "N22", "N23", "N20", "N17",
                  "BW16(-1)", "D12+(-2)", "S_3exo", "2^5 3^10", "2^9 3^6",
                  "W(-1)", "S_11.K3[2]", "S_5exo", "S_3.K3", "S_5.K3",
                  "S_7.K3"]
@@ -470,7 +485,8 @@ def build_parser():
     p.add_argument("action", choices=["check"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--divisor", help="comma-separated coordinates")
-    p.add_argument("--lattice", help="JSON sublattice to search for walls")
+    p.add_argument("--lattice", help="JSON sublattice to search for walls: "
+                                     "{\"coords\": rows in the Mukai basis}")
     p.add_argument("--output")
     p.add_argument("--cap", type=int, default=en.DEFAULT_CAP)
     p.set_defaults(func=cmd_walls)
@@ -496,7 +512,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, en.EnumerationCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -168,15 +168,17 @@ def discriminant_data(L):
     n = L.rank
     if n == 0:
         return DiscriminantData(L, FiniteQuadraticForm.trivial(), [], [], [])
-    D, U_, V = linalg.snf(L.gram)
+    D, U, V = linalg.snf(L.gram)
     # A_L = Z^n / Z^n G via pairing vectors; y -> yV diagonalizes to sum Z/d_i.
-    GV = linalg.mat_mul(L.gram, V)
-    X = linalg.inverse(GV)  # row i = dual generator of the i-th cyclic factor
+    # D = U G V gives (G V)^-1 = D^-1 U: the dual generator of the i-th
+    # cyclic factor is U[i] / d_i.
     keep = [i for i in range(n) if D[i][i] > 1]
-    gens = [X[i] for i in keep]
     factors = [D[i][i] for i in keep]
-    q = [[sum(gi[a] * L.gram[a][b] * gj[b] for a in range(n) for b in range(n))
-          for gj in gens] for gi in gens]
+    rows = [U[i] for i in keep]
+    gens = [[Fraction(a, f) for a in row] for row, f in zip(rows, factors)]
+    RG = linalg.mat_mul(rows, L.gram)
+    q = [[Fraction(linalg.dot(rg, rj), fi * fj)
+          for rj, fj in zip(rows, factors)] for rg, fi in zip(RG, factors)]
     return DiscriminantData(L, FiniteQuadraticForm(factors, q), gens, V, keep)
 
 
@@ -260,8 +262,8 @@ def milgram_signature(form, order_cap=MILGRAM_ORDER_CAP):
     size = form.order()
     if size > order_cap:
         raise ValueError(
-            f"group order {size} exceeds the Milgram cap {order_cap}; "
-            f"decompose into p-primary parts first")
+            f"group order {size} exceeds the Milgram cap {order_cap}; the "
+            f"Gauss sum visits every element, so pass a larger order_cap")
     den = form._den or 1
     # squarefree part s of |A| decides which sqrt factors we need
     m, s = 1, size
@@ -596,41 +598,26 @@ def glue_overlattice(S, T, glue, name=None):
 
     ns, nt = S.rank, T.rank
     amb = S + T
-    rows = [[Fraction(int(i == j)) for j in range(ns + nt)]
-            for i in range(ns + nt)]
+    # every lift lies in (1/den)(S + T), den the exponent of A_S + A_T
+    den = math.lcm(*qS.factors[-1:], *qT.factors[-1:])
+    rows = [[den * a for a in row] for row in linalg.identity(ns + nt)]
     for d, i in pairs:
-        lift_s = [sum(Fraction(c) * gensS[a][b] for a, c in enumerate(d))
-                  for b in range(ns)]
-        lift_t = [sum(Fraction(c) * gensT[a][b] for a, c in enumerate(i))
-                  for b in range(nt)]
-        rows.append(lift_s + lift_t)
-    den = 1
-    for row in rows:
-        for a in row:
-            den = den * a.denominator // math.gcd(den, a.denominator)
-    int_rows = [[int(a * den) for a in row] for row in rows]
-    H, _ = linalg.hnf(int_rows)
-    basis = [row for row in H if any(row)][:ns + nt]
-    coords = [[Fraction(a, den) for a in row] for row in basis]
-    gram = linalg.mat_mul(linalg.mat_mul(coords, linalg.mat_frac(amb.gram)),
-                          linalg.transpose(coords))
-    if not linalg.is_integral(gram):
+        lift = [sum(c * g[b] for c, g in zip(d, gensS)) for b in range(ns)] + \
+               [sum(c * g[b] for c, g in zip(i, gensT)) for b in range(nt)]
+        rows.append([int(den * a) for a in lift])
+    H, _ = linalg.hnf(rows)
+    basis = [row for row in H if any(row)][:ns + nt]  # den * basis of L
+    gram = linalg.mat_mul(linalg.mat_mul(basis, amb.gram),
+                          linalg.transpose(basis))
+    if any(a % (den * den) for row in gram for a in row):
         raise ValueError("glue lifts do not pair integrally")
-    gram = linalg.frac_to_int(gram)
-    L = Lattice(gram, name=name)
+    L = Lattice([[a // (den * den) for a in row] for row in gram], name=name)
     if not L.is_even():
         raise ValueError("glued overlattice is not even")
-    # embed S and T as sublattices of the result
-    def embed(offset, rank):
-        emb = []
-        for i in range(rank):
-            target = [Fraction(int(j == offset + i)) for j in range(ns + nt)]
-            x = linalg.solve_in_rowspace(coords, target)
-            if x is None or any(c.denominator != 1 for c in x):
-                raise AssertionError("factor does not embed integrally")
-            emb.append([int(c) for c in x])
-        return emb
-
-    s_sub = L.sublattice(embed(0, ns), name=S.name)
-    t_sub = L.sublattice(embed(ns, nt), name=T.name)
+    # embed S and T as sublattices of the result: X basis = den I
+    X, d = linalg.rowspace_solver(basis)(rows[:ns + nt])
+    if d != 1:
+        raise AssertionError("factor does not embed integrally")
+    s_sub = L.sublattice(X[:ns], name=S.name)
+    t_sub = L.sublattice(X[ns:], name=T.name)
     return Gluing(lattice=L, s_sub=s_sub, t_sub=t_sub, index=index)

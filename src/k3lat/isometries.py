@@ -7,7 +7,6 @@ actions and the frame-based isometries of the holy construction all
 reduce to exact kernel and transport computations.
 """
 
-import math
 from fractions import Fraction
 
 from . import enumeration, linalg
@@ -37,8 +36,11 @@ class Isometry:
                         linalg.mat_mul(self.matrix, other.matrix), check=False)
 
     def inverse(self):
-        inv = linalg.inverse(self.matrix)
-        return Isometry(self.lattice, linalg.frac_to_int(inv), check=False)
+        X, d = linalg.rowspace_solver(self.matrix)(
+            linalg.identity(self.lattice.rank))
+        if d != 1:
+            raise ValueError("matrix is not invertible over the integers")
+        return Isometry(self.lattice, X, check=False)
 
     def order(self, cap=GROUP_ORDER_CAP):
         n = self.lattice.rank
@@ -158,14 +160,9 @@ def torsion_check(group):
     L = group.lattice
     T = invariant_lattice(group)
     S = T.orthogonal_complement()
-    rows = T.coords + S.coords
-    order = group.order
-    for i in range(L.rank):
-        target = [order * int(j == i) for j in range(L.rank)]
-        x = linalg.solve_in_rowspace(rows, target)
-        if x is None or any(c.denominator != 1 for c in x):
-            return False
-    return True
+    targets = [[group.order * a for a in row] for row in linalg.identity(L.rank)]
+    sol = linalg.rowspace_solver(T.coords + S.coords)(targets)
+    return sol is not None and sol[1] == 1
 
 
 def discriminant_action(L, isometry):
@@ -246,33 +243,12 @@ def extend_by_identity(isometry, gluing):
     block = [row[:] + [0] * nt for row in g.matrix] + \
             [[0] * ns + [int(j == i) for j in range(nt)] for i in range(nt)]
     images = linalg.mat_mul(block, split)  # images of S+T basis, in L coords
-    P = []
-    for i in range(n):
-        e = [int(j == i) for j in range(n)]
-        c = linalg.solve_in_rowspace(split, e)  # e in S+T rational coords
-        img = [sum(ci * Fraction(images[k][j]) for k, ci in enumerate(c))
-               for j in range(n)]
-        if any(a.denominator != 1 for a in img):
-            raise ValueError("extension is not integral on the overlattice")
-        P.append([int(a) for a in img])
-    return Isometry(L, P)
-
-
-def basis_solver(basis):
-    """Integer pseudo-inverse (R, d) of a full-row-rank basis matrix.
-
-    For any row v in the row space, v R / d gives its basis coordinates;
-    callers must verify membership by multiplying back.
-    """
-    Bt = linalg.transpose(basis)
-    Minv = linalg.inverse(linalg.mat_mul(basis, Bt))
-    R = linalg.mat_mul(linalg.mat_frac(Bt), Minv)
-    d = 1
-    for row in R:
-        for a in row:
-            d = d * a.denominator // math.gcd(d, a.denominator)
-    Rint = [[int(a * d) for a in row] for row in R]
-    return Rint, d
+    # X split = d I: row i of X / d is e_i in S+T coordinates
+    X, d = linalg.rowspace_solver(split)(linalg.identity(n))
+    P = linalg.mat_mul(X, images)
+    if any(a % d for row in P for a in row):
+        raise ValueError("extension is not integral on the overlattice")
+    return Isometry(L, [[a // d for a in row] for row in P])
 
 
 def isometry_from_ambient_map(lattice, basis, ambient_map, solver=None):
@@ -280,21 +256,16 @@ def isometry_from_ambient_map(lattice, basis, ambient_map, solver=None):
 
     basis holds the lattice's basis as integer coordinate rows; ambient_map
     is a matrix acting on coordinates by x -> x A. The restriction must be
-    integral on the lattice, else ValueError.
+    integral on the lattice, else ValueError. solver, when given, is
+    linalg.rowspace_solver(basis), reused across calls.
     """
     images = linalg.mat_mul(basis, ambient_map)
     if solver is None:
-        solver = basis_solver(basis)
-    Rint, d = solver
-    P = []
-    for row in images:
-        num = linalg.vec_mat(row, Rint)
-        if any(a % d for a in num):
-            raise ValueError("ambient map does not preserve the lattice")
-        P.append([a // d for a in num])
-    if linalg.mat_mul(P, basis) != images:
+        solver = linalg.rowspace_solver(basis)
+    sol = solver(images)
+    if sol is None or sol[1] != 1:
         raise ValueError("ambient map does not preserve the lattice")
-    return Isometry(lattice, P)
+    return Isometry(lattice, sol[0])
 
 
 def restrict_isometry(isometry, sub):
@@ -302,13 +273,10 @@ def restrict_isometry(isometry, sub):
     if sub.ambient is not isometry.lattice:
         raise ValueError("sublattice does not live in the isometry's lattice")
     images = linalg.mat_mul(sub.coords, isometry.matrix)
-    P = []
-    for row in images:
-        x = linalg.solve_in_rowspace(sub.coords, row)
-        if x is None or any(c.denominator != 1 for c in x):
-            raise ValueError("sublattice is not stable under the isometry")
-        P.append([int(c) for c in x])
-    return Isometry(sub, P)
+    sol = linalg.rowspace_solver(sub.coords)(images)
+    if sol is None or sol[1] != 1:
+        raise ValueError("sublattice is not stable under the isometry")
+    return Isometry(sub, sol[0])
 
 
 def glue_translation_isometry(frame, word):

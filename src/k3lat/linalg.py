@@ -3,8 +3,15 @@
 Matrices are lists of row lists with Python int entries (Fraction where
 stated); vectors are plain lists. Everything is arbitrary precision and
 nothing here touches floating point. Functions never mutate their inputs.
+
+Coordinates in a basis have one solver, rowspace_solver(B). It factors a
+full-row-rank integer B once, fraction-free (Bareiss), and for integer
+rows V returns integer X and the least d >= 1 with X B = d V, or None
+when a row of V is outside the rational row span; dependent rows of B
+raise ValueError. Integral coordinates are exactly the case d = 1.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -278,71 +285,61 @@ def snf(M):
     return D, U, V
 
 
-def mat_frac(M):
-    return [[Fraction(a) for a in row] for row in M]
+def rowspace_solver(B):
+    """Factor a full-row-rank integer basis B once; return solve(V).
 
-
-def is_integral(M):
-    return all(Fraction(a).denominator == 1 for row in M for a in row)
-
-
-def frac_to_int(M):
-    return [[int(a) for a in row] for row in M]
-
-
-def inverse(M):
-    """Inverse of a square matrix, as a Fraction matrix."""
-    n = len(M)
-    A = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [a * inv for a in A[c]]
-        for i in range(n):
-            if i != c and A[i][c]:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[c])]
-    return [row[n:] for row in A]
-
-
-def solve_in_rowspace(B, v):
-    """Coefficients x with x B = v, or None if v is outside the row span.
-
-    B need not be square; if its rows are dependent an arbitrary valid
-    solution is returned. Entries of the result are Fractions.
+    solve(V) takes integer rows V and returns (X, d): integer X and the
+    least common denominator d >= 1 with X B = d V, so gcd(X, d) = 1 and
+    V has integral coordinates exactly when d = 1. It returns None when
+    some row of V is outside the rational row span of B. Raises
+    ValueError when the rows of B are dependent.
     """
     k = len(B)
-    if k == 0:
-        return [] if not any(v) else None
-    n = len(B[0])
-    # Gaussian elimination on the transposed augmented system.
-    A = [[Fraction(B[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(n)]
+    n = len(B[0]) if k else 0
+    # Fraction-free Gauss-Jordan on [B | I]: the left factor E of the
+    # row operations ends as E = d B_P^-1 on the pivot columns P, with
+    # d = +-det(B_P) the last pivot; every entry stays an integer minor.
+    A = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(B)]
     pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if A[i][c] != 0), None)
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == k:
+            break
+        piv = next((i for i in range(r, k) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [a * inv for a in A[r]]
-        for i in range(n):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        p, row_r = A[r][c], A[r]
+        live = range(c + 1, n + k)
+        for i in range(k):
+            if i != r:
+                row_i, f = A[i], A[i][c]
+                for j in live:
+                    row_i[j] = (p * row_i[j] - f * row_r[j]) // prev
         pivots.append(c)
-        r += 1
-    x = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        x[c] = A[i][k]
-    for i in range(r, n):
-        if A[i][k] != 0:
-            return None
-    return x
+        prev = p
+    if len(pivots) < k:
+        raise ValueError("basis rows are linearly dependent")
+    E = [row[n:] for row in A]
+    pivot_set = set(pivots)
+
+    def solve(V):
+        X = [vec_mat([v[c] for c in pivots], E) for v in V]
+        g = math.gcd(prev, *(a for row in X for a in row))
+        if prev < 0:
+            g = -g
+        X = [[a // g for a in row] for row in X]
+        d = prev // g
+        # X B = d V holds on the pivot columns by construction; multiply
+        # back on the others, where a row outside the span shows
+        for x, v in zip(X, V):
+            if any(sum(a * b[c] for a, b in zip(x, B)) != d * v[c]
+                   for c in range(len(v)) if c not in pivot_set):
+                return None
+        return X, d
+
+    return solve
 
 
 def congruent_diagonal(G):

@@ -104,8 +104,10 @@ def is_wall_divisor(ctx, D):
     if linalg.row_rank([v, d]) < 2:
         raise ValueError("divisor is proportional to v")
     T = ctx.mukai.sublattice([v, d]).saturation()
-    a, b = (int(c) for c in linalg.solve_in_rowspace(T.coords, v))
-    g, u, w = linalg._xgcd(a, b)
+    sol = linalg.rowspace_solver(T.coords)([v])
+    if sol is None or sol[1] != 1:
+        raise AssertionError("v does not lie in its saturated span")
+    g, u, w = linalg._xgcd(*sol[0][0])
     if g != 1:
         raise AssertionError("v is not primitive in its saturated span")
     # complete v to a basis {v, r} of T
@@ -235,14 +237,10 @@ def _slice_vectors(Mbar, K, x0, ell, s_val, rho, vv, cap):
     # the tau coordinates solve the K-Gram system directly
     A = [[linalg.dot(ki, kj, GM) for kj in K] for ki in K]
     bvec = [linalg.dot(x0, ki, GM) for ki in K]
-    tau = linalg.solve_in_rowspace(A, bvec)
     rho_target = Fraction(rho) - Fraction(s_val * s_val, vv)
     if rho_target > 0:
         return
-    den = 1
-    for c in tau:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    tau_int = [int(c * den) for c in tau]  # den * tau in K coordinates
+    (tau_int,), den = linalg.rowspace_solver(A)([bvec])  # den * tau in K coords
     rows = [[den * int(i == j) for j in range(len(K))] for i in range(len(K))]
     if any(tau_int):
         rows.append(tau_int)

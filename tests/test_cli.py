@@ -115,6 +115,52 @@ def test_walls_check_bad_divisor():
     assert "comma-separated" in err
 
 
+def test_enumeration_cap_exits_2():
+    code, out, err = run_cli(["construct", "E8", "--verify", "--cap", "10"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap of 10 vectors" in err
+
+
+def _e8_block(tmp_path, **extra):
+    # the first E8(-1) summand of the Mukai lattice, orthogonal to v
+    coords = [[0] * (8 + i) + [1] + [0] * (15 - i) for i in range(8)]
+    path = tmp_path / "e8.json"
+    path.write_text(json.dumps(dict(coords=coords, **extra)))
+    return path
+
+
+def test_walls_check_lattice_coords(tmp_path):
+    path = _e8_block(tmp_path)
+    code, out, _ = run_cli(["walls", "check", "--n", "2", "--lattice",
+                            str(path)])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["wall_found"] is True and obj["wall"]["clause"] == "root"
+
+
+def test_walls_check_lattice_cap_exits_2(tmp_path):
+    path = _e8_block(tmp_path)
+    code, _, err = run_cli(["walls", "check", "--n", "2", "--lattice",
+                            str(path), "--cap", "10"])
+    assert code == 2
+    assert err.startswith("error:") and "cap of 10 vectors" in err
+
+
+def test_walls_check_lattice_needs_coords(tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[-2]]}))
+    code, _, err = run_cli(["walls", "check", "--n", "2", "--lattice",
+                            str(path)])
+    assert code == 2 and "coords" in err
+
+
+def test_walls_check_lattice_gram_mismatch(tmp_path):
+    path = _e8_block(tmp_path, gram=[[-2]])
+    code, _, err = run_cli(["walls", "check", "--n", "2", "--lattice",
+                            str(path)])
+    assert code == 2 and "'gram'" in err
+
+
 def test_classify_prime_2():
     code, out, _ = run_cli(["classify", "prime", "--p", "2"])
     assert code == 0

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3lat import linalg
 from k3lat.gram_data import E8, A2, U
@@ -134,13 +136,59 @@ def test_congruent_diagonal_degenerate():
     assert sorted(diag) == [Fraction(0), Fraction(2)]
 
 
-def test_inverse_and_solve():
-    Minv = linalg.inverse(A2)
-    prod = linalg.mat_mul(Minv, linalg.mat_frac(A2))
-    assert prod == linalg.mat_frac(linalg.identity(2))
-    x = linalg.solve_in_rowspace([[1, 2], [0, 3]], [2, 7])
-    assert [a * 1 for a in x] == [Fraction(2), Fraction(1)]
-    assert linalg.solve_in_rowspace([[1, 0]], [0, 1]) is None
+def test_rowspace_solver_known_solution():
+    assert linalg.rowspace_solver([[1, 2], [0, 3]])([[2, 7]]) == ([[2, 1]], 1)
+    # A2^-1 = [[2, 1], [1, 2]] / 3
+    assert linalg.rowspace_solver(A2)(linalg.identity(2)) == \
+        ([[2, 1], [1, 2]], 3)
+    # wide basis: (1, 1, 2) = 1/2 (2, 0, 2) + 1/3 (0, 3, 3)
+    solve = linalg.rowspace_solver([[2, 0, 2], [0, 3, 3]])
+    assert solve([[1, 1, 2]]) == ([[3, 2]], 6)
+    assert solve([]) == ([], 1)
+
+
+def test_rowspace_solver_non_member_is_none():
+    assert linalg.rowspace_solver([[1, 0]])([[0, 1]]) is None
+    solve = linalg.rowspace_solver([[2, 0, 2], [0, 3, 3]])
+    assert solve([[1, 1, 2], [1, 1, 1]]) is None
+
+
+def test_rowspace_solver_dependent_rows_raise():
+    with pytest.raises(ValueError):
+        linalg.rowspace_solver([[1, 2, 3], [2, 4, 6]])
+    with pytest.raises(ValueError):
+        linalg.rowspace_solver([[1, 0], [0, 1], [1, 1]])
+
+
+entries = st.integers(-6, 6)
+
+
+@st.composite
+def full_rank_bases(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 6))
+    B = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    assume(linalg.row_rank(B) == k)
+    return B
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_bases(), st.data())
+def test_rowspace_solver_property(B, data):
+    k, n = len(B), len(B[0])
+    C = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                           min_size=1, max_size=3))
+    V = linalg.mat_mul(C, B)
+    # coordinates in a basis are unique, so integer combinations come back
+    assert linalg.rowspace_solver(B)(V) == (C, 1)
+    if k == n:  # every row is in the span; d is its least denominator
+        V = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=1, max_size=3))
+        X, d = linalg.rowspace_solver(B)(V)
+        assert d >= 1 and linalg.det(B) % d == 0
+        assert linalg.mat_mul(X, B) == [[d * a for a in v] for v in V]
+        assert math.gcd(d, *(a for row in X for a in row)) == 1
 
 
 def test_det_bareiss_matches_snf():

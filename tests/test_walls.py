@@ -195,13 +195,12 @@ def _div2_spanning_generators(M, bound):
     """
     from fractions import Fraction
     data = df.discriminant_data(M)
-    Ginv = linalg.inverse(M.gram)
-    D2 = linalg.frac_to_int([[2 * a for a in row] for row in Ginv])
-    dual_scaled = Lattice(D2)
+    X, d = linalg.rowspace_solver(M.gram)(linalg.identity(M.rank))  # G^-1 = X/d
+    assert all(2 * a % d == 0 for row in X for a in row)
+    dual_scaled = Lattice([[2 * a // d for a in row] for row in X])
     gens, classes = [], []
     for y in en.short_vectors(dual_scaled, bound // 2, up_to_sign=True):
-        half = [sum(Fraction(c) * Ginv[k][j] for k, c in enumerate(y.coords))
-                for j in range(M.rank)]
+        half = [Fraction(a, d) for a in linalg.vec_mat(y.coords, X)]
         t_coords = [2 * h for h in half]
         assert all(c.denominator == 1 for c in t_coords)
         t = M.vector([int(c) for c in t_coords])
@@ -223,15 +222,16 @@ def _div2_spanning_generators(M, bound):
 def _s3exo_generators(M):
     # elements (2e, -e, -e) over the roots e of one E8(-1) copy
     N3 = M.ambient
+    solve = linalg.rowspace_solver(M.coords)
     gens = []
     for i in range(8):
         amb = [0] * 24
         amb[i] = 2
         amb[8 + i] = -1
         amb[16 + i] = -1
-        x = linalg.solve_in_rowspace(M.coords, amb)
-        assert x is not None and all(c.denominator == 1 for c in x)
-        gens.append(M.vector([int(c) for c in x]))
+        sol = solve([amb])
+        assert sol is not None and sol[1] == 1
+        gens.append(M.vector(sol[0][0]))
     return gens
 
 
