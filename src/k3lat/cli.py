@@ -2,9 +2,9 @@
 
 Subcommands: construct, analyze, autos, walls, classify, verify. All
 results go to standard output as JSON; progress notes go to standard
-error. Runs are deterministic; --threads only caps parallelism and N = 1
-produces the same bytes as any other value (the computations are
-single-threaded and exact).
+error. Runs are deterministic and single-threaded; --threads is accepted
+for compatibility and changes nothing, so every value produces the same
+bytes.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
 2 malformed input or an enumeration that outgrew its --cap (the message
@@ -36,11 +36,12 @@ def _load_json(path):
 
 
 def _load_lattice(path):
+    """The lattice of a record's 'gram'; 'coords' rows, if any, are not read."""
     obj = _load_json(path)
-    if "gram" not in obj:
+    if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError(f"{path}: missing field 'gram'")
     try:
-        return Lattice.from_json(obj)
+        return Lattice.from_json({"gram": obj["gram"], "name": obj.get("name")})
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
 
@@ -447,8 +448,8 @@ def build_parser():
                     "constructions, discriminant forms, isometry groups "
                     "and wall-divisor classification.")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap (output is identical for any "
-                             "value; computations are exact)")
+                        help="ignored: every computation is single-"
+                             "threaded, so output is the same for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a catalog lattice")

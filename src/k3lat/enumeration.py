@@ -4,14 +4,20 @@ Fincke-Pohst over an LLL-reduced Gram matrix. The search tree uses pure
 integer arithmetic: the rational Cholesky data are cleared of denominators
 once, so level bounds come from integer square roots and enumeration is
 exhaustive by construction, not up to rounding.
+
+The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
+`norm_census`, `has_roots` and `min_norm` only count or test norms and stay
+in reduced coordinates; `primitive_represents` tests the gcd there and
+converts only the vector it returns. This is exact: norms do not depend on
+the basis, the unimodular T preserves gcds, and T maps +-pairs to +-pairs.
+`short_vectors` converts every vector and picks its sign in the input basis.
 """
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
-from .lattice import Lattice, LatticeVector
+from .lattice import LatticeVector
 
 
 class EnumerationCap(RuntimeError):
@@ -26,16 +32,18 @@ class EnumerationCap(RuntimeError):
 DEFAULT_CAP = 10_000_000
 
 
-def _positive_gram(L):
-    """The Gram to enumerate on (positive definite) and the norm sign."""
+def _reduced_gram(L):
+    """(G2, T, sign): G2 = T^t (sign * L.gram) T positive definite and
+    LLL-reduced, T unimodular; y in reduced coordinates is T y in L's basis.
+    """
     if L.rank == 0:
         raise ValueError("enumeration on a rank-0 lattice")
     plus, minus = L.signature()
     if plus and minus:
         raise ValueError("enumeration requires a definite lattice")
-    if minus:
-        return [[-a for a in row] for row in L.gram], -1
-    return [row[:] for row in L.gram], 1
+    sign = -1 if minus else 1
+    G2, T = linalg.lll_reduce([[sign * a for a in row] for row in L.gram])
+    return G2, T, sign
 
 
 def _integer_cholesky(G):
@@ -136,22 +144,15 @@ def _canonical_sign(coords):
     return coords
 
 
-def _enumerate(L, bound, cap, stop_after=None):
-    """(norm, coords) pairs in original basis coordinates, one per +-pair."""
-    G, sign = _positive_gram(L)
-    G2, T = linalg.lll_reduce(G)
-    Tt = linalg.transpose(T)
-    raw = _enumerate_reduced(G2, bound, cap, stop_after=stop_after)
-    return [(sign * q, _canonical_sign(linalg.vec_mat(y, Tt))) for q, y in raw]
-
-
 def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
     """All nonzero v with |q(v)| <= bound, canonically ordered.
 
     With up_to_sign one representative per {v, -v} is returned (its first
     nonzero coordinate positive); otherwise both signs appear.
     """
-    found = _enumerate(L, bound, cap)
+    G2, T, sign = _reduced_gram(L)
+    found = [(sign * q, _canonical_sign(linalg.mat_vec(T, y)))
+             for q, y in _enumerate_reduced(G2, bound, cap)]
     if not up_to_sign:
         found = found + [(q, [-a for a in v]) for q, v in found]
         if len(found) > cap:
@@ -162,8 +163,7 @@ def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
 
 def min_norm(L, cap=DEFAULT_CAP):
     """Minimal |q| over nonzero vectors, with the lattice's sign restored."""
-    G, sign = _positive_gram(L)
-    G2, T = linalg.lll_reduce(G)
+    G2, _, sign = _reduced_gram(L)
     limit = min(G2[i][i] for i in range(len(G2)))
     step = 2 if L.is_even() else 1
     start = step
@@ -176,7 +176,8 @@ def min_norm(L, cap=DEFAULT_CAP):
 
 def has_roots(L, cap=DEFAULT_CAP):
     """True iff the lattice contains a vector of norm +-2."""
-    return any(abs(q) == 2 for q, _ in _enumerate(L, 2, cap))
+    G2, _, _ = _reduced_gram(L)
+    return any(q == 2 for q, _ in _enumerate_reduced(G2, 2, cap))
 
 
 def primitive_represents(L, m, cap=DEFAULT_CAP):
@@ -189,9 +190,10 @@ def primitive_represents(L, m, cap=DEFAULT_CAP):
     plus, minus = L.signature()
     if (m > 0 and plus == 0) or (m < 0 and minus == 0):
         return None
-    for q, v in _enumerate(L, abs(m), cap):
-        if q == m and math.gcd(*v) == 1:
-            return LatticeVector(L, v)
+    G2, T, _ = _reduced_gram(L)
+    for q, y in _enumerate_reduced(G2, abs(m), cap):
+        if q == abs(m) and math.gcd(*y) == 1:
+            return LatticeVector(L, _canonical_sign(linalg.mat_vec(T, y)))
     return None
 
 
@@ -213,9 +215,10 @@ class NormCensus:
 
 def norm_census(L, bound, up_to_sign=True, cap=DEFAULT_CAP):
     """Censuses of vector counts by norm up to the bound."""
+    G2, _, sign = _reduced_gram(L)
     counts = {}
-    for q, _ in _enumerate(L, bound, cap):
-        counts[q] = counts.get(q, 0) + 1
+    for q, _ in _enumerate_reduced(G2, bound, cap):
+        counts[sign * q] = counts.get(sign * q, 0) + 1
     if not up_to_sign:
         counts = {q: 2 * c for q, c in counts.items()}
     return NormCensus(bound=bound, up_to_sign=up_to_sign, counts=counts)

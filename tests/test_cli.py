@@ -71,6 +71,23 @@ def test_analyze_bad_json_exits_2(tmp_path):
     assert "line" in err
 
 
+def test_analyze_non_object_exits_2(tmp_path):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    code, _, err = run_cli(["analyze", "--input", str(path), "--signature"])
+    assert code == 2
+    assert "missing field 'gram'" in err
+
+
+def test_analyze_reads_gram_of_sublattice_record(tmp_path):
+    # the shape of the records `autos coinvariant` writes
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"gram": [[-2]], "coords": [[1, 1]]}))
+    code, out, _ = run_cli(["analyze", "--input", str(path), "--determinant"])
+    assert code == 0
+    assert json.loads(out) == {"det": -2}
+
+
 def test_autos_coinvariant(tmp_path):
     lat = tmp_path / "min2.json"
     lat.write_text(json.dumps({"name": "A1+A1",

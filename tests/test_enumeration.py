@@ -1,10 +1,14 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3lat import enumeration as en
 from k3lat import linalg
-from k3lat.gram_data import A2, E8, U, S_LATTICE_2_5_3_10, S_LATTICE_2_9_3_6
+from k3lat.gram_data import (A2, E8, U, S_LATTICE_2_5_3_10, S_LATTICE_2_9_3_6,
+                             gram_D)
 from k3lat.lattice import Lattice
 
 
@@ -133,6 +137,14 @@ def test_up_to_sign_halves_and_canonicalizes():
 def test_cap_raises():
     with pytest.raises(en.EnumerationCap):
         en.short_vectors(Lattice(E8), 4, cap=10)
+    with pytest.raises(en.EnumerationCap):
+        en.norm_census(Lattice(E8), 4, cap=10)
+    # 120 pairs of roots: the test must not stop at the first one
+    with pytest.raises(en.EnumerationCap):
+        en.has_roots(Lattice(E8).rescale(-1), cap=10)
+    # E8 is even, so no vector of norm 3: all 120 root pairs are scanned
+    with pytest.raises(en.EnumerationCap):
+        en.primitive_represents(Lattice(E8), 3, cap=10)
 
 
 def test_ordering_deterministic():
@@ -140,3 +152,83 @@ def test_ordering_deterministic():
     v1 = [v.coords for v in en.short_vectors(L, 6)]
     v2 = [v.coords for v in en.short_vectors(L, 6)]
     assert v1 == v2 and v1 == sorted(v1, key=lambda c: (abs(linalg.dot(c, c, A2)), c))
+
+
+# D4 in the basis P D4 P^t; LLL does not return the identity on it, so the
+# vectors found in reduced coordinates are converted back to this basis.
+D4_BASE_CHANGE = [[2, -1, 2, -1], [-1, 4, -6, 3], [1, -1, 2, -1],
+                  [-2, 3, -5, 3]]
+
+
+def test_output_order_after_base_change():
+    P = D4_BASE_CHANGE
+    L = Lattice(linalg.mat_mul(linalg.mat_mul(P, gram_D(4)),
+                               linalg.transpose(P)))
+    assert linalg.lll_reduce(L.gram)[1] != linalg.identity(4)
+    assert [v.coords for v in en.short_vectors(L, 2, up_to_sign=True)] == [
+        [0, 0, 5, 2], [1, -1, -4, 0], [1, -1, 1, 2], [1, 0, -9, -3],
+        [1, 0, -6, -2], [1, 0, -4, -1], [1, 0, -1, 0], [2, -1, -8, -1],
+        [2, -1, -5, 0], [2, 0, -10, -3], [3, -1, -14, -3], [3, -1, -9, -1]]
+    assert en.primitive_represents(L, 2).coords == [1, 0, -1, 0]
+    assert en.primitive_represents(L, 4).coords == [0, 0, 3, 1]
+    assert en.primitive_represents(L.rescale(-1), -4).coords == [0, 0, 3, 1]
+
+
+@st.composite
+def definite_in_new_basis(draw):
+    """(G, P, sign): G strictly diagonally dominant, P unimodular.
+
+    Each diagonal entry exceeds its row's off-diagonal absolute sum by at
+    least 1, so x G x^t >= sum x_i^2 and every vector of norm <= b lies
+    in the box |x_i| <= isqrt(b).
+    """
+    n = draw(st.integers(2, 4))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            G[i][j] = G[j][i] = draw(st.integers(-2, 2))
+    for i in range(n):
+        G[i][i] = sum(abs(a) for a in G[i]) + draw(st.integers(1, 3))
+    P = linalg.identity(n)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from([-1, 1]))
+        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    return G, P, draw(st.sampled_from([-1, 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(definite_in_new_basis())
+def test_enumeration_matches_box_scan(data):
+    G, P, sign = data
+    n = len(G)
+    # far enough for a basis vector and for has_roots' norm 2
+    bound = max(2, max(G[i][i] for i in range(n)))
+    r = math.isqrt(bound)
+    box = {}
+    for x in itertools.product(range(-r, r + 1), repeat=n):
+        q = linalg.dot(x, x, G)
+        if any(x) and q <= bound:
+            box[x] = sign * q
+    L = Lattice([[sign * a for a in row]
+                 for row in linalg.mat_mul(linalg.mat_mul(P, G),
+                                           linalg.transpose(P))])
+
+    assert en.norm_census(L, bound, up_to_sign=False).counts == \
+        dict(Counter(box.values()))
+    assert en.has_roots(L) == (2 * sign in box.values())
+    assert en.min_norm(L) == sign * min(abs(q) for q in box.values())
+    for m in range(1, bound + 1):
+        found = en.primitive_represents(L, sign * m)
+        expect = any(abs(q) == m and math.gcd(*x) == 1
+                     for x, q in box.items())
+        assert (found is not None) == expect
+        if found is not None:
+            assert found.norm() == sign * m and found.is_primitive()
+
+    vecs = en.short_vectors(L, bound)
+    assert {tuple(linalg.vec_mat(v.coords, P)): v.norm() for v in vecs} == box
+    assert len(vecs) == len(box)
+    assert [v.coords for v in vecs] == sorted(
+        (v.coords for v in vecs), key=lambda c: (abs(linalg.dot(c, c, L.gram)), c))
