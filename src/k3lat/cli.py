@@ -195,14 +195,14 @@ def cmd_walls(args):
 def cmd_classify(args):
     if args.action == "table":
         _note("building the classification table (constructions are cached)")
-        out = walls.classification_table()
+        out = walls.classification_table(cap=args.cap)
         _emit(out, args)
         return 0
     if args.action == "prime":
         if args.p is None:
             raise InputError("classify prime needs --p")
-        rows = [walls.minimal_n(name) for q, name, _ in walls._ROW_SPECS
-                if q == args.p]
+        rows = [walls.minimal_n(name, cap=args.cap)
+                for q, name, _ in walls._ROW_SPECS if q == args.p]
         if not rows:
             raise InputError(f"no classification rows for p = {args.p}")
         _emit([row.to_json() for row in rows], args)
@@ -496,6 +496,7 @@ def build_parser():
     p.add_argument("action", choices=["table", "prime"])
     p.add_argument("--p", type=int)
     p.add_argument("--output")
+    p.add_argument("--cap", type=int, default=en.DEFAULT_CAP)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -126,25 +126,29 @@ def is_wall_divisor(ctx, D):
         clause = "root"
     elif 0 <= rr * vv <= s * s and 4 * s * s < vv * vv:
         clause = "norm"
-    dn = linalg.dot(d, d, G)
+    Gd = linalg.mat_vec(G, d)
+    dn = linalg.dot(d, Gd)
     # divisibility taken inside L_n = v-perp, where the divisor lives
-    pairings = [linalg.dot(d, row, G) for row in ctx.perp.coords]
-    ddiv = math.gcd(*pairings)
+    ddiv = math.gcd(*linalg.mat_vec(ctx.perp.coords, Gd))
     return WallReport(
         divisor=d, divisor_norm=dn, divisor_divisibility=ddiv,
         t_gram=[[vv, s], [s, rr]], r=r, v_pairing=s, r_norm=rr,
         clause=clause, is_wall=bool(clause))
 
 
-def _divisor_from_r(ctx, r):
-    """The primitive element of v-perp in the span of v and r, or None."""
+def _divisor_from_r(ctx, r, s, rho):
+    """The primitive element t of v-perp in the span of v and r, with its
+    norm, given s = (v, r) and rho = r^2; None when r lies in Zv.
+
+    t = (v^2 r - s v)/g with g the gcd of the entries, so in closed form
+    t^2 = v^2 (v^2 rho - s^2)/g^2.
+    """
     vv = ctx.v_sq
-    s = linalg.dot(ctx.v, r, ctx.mukai.gram)
     t = [vv * x - s * y for x, y in zip(r, ctx.v)]
     if not any(t):
         return None
     g = math.gcd(*t)
-    return [a // g for a in t]
+    return [a // g for a in t], vv * (vv * rho - s * s) // (g * g)
 
 
 def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
@@ -152,8 +156,11 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
 
     Complete: every wall divisor of S corresponds to a vector r in the
     saturation of Zv + S with either r^2 = -2, 0 <= (v,r) <= v^2/2 or the
-    norm clause; all such r are enumerated. Returns the lexicographically
-    smallest witness as a WallReport, or None.
+    norm clause; all such r are enumerated. Their divisors t are ranked
+    by (|t^2|, t), with t^2 in closed form, and the full wall predicate
+    runs in that order until the first wall, whose WallReport is returned:
+    the witness smallest in (|divisor norm|, divisor). None when no
+    candidate is a wall.
     """
     if S.ambient is not ctx.mukai:
         raise ValueError("S must be a sublattice of the context's Mukai model")
@@ -172,7 +179,11 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
     ell = [linalg.dot(row, v, G) for row in B]
     gell = math.gcd(*ell)
     K = linalg.kernel_basis(linalg.transpose([ell]))  # rows: S basis in Mbar
-    witnesses = []
+    # the K-Gram and its solver depend on K alone, not on the slice
+    KG = linalg.mat_mul(K, Mbar.gram)
+    A = linalg.mat_mul(KG, linalg.transpose(K))
+    solve = linalg.rowspace_solver(A)
+    norms = {}  # divisor t -> t^2; a report depends on t alone
 
     for s_val in range(0, vv // 2 + 1):
         targets = [-2]
@@ -183,18 +194,20 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
         # particular solution x0 in Mbar coordinates with (v, x0) = s_val
         x0 = _solve_linear_form(ell, s_val)
         for rho in targets:
-            for r_m in _slice_vectors(Mbar, K, x0, ell, s_val, rho, vv, cap):
+            for r_m in _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho,
+                                      vv, cap):
                 r_amb = linalg.vec_mat(r_m, B)
-                t = _divisor_from_r(ctx, r_amb)
-                if t is None:
-                    continue
-                report = is_wall_divisor(ctx, t)
-                if report.is_wall:
-                    witnesses.append(report)
-    if not witnesses:
-        return None
-    witnesses.sort(key=lambda rep: (abs(rep.divisor_norm), rep.divisor))
-    return witnesses[0]
+                found = _divisor_from_r(ctx, r_amb, s_val, rho)
+                if found is not None:
+                    norms[tuple(found[0])] = found[1]
+    for t in sorted(norms, key=lambda t: (abs(norms[t]), t)):
+        report = is_wall_divisor(ctx, list(t))
+        if report.divisor_norm != norms[t]:
+            raise AssertionError("closed-form divisor norm disagrees with "
+                                 "the wall predicate")
+        if report.is_wall:
+            return report
+    return None
 
 
 def _solve_linear_form(ell, target):
@@ -220,11 +233,12 @@ def _solve_linear_form(ell, target):
     return [a * m for a in x]
 
 
-def _slice_vectors(Mbar, K, x0, ell, s_val, rho, vv, cap):
+def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
     """All r in Mbar with (v, r) = s_val and r^2 = rho.
 
     Decomposes r = x0 + z over the kernel lattice K and enumerates the
     shifted sphere exactly, via the index-d refinement J = K + Z tau.
+    KG = K Gram(Mbar), A = KG K^T is the K-Gram and solve its solver.
     """
     if not K:
         # zero-dimensional slice: r = x0 alone
@@ -232,22 +246,19 @@ def _slice_vectors(Mbar, K, x0, ell, s_val, rho, vv, cap):
         if r2 == rho:
             yield x0
         return
-    GM = Mbar.gram
     # x0 = (s/vv) v + tau with tau in the K-span; K is orthogonal to v, so
     # the tau coordinates solve the K-Gram system directly
-    A = [[linalg.dot(ki, kj, GM) for kj in K] for ki in K]
-    bvec = [linalg.dot(x0, ki, GM) for ki in K]
+    bvec = linalg.mat_vec(KG, x0)
     rho_target = Fraction(rho) - Fraction(s_val * s_val, vv)
     if rho_target > 0:
         return
-    (tau_int,), den = linalg.rowspace_solver(A)([bvec])  # den * tau in K coords
+    (tau_int,), den = solve([bvec])  # den * tau in K coords
     rows = [[den * int(i == j) for j in range(len(K))] for i in range(len(K))]
     if any(tau_int):
         rows.append(tau_int)
     J = linalg.hnf_span(rows)  # sublattice of (1/den)K containing K and tau
-    gramJ = [[linalg.dot(linalg.vec_mat(a, K), linalg.vec_mat(b, K), GM)
-              for b in J] for a in J]
-    LJ = Lattice(gramJ)  # scaled by den^2 relative to (1/den)K
+    LJ = Lattice(linalg.mat_mul(linalg.mat_mul(J, A), linalg.transpose(J)))
+    # LJ is scaled by den^2 relative to (1/den)K
     want = rho_target * den * den
     if want.denominator != 1:
         return
@@ -341,25 +352,30 @@ def _isotropic_pair_vector(T, target):
     return None
 
 
-def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None):
-    """Wall check for the S factor of a glued Mukai model at level n."""
+def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None,
+                          cap=en.DEFAULT_CAP):
+    """Wall check for the S factor of a glued Mukai model at level n.
+
+    cap bounds every enumeration of the check (EnumerationCap beyond it).
+    """
     T_emb = glued.t_sub
     T_abs = Lattice(T_emb.gram)
     if n == 1:
-        if en.has_roots(Lattice(glued.s_sub.gram)):
+        if en.has_roots(Lattice(glued.s_sub.gram), cap=cap):
             return RealizabilityVerdict(
                 "obstructed", reason="coinvariant contains -2 classes")
         return RealizabilityVerdict("realizable", reason="root-free at n = 1")
     if v_in_T is not None:
         vs = [list(v_in_T)]
     elif T_abs.is_definite():
-        first = en.primitive_represents(T_abs, 2 * n - 2)
+        first = en.primitive_represents(T_abs, 2 * n - 2, cap=cap)
         if first is None:
             return RealizabilityVerdict(
                 "inconclusive",
                 reason=f"complement does not represent {2 * n - 2}")
         if all_vectors:
-            vecs = en.short_vectors(T_abs, 2 * n - 2, up_to_sign=True)
+            vecs = en.short_vectors(T_abs, 2 * n - 2, up_to_sign=True,
+                                    cap=cap)
             vs = [v.coords for v in vecs
                   if v.norm() == 2 * n - 2 and v.is_primitive()]
         else:
@@ -375,7 +391,7 @@ def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None):
     for v_t in vs:
         v_amb = linalg.vec_mat(v_t, T_emb.coords)
         ctx = wall_context(n, mukai=glued.lattice, v=v_amb)
-        wall = numerical_wall_in(glued.s_sub, ctx)
+        wall = numerical_wall_in(glued.s_sub, ctx, cap=cap)
         if wall is None:
             return RealizabilityVerdict(
                 "realizable", reason=f"no numerical wall divisor at n = {n}")
@@ -508,7 +524,7 @@ def _exclusion_vector(name, n):
     raise ValueError(name)
 
 
-def exclusion_witness(name, n):
+def exclusion_witness(name, n, cap=en.DEFAULT_CAP):
     """A concrete wall witness for an excluded lattice at level n.
 
     Returns an obstructed verdict with the witness WallReport, or an
@@ -522,7 +538,7 @@ def exclusion_witness(name, n):
     glued = _exclusion_model(name)
     v_amb = linalg.vec_mat(v_t, glued.t_sub.coords)
     ctx = wall_context(n, mukai=glued.lattice, v=v_amb)
-    wall = numerical_wall_in(glued.s_sub, ctx)
+    wall = numerical_wall_in(glued.s_sub, ctx, cap=cap)
     if wall is None:
         raise AssertionError(f"{name} unexpectedly wall-free at n = {n}")
     return RealizabilityVerdict("obstructed",
@@ -550,7 +566,7 @@ class ClassificationRow:
         return out
 
 
-def _k3_route(S):
+def _k3_route(S, cap=en.DEFAULT_CAP):
     """Definitive test for a root-free primitive embedding into the K3
     lattice (rank 22, signature (3,19))."""
     form = df.discriminant_form(S)
@@ -563,7 +579,7 @@ def _k3_route(S):
     sigma = df.milgram_signature(form.neg())
     if (3 - (19 - r)) % 8 != sigma:
         return False, "Milgram congruence fails"
-    if en.has_roots(S):
+    if en.has_roots(S, cap=cap):
         return False, "lattice contains -2 vectors"
     return True, "complement exists and the image is root-free"
 
@@ -595,15 +611,16 @@ def _mukai_complements(row_name):
     raise ValueError(f"no Mukai complement data for {row_name}")
 
 
-def minimal_n(row_name, n_max=12):
-    """The classification row for a catalog coinvariant lattice."""
+def minimal_n(row_name, n_max=12, cap=en.DEFAULT_CAP):
+    """The classification row for a catalog coinvariant lattice; cap
+    bounds every enumeration on the way."""
     spec = next((row for row in _ROW_SPECS if row[1] == row_name), None)
     if spec is None:
         raise ValueError(f"{row_name} is not in the classification catalog; "
                          f"rows: " + ", ".join(r[1] for r in _ROW_SPECS))
     p, name, catalog_name = spec
     S = catalog.exceptional(catalog_name)
-    ok, reason = _k3_route(S)
+    ok, reason = _k3_route(S, cap=cap)
     if ok:
         row = ClassificationRow(prime=p, lattice=name, minimal_n=1,
                                 witness={"route": "K3", "reason": reason})
@@ -616,7 +633,8 @@ def minimal_n(row_name, n_max=12):
         for S_row, T in pairs:
             glued = _row_gluing(name, S_row, T)
             check_all = (n - 1) % p == 0
-            verdict = wall_verdict_in_model(glued, n, all_vectors=check_all)
+            verdict = wall_verdict_in_model(glued, n, all_vectors=check_all,
+                                            cap=cap)
             if verdict.status == "realizable":
                 embeddings += 1
                 if witness is None:
@@ -670,12 +688,13 @@ def large_prime_rejection():
 EXCLUSION_LEVELS = {"BW16(-1)": 3, "S_3exo": 4, "D12+(-2)": 2}
 
 
-def classification_table(n_max=12):
-    """All seven rows plus the three exclusions and the large-prime check."""
-    rows = [minimal_n(name, n_max=n_max) for _, name, _ in _ROW_SPECS]
+def classification_table(n_max=12, cap=en.DEFAULT_CAP):
+    """All seven rows plus the three exclusions and the large-prime check;
+    cap bounds every enumeration of the rows and the wall searches."""
+    rows = [minimal_n(name, n_max=n_max, cap=cap) for _, name, _ in _ROW_SPECS]
     exclusions = {}
     for name, n in EXCLUSION_LEVELS.items():
-        verdict = exclusion_witness(name, n)
+        verdict = exclusion_witness(name, n, cap=cap)
         exclusions[name] = {"n": n, "status": verdict.status,
                             "wall": verdict.wall.to_json()}
     return {

@@ -217,3 +217,9 @@ def test_output_file(tmp_path):
     code, out, _ = run_cli(["construct", "U", "--output", str(path)])
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["gram"] == [[0, 1], [1, 0]]
+
+
+def test_classify_table_cap_exits_2():
+    code, out, err = run_cli(["classify", "table", "--cap", "10"])
+    assert code == 2 and out == ""
+    assert "error: enumeration exceeded the safety cap of 10 vectors" in err

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from k3lat import catalog, discforms as df, enumeration as en
@@ -73,6 +76,56 @@ def test_numerical_wall_found_for_roots():
                               e8_root_divisor(ctx, 10)])
     rep = walls.numerical_wall_in(S, ctx)
     assert rep is not None and rep.is_wall and rep.clause == "root"
+
+
+def _mukai_vector(entries):
+    D = [0] * 24
+    for i, c in entries:
+        D[i] += c
+    return D
+
+
+def _brute_force_walls(ctx, S):
+    """Every primitive wall divisor t of S, one per sign, with |t^2| at
+    most the clause bound 2(v^2)^2 + (v^2)^3/4: the closed-form norm
+    v^2 (v^2 r^2 - s^2)/g^2 of a wall's divisor never exceeds it."""
+    vv = ctx.v_sq
+    bound = 2 * vv * vv + vv ** 3 // 4
+    found = []
+    for x in en.short_vectors(Lattice(S.gram), bound, up_to_sign=True):
+        if not x.is_primitive():
+            continue
+        t = linalg.vec_mat(x.coords, S.coords)
+        if walls.is_wall_divisor(ctx, t).is_wall:
+            found.append((abs(x.norm()), t))
+    return found
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_numerical_wall_matches_brute_force(n):
+    ctx = walls.wall_context(n)
+    w = [(0, 1), (1, 1 - n)]  # e - (n-1)f spans v-perp in the first U
+    cases = {
+        "A1+A1": [[(8, 1)], [(10, 1)]],
+        "A2": [[(8, 1)], [(9, 1)]],
+        "w": [w],
+        "w+r": [w + [(8, 1)]],
+        "w+2r": [w + [(8, 2)]],
+        "w,r": [w, [(8, 1)]],
+    }
+    for name, rows in cases.items():
+        S = ctx.mukai.sublattice([_mukai_vector(row) for row in rows])
+        ref = _brute_force_walls(ctx, S)
+        rep = walls.numerical_wall_in(S, ctx)
+        if not ref:
+            assert rep is None, (n, name)
+            continue
+        assert rep is not None and rep.is_wall, (n, name)
+        assert abs(rep.divisor_norm) == min(q for q, _ in ref), (n, name)
+        # one sign of t is fixed by the search when (v, r) > 0
+        walls_found = [t for _, t in ref]
+        assert (rep.divisor in walls_found
+                or [-a for a in rep.divisor] in walls_found), (n, name)
 
 
 def test_numerical_wall_absent_for_e8_minus_2_model():
@@ -292,6 +345,9 @@ def test_large_prime_rejection():
 
 def test_classification_table():
     table = walls.classification_table()
+    # every witness's divisor, r, t_gram, clause and divisibility, pinned
+    golden = pathlib.Path(__file__).with_name("classification_table.json")
+    assert table == json.loads(golden.read_text())
     rows = {(r["p"], r["lattice"]): r["minimal_n"] for r in table["rows"]}
     assert rows == {
         (2, "S_2.K3"): 1,
