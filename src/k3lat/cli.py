@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: construct, analyze, autos, walls, classify, verify. All
-results go to standard output as JSON; progress notes go to standard
-error. Runs are deterministic and single-threaded; --threads is accepted
-for compatibility and changes nothing, so every value produces the same
+results go to standard output as JSON; progress notes and verify's
+per-check times go to standard error. verify runs `k3lat.acceptance`,
+the one acceptance battery, which tier-1 runs too. Runs are
+deterministic and single-threaded; --threads is accepted for
+compatibility and changes nothing, so every value produces the same
 bytes.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
@@ -14,8 +16,9 @@ names the cap; rerun with a larger one).
 import argparse
 import json
 import sys
+import time
 
-from . import catalog, discforms as df, enumeration as en
+from . import acceptance, catalog, discforms as df, enumeration as en
 from . import isometries as iso
 from . import walls
 from .lattice import Lattice
@@ -46,13 +49,18 @@ def _load_lattice(path):
         raise InputError(f"{path}: {exc}")
 
 
+def _int_rows(rows, width):
+    """True iff rows is a list of lists of `width` ints each."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == width
+        and all(isinstance(a, int) for a in row) for row in rows)
+
+
 def _load_mukai_sublattice(path, mukai):
     """A sublattice record {"coords": rows in the Mukai basis, "gram"?}."""
     obj = _load_json(path)
     coords = obj.get("coords") if isinstance(obj, dict) else None
-    if not isinstance(coords, list) or not all(
-            isinstance(row, list) and len(row) == mukai.rank
-            and all(isinstance(a, int) for a in row) for row in coords):
+    if not _int_rows(coords, mukai.rank):
         raise InputError(f"{path}: needs 'coords', integer rows in the "
                          f"{mukai.rank}-dimensional Mukai basis")
     S = mukai.sublattice(coords)
@@ -135,14 +143,17 @@ def cmd_autos(args):
         gens_obj = [gens_obj]
     gens = []
     for entry in gens_obj:
-        matrix = entry["matrix"] if isinstance(entry, dict) else entry
+        matrix = entry.get("matrix") if isinstance(entry, dict) else entry
+        if not (_int_rows(matrix, L.rank) and len(matrix) == L.rank):
+            raise InputError(f"{args.gens}: each generator must be a "
+                             f"{L.rank}x{L.rank} integer matrix")
         if not iso.is_isometry(L, matrix):
             raise InputError("matrix is not an isometry of the lattice")
         gens.append(iso.Isometry(L, matrix, check=False))
+    group = iso.group_closure(gens, cap=args.cap)
     if args.action == "coinvariant":
         T = iso.invariant_lattice(gens)
         S = T.orthogonal_complement()
-        group = iso.group_closure(gens, cap=args.cap)
         out = {
             "group_order": group.order,
             "invariant": {"rank": T.rank, "gram": T.gram, "coords": T.coords},
@@ -153,7 +164,6 @@ def cmd_autos(args):
                 iso.group_acts_trivially_on_discriminant(L, gens),
         }
     elif args.action == "closure":
-        group = iso.group_closure(gens, cap=args.cap)
         out = {"group_order": group.order}
     else:
         raise InputError(f"unknown autos action {args.action}")
@@ -212,225 +222,19 @@ def cmd_classify(args):
 
 # -- the verification suite --------------------------------------------------------
 
-def _suite_checks(fast):
-    """The acceptance battery as (name, callable) pairs.
-
-    Each callable returns (ok, detail). The fast suite skips the Leech
-    kissing-number enumeration and the other full rank-24 censuses.
-    """
-    checks = []
-
-    def leech_model_invariants():
-        L = catalog.leech()
-        ok = (L.rank == 24 and L.det() == 1 and L.signature() == (0, 24)
-              and L.is_even() and en.min_norm(L) == -4
-              and not en.has_roots(L))
-        return ok, {"det": L.det(), "min_norm": en.min_norm(L)}
-
-    checks.append(("leech-model-invariants", leech_model_invariants))
-
-    if not fast:
-        def leech_kissing():
-            L = catalog.leech()
-            c = en.norm_census(L, 4, up_to_sign=False)
-            first = c.count(-4)
-            perm = list(range(1, 24)) + [0]
-            P = [[1 if j == perm[i] else 0 for j in range(24)]
-                 for i in range(24)]
-            import k3lat.linalg as linalg
-            G2 = linalg.mat_mul(linalg.mat_mul(P, L.gram),
-                                linalg.transpose(P))
-            second = en.norm_census(Lattice(G2), 4, up_to_sign=False).count(-4)
-            return first == 196560 and second == 196560, \
-                {"count": first, "permuted": second}
-
-        checks.append(("leech-kissing-196560", leech_kissing))
-
-    def niemeier_roots():
-        from .gram_data import NIEMEIER_ROWS
-        detail = {}
-        ok = True
-        for name, row in sorted(NIEMEIER_ROWS.items()):
-            N = catalog.niemeier(name)
-            roots = len(en.short_vectors(N, 2))
-            detail[name] = roots
-            ok = ok and roots == 24 * row[2]
-        return ok, detail
-
-    checks.append(("niemeier-root-counts", niemeier_roots))
-
-    def holy():
-        names = ["N23", "N22", "N20", "N17", "N10", "N4"] if fast else \
-            ["N23", "N22", "N21", "N20", "N17", "N15", "N10", "N4"]
-        detail = {}
-        ok = True
-        for name in names:
-            frame = catalog.holy_construction(name)
-            L = frame.leech
-            good = (L.rank == 24 and L.det() == 1 and L.is_even()
-                    and not en.has_roots(L)
-                    and frame.hole.det() == 1)
-            detail[name] = "ok" if good else "FAIL"
-            ok = ok and good
-        return ok, detail
-
-    checks.append(("holy-construction", holy))
-
-    def order5_census():
-        frame = catalog.holy_construction("N20")
-        ranks = {}
-        for w in frame.code:
-            if not any(w):
-                continue
-            g = frame.glue_translation(w)
-            r = iso.invariant_lattice([g]).rank
-            ranks[r] = ranks.get(r, 0) + 1
-        return ranks == {0: 40, 8: 60, 4: 24}, ranks
-
-    checks.append(("order5-class-census", order5_census))
-
-    def order11():
-        g = catalog.n22_order11_isometry()
-        T = iso.invariant_lattice([g])
-        S = T.orthogonal_complement()
-        ok = T.rank == 4 and S.rank == 20 and abs(S.det()) == 121
-        return ok, {"rank_T": T.rank, "rank_S": S.rank, "det_S": S.det()}
-
-    checks.append(("order11-coinvariant", order11))
-
-    def prime_order_ranks():
-        model = catalog.leech_model()
-        got = {}
-        got["2"] = sorted(
-            iso.coinvariant_lattice([model.sign_change_isometry(mask)]).rank
-            for mask in [model.codewords_of_weight(8)[0],
-                         model.codewords_of_weight(12)[0],
-                         model.codewords_of_weight(16)[0]]) + [24]
-        n22 = catalog.holy_construction("N22")
-        got["3"] = sorted(
-            iso.coinvariant_lattice([n22.glue_translation(w)]).rank
-            for w in [n22.words_of_weight(6)[0], n22.words_of_weight(9)[0],
-                      n22.words_of_weight(12)[0]]) + [16]
-        got["3"] = sorted(got["3"])
-        got["23"] = [iso.coinvariant_lattice(
-            [model.translation_isometry()]).rank]
-        n10 = catalog.holy_construction("N10")
-        word = next(w for w in n10.code if any(w))
-        got["13"] = [iso.invariant_lattice(
-            [n10.glue_translation(word)]).rank]
-        swap = catalog.e8_cube_swap_isometry()
-        S8 = iso.coinvariant_lattice([swap])
-        e82 = iso.find_isometry(Lattice(S8.gram),
-                                catalog.root_lattice("E", 8, -2))
-        ok = (got["2"] == [8, 12, 16, 24]
-              and got["3"] == [12, 16, 18, 24]
-              and got["23"] == [22] and got["13"] == [0]
-              and e82 is not None)
-        got["rank8-is-E8(-2)"] = e82 is not None
-        return ok, got
-
-    checks.append(("prime-order-ranks", prime_order_ranks))
-
-    def s_lattice_censuses():
-        out = {}
-        ok = True
-        for name, i, j in (("2^5 3^10", 5, 10), ("2^9 3^6", 9, 6)):
-            c = en.norm_census(catalog.exceptional(name), 6)
-            out[name] = [c.count(-4), c.count(-6)]
-            ok = ok and out[name] == [i, j]
-        if not fast:
-            W = catalog.exceptional("W(-1)")
-            c = en.norm_census(W.orthogonal_complement(), 6)
-            out["W(-1) orthogonal"] = [c.count(-4), c.count(-6)]
-            ok = ok and out["W(-1) orthogonal"] == [27, 36]
-        return ok, out
-
-    checks.append(("s-lattice-censuses", s_lattice_censuses))
-
-    def milgram_battery():
-        names = ["U", "U(2)", "U(3)", "A2", "A2(-1)", "A2(3)", "A3", "A4",
-                 "D4", "E6", "E7", "E8", "E8(-1)", "E8(-2)", "E8(-3)",
-                 "L_2", "L_3", "L_6", "L_M", "K3", "N22", "N23", "N20", "N17",
-                 "BW16(-1)", "D12+(-2)", "S_3exo", "2^5 3^10", "2^9 3^6",
-                 "W(-1)", "S_11.K3[2]", "S_5exo", "S_3.K3", "S_5.K3",
-                 "S_7.K3"]
-        lattices = [catalog.named(name) for name in names]
-        lattices.append(catalog.leech())
-        count = 0
-        for L in lattices:
-            if not L.is_even():
-                continue
-            plus, minus = L.signature()
-            if df.milgram_signature(df.discriminant_form(L)) != \
-                    (plus - minus) % 8:
-                return False, {"failed": L.name}
-            count += 1
-        return count >= 25, {"checked": count}
-
-    checks.append(("milgram-battery", milgram_battery))
-
-    def classification():
-        table = walls.classification_table()
-        rows = {(r["p"], r["lattice"]): r["minimal_n"]
-                for r in table["rows"]}
-        expected = {(2, "S_2.K3"): 1, (3, "S_3.K3"): 1, (3, "W(-1)"): 2,
-                    (5, "S_5.K3"): 1, (5, "S_5exo"): 3, (7, "S_7.K3"): 1,
-                    (11, "S_11.K3[2]"): 2}
-        deform = {r["lattice"]: r.get("deformation_classes")
-                  for r in table["rows"]}
-        ok = (rows == expected and deform["S_11.K3[2]"] == 2
-              and set(table["exclusions"]) ==
-              {"BW16(-1)", "S_3exo", "D12+(-2)"}
-              and all(e["status"] == "obstructed" and e["wall"]["is_wall"]
-                      for e in table["exclusions"].values())
-              and table["large_primes"]["rejected"])
-        return ok, {"rows": {f"p={p} {name}": n
-                             for (p, name), n in rows.items()}}
-
-    checks.append(("classification-table", classification))
-
-    def properties():
-        import k3lat.linalg as linalg
-        # saturation idempotence and double complement
-        L = catalog.named("E8(-1)")
-        S = L.sublattice([[2, 0, 0, 0, 0, 0, 0, 0],
-                          [0, 2, 4, 0, 0, 0, 0, 0]])
-        sat = S.saturation()
-        ok = sat.saturation().coords == sat.coords
-        ok = ok and S.orthogonal_complement().orthogonal_complement().coords \
-            == sat.coords
-        # torsion check on a group pair
-        G = iso.group_closure([catalog.e8_cube_cycle_isometry()])
-        ok = ok and iso.torsion_check(G)
-        # wall predicate normalization invariance
-        ctx = walls.wall_context(2)
-        D = [0] * 24
-        D[8] = 1
-        r1 = walls.is_wall_divisor(ctx, D)
-        r2 = walls.is_wall_divisor(ctx, [-a for a in D])
-        ok = ok and r1.is_wall == r2.is_wall and r1.t_gram == r2.t_gram
-        return ok, {}
-
-    checks.append(("property-suite", properties))
-    return checks
-
-
 def verify_suite(name):
-    if name not in ("paper", "fast"):
-        raise InputError(f"unknown suite {name!r}; choose paper or fast")
-    fast = name == "fast"
     results = []
-    ok_all = True
-    for check_name, fn in _suite_checks(fast):
+    for check_name, run in acceptance.suite(name):
         _note(f"running {check_name} ...")
+        started = time.perf_counter()
         try:
-            ok, detail = fn()
+            ok, detail = run()
         except Exception as exc:  # a crash is a failure, not bad input
             ok, detail = False, {"error": str(exc)}
         results.append({"check": check_name, "ok": ok, "detail": detail})
-        ok_all = ok_all and ok
-        _note(f"  {'pass' if ok else 'FAIL'}")
-    return ok_all, results
+        _note(f"  {'pass' if ok else 'FAIL'} "
+              f"({time.perf_counter() - started:.1f} s)")
+    return all(r["ok"] for r in results), results
 
 
 def cmd_verify(args):
@@ -500,7 +304,7 @@ def build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="fast", choices=["paper", "fast"])
+    p.add_argument("--suite", default="fast", choices=acceptance.SUITES)
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -1,250 +1,19 @@
-"""The acceptance battery: one test (and one printed line) per criterion.
+"""The paper suite of `k3lat.acceptance`, one test per check."""
 
-Run with `pytest -s tests/test_acceptance.py` to see the lines as they
-pass; every expected value is exact, no tolerances anywhere.
-"""
+import pytest
 
-import io
-import json
-import time
-from contextlib import redirect_stdout
-
-from k3lat import catalog, cli, discforms as df, enumeration as en
-from k3lat import isometries as iso
-from k3lat import linalg, walls
-from k3lat.gram_data import NIEMEIER_ROWS
-from k3lat.lattice import Lattice
+from k3lat import acceptance
 
 
-def _criterion(number, description, ok, started, detail=""):
-    elapsed = time.time() - started
-    status = "PASS" if ok else "FAIL"
-    line = f"ACCEPTANCE {number:2d} [{status}] {description} ({elapsed:.1f}s)"
-    if detail:
-        line += f" :: {detail}"
-    print(line)
-    assert ok, line
+@pytest.mark.parametrize("check", acceptance.suite("paper"),
+                         ids=lambda check: check[0])
+def test_paper_suite(check):
+    name, run = check
+    ok, detail = run()
+    assert ok, f"{name}: {detail}"
 
 
-def test_criterion_01_leech_model():
-    t0 = time.time()
-    L = catalog.leech()
-    ok = (L.is_even() and L.det() == 1 and L.signature() == (0, 24)
-          and not en.has_roots(L) and en.min_norm(L) == -4)
-    _criterion(1, "Leech model: even, det 1, signature (0,24), "
-                  "no roots, minimal norm -4", ok, t0)
-
-
-def test_criterion_02_leech_kissing():
-    t0 = time.time()
-    L = catalog.leech()
-    first = en.norm_census(L, 4, up_to_sign=False).count(-4)
-    perm = list(range(1, 24)) + [0]
-    P = [[1 if j == perm[i] else 0 for j in range(24)] for i in range(24)]
-    G2 = linalg.mat_mul(linalg.mat_mul(P, L.gram), linalg.transpose(P))
-    second = en.norm_census(Lattice(G2), 4, up_to_sign=False).count(-4)
-    ok = first == 196560 == second
-    _criterion(2, "Leech kissing census 196560, identical under a "
-                  "permuted basis", ok, t0, f"{first} / {second}")
-
-
-def test_criterion_03_niemeier_roots():
-    t0 = time.time()
-    expected = {"N23": 48, "N22": 72, "N20": 120, "N17": 168,
-                "N10": 312, "N3": 720}
-    detail = {}
-    ok = True
-    for name, row in sorted(NIEMEIER_ROWS.items()):
-        roots = len(en.short_vectors(catalog.niemeier(name), 2))
-        detail[name] = roots
-        ok = ok and roots == 24 * row[2]
-        if name in expected:
-            ok = ok and roots == expected[name]
-    _criterion(3, "Niemeier rows: root count = 24 x Coxeter number",
-               ok, t0, str(detail))
-
-
-def test_criterion_04_holy_construction():
-    t0 = time.time()
-    ok = True
-    for name, row in sorted(NIEMEIER_ROWS.items()):
-        if row[0] == "E8":
-            continue
-        frame = catalog.holy_construction(name)
-        L = frame.leech
-        leech_ok = (L.rank == 24 and L.det() == 1 and L.is_even()
-                    and L.signature() == (0, 24) and not en.has_roots(L))
-        hole_ok = (frame.hole.det() == 1 and
-                   len(en.short_vectors(frame.hole, 2)) == 24 * row[2])
-        ok = ok and leech_ok and hole_ok
-    _criterion(4, "holy construction: hole = Niemeier invariants, "
-                  "sum-zero lattice = Leech characterization", ok, t0)
-
-
-def test_criterion_05_order5_census():
-    t0 = time.time()
-    frame = catalog.holy_construction("N20")
-    ranks = {}
-    for w in frame.code:
-        if not any(w):
-            continue
-        r = iso.invariant_lattice([frame.glue_translation(w)]).rank
-        ranks[r] = ranks.get(r, 0) + 1
-    ok = ranks == {0: 40, 8: 60, 4: 24}
-    _criterion(5, "order-5 census over the 124 nonzero glue words: "
-                  "{0: 40, 8: 60, 4: 24}", ok, t0, str(ranks))
-
-
-def test_criterion_06_order11():
-    t0 = time.time()
-    g = catalog.n22_order11_isometry()
-    T = iso.invariant_lattice([g])
-    S = T.orthogonal_complement()
-    det_ok = abs(S.det()) == 121
-    forms_ok = all(T4.det() == 121 for T4 in catalog.det121_forms())
-    embed = df.nikulin_embedding_exists(Lattice(S.gram), (4, 20))
-    ok = (T.rank == 4 and S.rank == 20 and det_ok and forms_ok
-          and embed.status == "yes"
-          and embed.witness["complement_signature"] == (4, 0))
-    _criterion(6, "order 11: invariant rank 4, coinvariant rank 20, "
-                  "Mukai complement determinant 121", ok, t0)
-
-
-def test_criterion_07_prime_order_ranks():
-    t0 = time.time()
-    model = catalog.leech_model()
-    invol = sorted(
-        iso.coinvariant_lattice([model.sign_change_isometry(mask)]).rank
-        for mask in (model.codewords_of_weight(8)[0],
-                     model.codewords_of_weight(12)[0],
-                     model.codewords_of_weight(16)[0]))
-    invol.append(iso.coinvariant_lattice(
-        [iso.minus_identity(model.lattice)]).rank)
-    swap = catalog.e8_cube_swap_isometry()
-    S8 = iso.coinvariant_lattice([swap])
-    e8_match = iso.find_isometry(Lattice(S8.gram),
-                                 catalog.root_lattice("E", 8, -2)) is not None
-    n22 = catalog.holy_construction("N22")
-    order3 = sorted(
-        [iso.coinvariant_lattice([n22.glue_translation(w)]).rank
-         for w in (n22.words_of_weight(6)[0], n22.words_of_weight(9)[0],
-                   n22.words_of_weight(12)[0])]
-        + [iso.coinvariant_lattice([catalog.e8_cube_cycle_isometry()]).rank])
-    rank23 = iso.coinvariant_lattice([model.translation_isometry()]).rank
-    n10 = catalog.holy_construction("N10")
-    word13 = next(w for w in n10.code if any(w))
-    g13 = n10.glue_translation(word13)
-    rank13 = iso.coinvariant_lattice([g13]).rank
-    ok = (invol == [8, 12, 16, 24] and e8_match
-          and order3 == [12, 16, 18, 24]
-          and rank23 == 22 and g13.order() == 13 and rank13 == 24)
-    _criterion(7, "prime-order coinvariant ranks: 2 -> {8,12,16,24} with "
-                  "rank 8 = E8(-2); 3 -> {12,16,18,24}; 23 -> 22; 13 -> 24",
-               ok, t0, f"2: {invol}, 3: {order3}, 23: {rank23}, 13: {rank13}")
-
-
-def test_criterion_08_s_lattice_censuses():
-    t0 = time.time()
-    c1 = en.norm_census(catalog.exceptional("2^5 3^10"), 6)
-    c2 = en.norm_census(catalog.exceptional("2^9 3^6"), 6)
-    W = catalog.exceptional("W(-1)")
-    c3 = en.norm_census(W.orthogonal_complement(), 6)
-    ok = ((c1.count(-4), c1.count(-6)) == (5, 10)
-          and (c2.count(-4), c2.count(-6)) == (9, 6)
-          and (c3.count(-4), c3.count(-6)) == (27, 36))
-    _criterion(8, "S-lattice censuses 2^5 3^10, 2^9 3^6 and the W(-1) "
-                  "orthogonal 2^27 3^36", ok, t0)
-
-
-def test_criterion_09_milgram_battery():
-    t0 = time.time()
-    names = ["U", "U(2)", "U(3)", "A2", "A2(-1)", "A2(3)", "A3", "A4",
-             "D4", "E6", "E7", "E8", "E8(-1)", "E8(-2)", "E8(-3)",
-             "L_2", "L_3", "L_6", "L_M", "K3", "N22", "N23", "N20", "N17",
-             "BW16(-1)", "D12+(-2)", "S_3exo", "2^5 3^10", "2^9 3^6",
-             "W(-1)", "S_11.K3[2]", "S_5exo", "S_3.K3", "S_5.K3", "S_7.K3"]
-    lattices = [catalog.named(n) for n in names] + [catalog.leech()]
-    checked = 0
-    ok = True
-    for L in lattices:
-        if not L.is_even():
-            continue
-        plus, minus = L.signature()
-        sigma = df.milgram_signature(df.discriminant_form(L))
-        if sigma != (plus - minus) % 8:
-            ok = False
-            break
-        checked += 1
-    ok = ok and checked >= 25
-    _criterion(9, "Milgram battery: signature = Gauss-sum residue mod 8 "
-                  "over the catalog", ok, t0, f"{checked} lattices")
-
-
-def test_criterion_10_classification_table():
-    t0 = time.time()
-    table = walls.classification_table()
-    rows = {(r["p"], r["lattice"]): r["minimal_n"] for r in table["rows"]}
-    expected = {
-        (2, "S_2.K3"): 1, (3, "S_3.K3"): 1, (3, "W(-1)"): 2,
-        (5, "S_5.K3"): 1, (5, "S_5exo"): 3, (7, "S_7.K3"): 1,
-        (11, "S_11.K3[2]"): 2,
-    }
-    deform = {r["lattice"]: r.get("deformation_classes")
-              for r in table["rows"]}
-    exclusions_ok = (set(table["exclusions"]) ==
-                     {"BW16(-1)", "S_3exo", "D12+(-2)"}
-                     and all(e["status"] == "obstructed"
-                             and e["wall"]["is_wall"]
-                             for e in table["exclusions"].values()))
-    ok = (rows == expected and deform["S_11.K3[2]"] == 2 and exclusions_ok
-          and table["large_primes"]["rejected"])
-    _criterion(10, "classification table: seven rows, order-11 deformation "
-                   "count 2, three exclusions with wall witnesses", ok, t0,
-               str({f"p={p} {n}": v for (p, n), v in sorted(rows.items())}))
-
-
-def test_criterion_11_property_suites():
-    t0 = time.time()
-    # saturation idempotence and double complement
-    L = catalog.named("E8(-1)")
-    S = L.sublattice([[2, 0, 0, 0, 0, 0, 0, 0], [0, 2, 4, 0, 0, 0, 0, 0]])
-    sat = S.saturation()
-    ok = sat.saturation().coords == sat.coords
-    ok = ok and S.orthogonal_complement().orthogonal_complement().coords \
-        == sat.coords
-    # torsion check on every (G, L) pair of the zoo
-    model = catalog.leech_model()
-    pairs = [
-        [catalog.e8_cube_cycle_isometry()],
-        [catalog.e8_cube_swap_isometry()],
-        [catalog.n22_order11_isometry()],
-        [model.translation_isometry()],
-        [model.multiplication_isometry(2)],
-        [model.sign_change_isometry(model.codewords_of_weight(8)[0])],
-    ]
-    for gens in pairs:
-        G = iso.group_closure(gens)
-        ok = ok and iso.torsion_check(G)
-    # wall-predicate normalization invariance
-    ctx = walls.wall_context(2)
-    D = [0] * 24
-    D[8] = 1
-    D10 = [-1, 1] + [0] * 22
-    D10[8] += 2
-    for div in (D, D10):
-        r1 = walls.is_wall_divisor(ctx, div)
-        r2 = walls.is_wall_divisor(ctx, [-a for a in div])
-        ok = ok and r1.is_wall == r2.is_wall and r1.t_gram == r2.t_gram
-    # determinism under --threads
-    outs = []
-    for threads in ("1", "4"):
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = cli.main(["--threads", threads, "construct", "A2",
-                             "--verify"])
-        assert code == 0
-        outs.append(buf.getvalue())
-    ok = ok and outs[0] == outs[1] and json.loads(outs[0])
-    _criterion(11, "property suites: saturation idempotence, double "
-                   "complement, torsion checks, wall normalization, "
-                   "thread determinism", ok, t0)
+def test_fast_suite_omits_only_the_kissing_census():
+    paper = [name for name, _ in acceptance.suite("paper")]
+    fast = [name for name, _ in acceptance.suite("fast")]
+    assert fast == [name for name in paper if name != "leech-kissing-196560"]

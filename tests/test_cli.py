@@ -4,7 +4,7 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from k3lat import cli
+from k3lat import acceptance, cli
 
 
 def run_cli(argv):
@@ -116,6 +116,20 @@ def test_autos_rejects_non_isometry(tmp_path):
     assert "isometry" in err
 
 
+@pytest.mark.parametrize("action", ["closure", "coinvariant"])
+@pytest.mark.parametrize("gens", [[5], [[1, 0], [0, 1]],
+                                  {"matrix": [[1.0, 0], [0, 1.0]]}, []],
+                         ids=["scalar", "bare-rows", "floats", "empty"])
+def test_autos_rejects_malformed_generators(tmp_path, gens, action):
+    lat = tmp_path / "a2.json"
+    lat.write_text(json.dumps({"name": "A2", "gram": [[2, -1], [-1, 2]]}))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(gens))
+    code, out, err = run_cli(["autos", action, "--lattice", str(lat),
+                              "--gens", str(path)])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_walls_check_divisor():
     coords = ",".join(["0"] * 8 + ["1"] + ["0"] * 15)
     code, out, _ = run_cli(["walls", "check", "--n", "2",
@@ -196,6 +210,17 @@ def test_verify_unknown_suite():
     assert code == 2
 
 
+def test_verify_reports_a_crashing_check(monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "suite", lambda name: [("crash", crash)])
+    code, out, err = run_cli(["verify"])
+    assert code == 1 and "FAIL (" in err
+    assert json.loads(out) == {"suite": "fast", "ok": False, "checks": [
+        {"check": "crash", "ok": False, "detail": {"error": "boom"}}]}
+
+
 def test_byte_identical_runs():
     argv = ["construct", "N22", "--verify"]
     outs = []
@@ -206,10 +231,14 @@ def test_byte_identical_runs():
     assert outs[0] == outs[1]
 
 
-def test_threads_flag_changes_nothing():
-    _, out1, _ = run_cli(["--threads", "1", "construct", "A2"])
-    _, out8, _ = run_cli(["--threads", "8", "construct", "A2"])
-    assert out1 == out8
+@pytest.mark.parametrize("argv", [["construct", "A2"],
+                                  ["construct", "A2", "--verify"]],
+                         ids=["construct", "construct-verify"])
+def test_threads_flag_changes_nothing(argv):
+    code1, out1, _ = run_cli(["--threads", "1"] + argv)
+    code8, out8, _ = run_cli(["--threads", "8"] + argv)
+    assert code1 == code8 == 0
+    assert out1 == out8 and json.loads(out1)
 
 
 def test_output_file(tmp_path):
