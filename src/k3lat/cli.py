@@ -9,8 +9,8 @@ compatibility and changes nothing, so every value produces the same
 bytes.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
-2 malformed input or an enumeration that outgrew its --cap (the message
-names the cap; rerun with a larger one).
+2 malformed input, or an enumeration or group closure that outgrew its
+--cap (the message names the cap; rerun with a larger one).
 """
 
 import argparse
@@ -43,17 +43,20 @@ def _load_lattice(path):
     obj = _load_json(path)
     if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError(f"{path}: missing field 'gram'")
+    gram = obj["gram"]
+    if not (isinstance(gram, list) and _int_rows(gram, len(gram))):
+        raise InputError(f"{path}: 'gram' must be a square integer matrix")
     try:
-        return Lattice.from_json({"gram": obj["gram"], "name": obj.get("name")})
+        return Lattice.from_json({"gram": gram, "name": obj.get("name")})
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
 
 
 def _int_rows(rows, width):
-    """True iff rows is a list of lists of `width` ints each."""
+    """True iff rows is a list of lists of `width` ints (not bools) each."""
     return isinstance(rows, list) and all(
         isinstance(row, list) and len(row) == width
-        and all(isinstance(a, int) for a in row) for row in rows)
+        and all(type(a) is int for a in row) for row in rows)
 
 
 def _load_mukai_sublattice(path, mukai):
@@ -318,7 +321,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, en.EnumerationCap) as exc:
+    except (InputError, en.EnumerationCap, iso.GroupOrderCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -1,8 +1,9 @@
 """Short-vector enumeration on definite lattices.
 
 Fincke-Pohst over an LLL-reduced Gram matrix. The search tree uses pure
-integer arithmetic: the rational Cholesky data are cleared of denominators
-once, so level bounds come from integer square roots and enumeration is
+integer arithmetic: its data are built from the integral Gram-Schmidt data
+of linalg (the leading minors d and lam = d mu), divided by one gcd per
+column, so level bounds come from integer square roots and enumeration is
 exhaustive by construction, not up to rounding.
 
 The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
@@ -35,14 +36,15 @@ DEFAULT_CAP = 10_000_000
 def _reduced_gram(L):
     """(G2, T, sign): G2 = T^t (sign * L.gram) T positive definite and
     LLL-reduced, T unimodular; y in reduced coordinates is T y in L's basis.
+    lll_reduce's own pivots are the definiteness test.
     """
     if L.rank == 0:
         raise ValueError("enumeration on a rank-0 lattice")
-    plus, minus = L.signature()
-    if plus and minus:
-        raise ValueError("enumeration requires a definite lattice")
-    sign = -1 if minus else 1
-    G2, T = linalg.lll_reduce([[sign * a for a in row] for row in L.gram])
+    sign = -1 if L.gram[0][0] < 0 else 1
+    try:
+        G2, T = linalg.lll_reduce([[sign * a for a in row] for row in L.gram])
+    except ValueError:
+        raise ValueError("enumeration requires a definite lattice") from None
     return G2, T, sign
 
 
@@ -51,25 +53,22 @@ def _integer_cholesky(G):
 
     Returns (w, D, mnum, scale) such that for integer x,
         scale * x G x^T = sum_j w[j] * (x[j]*D[j] + C_j)^2,
-    with C_j = sum_{i>j} mnum[j][i] * x[i].
+    with C_j = sum_{i>j} mnum[j][i] * x[i]. As mu_ij = lam[i][j] / d[j+1],
+    D[j] = d[j+1] / g and mnum[j][i] = lam[i][j] / g with g the gcd of
+    d[j+1] and the lam[i][j], i > j.
     """
     n = len(G)
-    mu, B = linalg.gram_schmidt_from_gram(G)
-    D = []
-    mnum = []
+    d, lam = linalg.integral_gram_schmidt(G)
+    D, mnum, wnum, wden = [], [], [], []
     for j in range(n):
-        den = 1
-        for i in range(j + 1, n):
-            den = den * mu[i][j].denominator // math.gcd(den, mu[i][j].denominator)
-        D.append(den)
-        mnum.append([0] * n)
-        for i in range(j + 1, n):
-            mnum[j][i] = int(mu[i][j] * den)
-    scale = 1
-    for j in range(n):
-        term = B[j].denominator * D[j] * D[j]
-        scale = scale * term // math.gcd(scale, term)
-    w = [scale * B[j].numerator // (B[j].denominator * D[j] * D[j]) for j in range(n)]
+        g = math.gcd(d[j + 1], *(lam[i][j] for i in range(j + 1, n)))
+        D.append(d[j + 1] // g)
+        mnum.append([0] * (j + 1) + [lam[i][j] // g for i in range(j + 1, n)])
+        h = math.gcd(d[j + 1], d[j])
+        wnum.append(d[j + 1] // h)
+        wden.append(d[j] // h * D[j] * D[j])
+    scale = math.lcm(*wden)
+    w = [scale // b * a for a, b in zip(wnum, wden)]
     return w, D, mnum, scale
 
 
@@ -185,12 +184,11 @@ def primitive_represents(L, m, cap=DEFAULT_CAP):
 
     Only definite lattices are searched, so absence is conclusive.
     """
-    if m == 0:
+    if m == 0 or L.rank == 0:
         return None
-    plus, minus = L.signature()
-    if (m > 0 and plus == 0) or (m < 0 and minus == 0):
+    G2, T, sign = _reduced_gram(L)
+    if m * sign < 0:
         return None
-    G2, T, _ = _reduced_gram(L)
     for q, y in _enumerate_reduced(G2, abs(m), cap):
         if q == abs(m) and math.gcd(*y) == 1:
             return LatticeVector(L, _canonical_sign(linalg.mat_vec(T, y)))

@@ -16,6 +16,10 @@ from .lattice import Lattice
 GROUP_ORDER_CAP = 10 ** 6
 
 
+class GroupOrderCap(RuntimeError):
+    """Raised when a group closure exceeds its element-count cap."""
+
+
 class Isometry:
     """An isometry of a lattice, v -> v P on basis coordinates."""
 
@@ -119,8 +123,8 @@ def group_closure(generators, cap=GROUP_ORDER_CAP):
                               for j in range(n)) for i in range(n))
             if nxt not in seen:
                 if len(seen) >= cap:
-                    raise RuntimeError(
-                        f"group not verified finite within cap {cap}")
+                    raise GroupOrderCap(f"group not verified finite within "
+                                        f"the cap of {cap} elements")
                 seen.add(nxt)
                 queue.append(nxt)
     elements = [Isometry(L, [list(row) for row in m], check=False)

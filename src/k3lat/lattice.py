@@ -48,13 +48,10 @@ class Lattice:
         return self._det
 
     def signature(self):
-        """(n_plus, n_minus) by exact congruence diagonalization."""
+        """(n_plus, n_minus) from linalg.inertia, fraction-free."""
         if self.degenerate:
             raise ValueError("signature of a degenerate lattice")
-        diag = linalg.congruent_diagonal(self.gram)
-        plus = sum(1 for d in diag if d > 0)
-        minus = sum(1 for d in diag if d < 0)
-        return plus, minus
+        return linalg.inertia(self.gram)[:2]
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))

@@ -1,18 +1,21 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Matrices are lists of row lists with Python int entries (Fraction where
-stated); vectors are plain lists. Everything is arbitrary precision and
-nothing here touches floating point. Functions never mutate their inputs.
+Matrices are lists of row lists with Python int entries; vectors are plain
+lists. Everything is arbitrary precision and nothing here touches floating
+point or fractions. Functions never mutate their inputs.
 
 Coordinates in a basis have one solver, rowspace_solver(B). It factors a
 full-row-rank integer B once, fraction-free (Bareiss), and for integer
 rows V returns integer X and the least d >= 1 with X B = d V, or None
 when a row of V is outside the rational row span; dependent rows of B
 raise ValueError. Integral coordinates are exactly the case d = 1.
+
+Gram-Schmidt data are integers too: the leading minors d_i and
+lam_ij = d_{j+1} mu_ij of integral_gram_schmidt, which lll_reduce updates
+and the Fincke-Pohst tree of enumeration is built from.
 """
 
 import math
-from fractions import Fraction
 
 
 def identity(n):
@@ -34,7 +37,7 @@ def transpose(M):
 
 
 def mat_mul(A, B):
-    """Matrix product; works for int and Fraction entries alike."""
+    """Matrix product."""
     if not A:
         return []
     if not B:
@@ -342,117 +345,105 @@ def rowspace_solver(B):
     return solve
 
 
-def congruent_diagonal(G):
-    """Diagonal of a rational congruent diagonalization of symmetric G.
+def inertia(G):
+    """(plus, minus, zero) of a symmetric integer G, by Sylvester's law.
 
-    Returns Fractions d_i with P G P^T = diag(d_i) for some rational P;
-    the signs of the d_i give the signature by Sylvester's law.
+    Symmetric fraction-free (Bareiss) elimination: each pivot p is a minor
+    of a matrix congruent to G and the rational pivot is p / prev, the
+    previous one, so its sign is that of p * prev. Where no diagonal pivot
+    is left, x_i += x_j makes the (i, i) entry 2 A[i][j] != 0.
     """
-    n = len(G)
-    A = [[Fraction(a) for a in row] for row in G]
-    diag = []
-    idx = list(range(n))
-    for step in range(n):
+    A = copy_mat(G)
+    plus, prev = 0, 1
+    while A:
         m = len(A)
-        piv = next((i for i in range(m) if A[i][i] != 0), None)
+        piv = next((i for i in range(m) if A[i][i]), None)
         if piv is None:
-            piv_pair = next(((i, j) for i in range(m) for j in range(i + 1, m)
-                             if A[i][j] != 0), None)
-            if piv_pair is None:
-                diag.extend([Fraction(0)] * m)
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                         if A[i][j]), None)
+            if pair is None:
                 break
-            i, j = piv_pair
-            # x_i <- x_i + x_j makes the (i, i) entry 2 A[i][j] != 0.
+            i, j = pair
             for c in range(m):
                 A[i][c] += A[j][c]
             for r in range(m):
                 A[r][i] += A[r][j]
             piv = i
-        d = A[piv][piv]
-        diag.append(d)
+        p, row = A[piv][piv], A[piv]
+        plus += (p > 0) == (prev > 0)
         rest = [r for r in range(m) if r != piv]
-        A = [[A[r][c] - A[r][piv] * A[piv][c] / d for c in rest] for r in rest]
-        if not A:
-            break
-    return diag
+        A = [[(p * A[r][c] - A[r][piv] * row[c]) // prev for c in rest]
+             for r in rest]
+        prev = p
+    # what is left of A is zero: its size is the nullity
+    return plus, len(G) - len(A) - plus, len(A)
 
 
-def gram_schmidt_from_gram(G):
-    """Orthogonalization data (mu, B) of a basis given only its Gram matrix.
+def integral_gram_schmidt(W):
+    """Integral Gram-Schmidt data (d, lam) of a positive definite Gram W.
 
-    mu[i][j] (j < i) are projection coefficients, B[i] the squared norms of
-    the orthogonalized vectors, all Fractions. Requires positive definite G.
+    d[i] is the leading i x i minor (d[0] = 1) and lam[i][j] = d[j+1] mu_ij
+    for j < i, all integers (Cohen, GTM 138, Alg. 2.6.7); the squared norms
+    of the orthogonalized vectors are d[i+1] / d[i]. Raises ValueError
+    unless W is positive definite.
     """
-    n = len(G)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
+    n = len(W)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i):
-            s = Fraction(G[i][j])
+        for j in range(i + 1):
+            u = W[i][j]
             for k in range(j):
-                s -= mu[i][k] * mu[j][k] * B[k]
-            if B[j] == 0:
-                raise ValueError("degenerate Gram in orthogonalization")
-            mu[i][j] = s / B[j]
-        s = Fraction(G[i][i])
-        for k in range(i):
-            s -= mu[i][k] * mu[i][k] * B[k]
-        B[i] = s
-        if B[i] <= 0:
-            raise ValueError("Gram is not positive definite")
-    return mu, B
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
-def lll_reduce(G, delta=Fraction(3, 4)):
-    """LLL-reduce a definite Gram matrix.
+def lll_reduce(G):
+    """LLL-reduce a definite Gram matrix, Lovasz constant 3/4.
 
-    Returns (G2, T) with G2 = T^t G T, T unimodular and G2 LLL-reduced with
-    parameter delta applied to |G|. Raises ValueError on indefinite input.
+    Returns (G2, T) with G2 = T^t G T, T unimodular and G2 LLL-reduced as
+    a form of the sign of G. Integral LLL (Cohen, GTM 138, Alg. 2.6.7) on
+    integral_gram_schmidt's data, except that row k is size-reduced
+    against every j < k before the Lovasz test and lam / d rounds half to
+    even. Raises ValueError unless G is definite.
     """
     n = len(G)
     if n == 0:
         return [], []
     if not is_symmetric(G):
         raise ValueError("Gram matrix must be symmetric")
-    signs = {0}
-    for d in congruent_diagonal(G):
-        signs.add(1 if d > 0 else -1 if d < 0 else 0)
-    if 1 in signs and -1 in signs:
-        raise ValueError("LLL requires definite form")
-    neg = -1 in signs
-    W = [[-a for a in row] for row in G] if neg else copy_mat(G)
-
+    sign = -1 if G[0][0] < 0 else 1
+    d, lam = integral_gram_schmidt([[sign * a for a in row] for row in G])
     R = identity(n)  # rows of R = current basis in the original basis
-    mu, B = gram_schmidt_from_gram(W)
-
-    def size_reduce(k, j):
-        if abs(mu[k][j]) * 2 > 1:
-            r = round(mu[k][j])
-            R[k] = [a - r * b for a, b in zip(R[k], R[j])]
-            for l in range(j):
-                mu[k][l] -= r * mu[j][l]
-            mu[k][j] -= r
-
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            size_reduce(k, j)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                r, rem = divmod(lam[k][j], d[j + 1])
+                if 2 * rem > d[j + 1] or (2 * rem == d[j + 1] and r % 2):
+                    r += 1
+                R[k] = [a - r * b for a, b in zip(R[k], R[j])]
+                lam[k][j] -= r * d[j + 1]
+                for l in range(j):
+                    lam[k][l] -= r * lam[j][l]
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lk * lk:
             k += 1
-        else:
-            R[k], R[k - 1] = R[k - 1], R[k]
-            m = mu[k][k - 1]
-            Bnew = B[k] + m * m * B[k - 1]
-            mu_new = m * B[k - 1] / Bnew
-            B[k] = B[k - 1] * B[k] / Bnew
-            B[k - 1] = Bnew
-            for j in range(k - 1):
-                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu_new * mu[i][k]
-            mu[k][k - 1] = mu_new
-            k = max(k - 1, 1)
-    G2 = mat_mul(mat_mul(R, G), transpose(R))
-    return G2, transpose(R)
+            continue
+        R[k], R[k - 1] = R[k - 1], R[k]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return mat_mul(mat_mul(R, G), transpose(R)), transpose(R)

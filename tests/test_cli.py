@@ -118,8 +118,10 @@ def test_autos_rejects_non_isometry(tmp_path):
 
 @pytest.mark.parametrize("action", ["closure", "coinvariant"])
 @pytest.mark.parametrize("gens", [[5], [[1, 0], [0, 1]],
-                                  {"matrix": [[1.0, 0], [0, 1.0]]}, []],
-                         ids=["scalar", "bare-rows", "floats", "empty"])
+                                  {"matrix": [[1.0, 0], [0, 1.0]]}, [],
+                                  [[[True, 0], [0, 1]]]],
+                         ids=["scalar", "bare-rows", "floats", "empty",
+                              "bools"])
 def test_autos_rejects_malformed_generators(tmp_path, gens, action):
     lat = tmp_path / "a2.json"
     lat.write_text(json.dumps({"name": "A2", "gram": [[2, -1], [-1, 2]]}))
@@ -128,6 +130,35 @@ def test_autos_rejects_malformed_generators(tmp_path, gens, action):
     code, out, err = run_cli(["autos", action, "--lattice", str(lat),
                               "--gens", str(path)])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["analyze", "autos"])
+@pytest.mark.parametrize("gram", [[[2.7, 1], [1, 2]], [["2", 1], [1, 2]],
+                                  [[True, 0], [0, 2]], [[2, 1], [1]]],
+                         ids=["float", "string", "bool", "ragged"])
+def test_non_integer_gram_exits_2(tmp_path, gram, command):
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps({"gram": gram}))
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[[1, 0], [0, 1]]]))
+    argv = (["analyze", "--input", str(lat), "--determinant"]
+            if command == "analyze" else
+            ["autos", "closure", "--lattice", str(lat), "--gens", str(gens)])
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {lat}:") and "integer" in err
+
+
+@pytest.mark.parametrize("action", ["closure", "coinvariant"])
+def test_autos_group_cap_exits_2(tmp_path, action):
+    lat = tmp_path / "min2.json"
+    lat.write_text(json.dumps({"gram": [[-2, 0], [0, -2]]}))
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[[0, 1], [1, 0]]]))
+    code, out, err = run_cli(["autos", action, "--lattice", str(lat),
+                              "--gens", str(gens), "--cap", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap of 1 elements" in err
 
 
 def test_walls_check_divisor():

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -124,16 +123,19 @@ def test_lll_reduces_skewed_basis():
     assert G2 == [[1, 0], [0, 1]]
 
 
-def test_congruent_diagonal_signs():
-    diag = linalg.congruent_diagonal(U)
-    assert sorted(1 if d > 0 else -1 for d in diag) == [-1, 1]
-    diag = linalg.congruent_diagonal(E8)
-    assert all(d > 0 for d in diag)
+def test_lll_rounds_half_to_even():
+    # mu = 5/2 rounds to 2, as round(Fraction) does; half-up would give 3
+    assert linalg.lll_reduce([[2, 5], [5, 20]]) == \
+        ([[2, 1], [1, 8]], [[1, -2], [0, 1]])
 
 
-def test_congruent_diagonal_degenerate():
-    diag = linalg.congruent_diagonal([[0, 0], [0, 2]])
-    assert sorted(diag) == [Fraction(0), Fraction(2)]
+def test_inertia_signs():
+    assert linalg.inertia(U) == (1, 1, 0)
+    assert linalg.inertia(E8) == (8, 0, 0)
+
+
+def test_inertia_degenerate():
+    assert linalg.inertia([[0, 0], [0, 2]]) == (1, 0, 1)
 
 
 def test_rowspace_solver_known_solution():
