@@ -9,7 +9,7 @@ validated against its documented invariants; results are cached.
 
 import re
 
-from . import isometries, linalg
+from . import discforms, isometries, linalg
 from .gram_data import (DET121_GENUS, NIEMEIER_ROWS, POS_2_5_3_10,
                         RM_1_4_GENERATORS, S_LATTICE_2_5_3_10,
                         S_LATTICE_2_9_3_6, gram_A, gram_D, gram_E)
@@ -233,19 +233,8 @@ def glue_code(name):
         n, m, _, seed, mode = NIEMEIER_ROWS[name]
         if seed is None:
             return [tuple([0] * m)]
-        size = n + 1
-        gens = [tuple(a % size for a in w) for w in _generator_words(seed, mode)]
-        zero = tuple([0] * m)
-        seen = {zero}
-        queue = [zero]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = tuple((a + b) % size for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return sorted(seen)
+        return sorted(discforms.subgroup(_generator_words(seed, mode),
+                                         [n + 1] * m))
     return _cached(("glue_code", name), build)
 
 

@@ -1,9 +1,13 @@
-"""Discriminant groups with their Q/2Z-valued quadratic forms.
+"""Discriminant groups with their Q/2Z-valued quadratic forms, in integers.
 
-Covers the finite quadratic form of an even lattice, the exact Milgram
-signature via Gauss sums in cyclotomic integer rings, brute-force (anti-)
-isometry of forms, the simplified existence/embedding/uniqueness criteria
-for even lattices, 2-elementary invariants, and overlattice gluing.
+Covers the finite quadratic form of an even lattice with integer class
+coordinates of its dual vectors, the exact Milgram signature via Gauss
+sums in cyclotomic integer rings, brute-force (anti-)isometry of forms,
+the simplified existence/embedding/uniqueness criteria for even
+lattices, 2-elementary invariants, subgroups spanned by generators, and
+overlattice gluing. Forms are stored and searched as integer numerators
+over the group's exponent; Fraction appears only in a form's rational
+constructor input, in the q_value/b_value results and in the JSON records.
 """
 
 import itertools
@@ -23,8 +27,12 @@ class FiniteQuadraticForm:
     """A finite abelian group with a quadratic form q: A -> Q/2Z.
 
     The group is presented by invariant factors d_1 | d_2 | ... | d_k
-    (each > 1); q is stored on the generators as a symmetric rational
-    matrix whose diagonal is read mod 2 and off-diagonal mod 1.
+    (each > 1). With e = d_k the exponent (1 for the trivial group), q is
+    stored on the generators as the symmetric integer matrix e*q, its
+    diagonal read mod 2e and its off-diagonal mod e, so two forms on the
+    same factors compare as plain ints. The constructor takes rational
+    entries and raises ValueError unless e*q is integral, as it is for
+    every well-defined form.
     """
 
     def __init__(self, factors, q_matrix):
@@ -34,26 +42,29 @@ class FiniteQuadraticForm:
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        e = factors[-1] if factors else 1
         k = len(factors)
-        q = [[Fraction(q_matrix[i][j]) for j in range(k)] for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if q[i][j] != q[j][i]:
-                    raise ValueError("q matrix must be symmetric")
-        for i in range(k):
-            q[i][i] %= 2
-            for j in range(k):
-                if i != j:
-                    q[i][j] %= 1
+        scaled = [[Fraction(q_matrix[i][j]) * e for j in range(k)]
+                  for i in range(k)]
+        if any(scaled[i][j] != scaled[j][i] for i in range(k) for j in range(i)):
+            raise ValueError("q matrix must be symmetric")
+        if any(a.denominator != 1 for row in scaled for a in row):
+            raise ValueError(f"e*q must be integral for the exponent e = {e}")
+        self._store(factors, [[int(a) for a in row] for row in scaled])
+
+    def _store(self, factors, num):
+        """Set q = num / e, reducing the diagonal mod 2e and the rest mod e."""
+        e = factors[-1] if factors else 1
         self.factors = factors
-        self.q = q
-        # integer numerators over a common denominator, for fast loops
-        den = 1
-        for row in q:
-            for a in row:
-                den = den * a.denominator // math.gcd(den, a.denominator)
-        self._den = den
-        self._qnum = [[int(a * den) for a in row] for row in q]
+        self.exponent = e
+        self._qnum = [[a % (2 * e if i == j else e) for j, a in enumerate(row)]
+                      for i, row in enumerate(num)]
+
+    @classmethod
+    def _from_numerators(cls, factors, num):
+        form = cls.__new__(cls)
+        form._store(factors, num)
+        return form
 
     @property
     def length(self):
@@ -78,9 +89,8 @@ class FiniteQuadraticForm:
                 o = math.lcm(o, d // math.gcd(xi, d))
         return o
 
-    def q_value(self, x):
-        """q(x) as a Fraction in [0, 2)."""
-        den = self._den
+    def _q_num(self, x):
+        """e * q(x) as an integer in [0, 2e)."""
         qn = self._qnum
         total = 0
         for i, xi in enumerate(x):
@@ -89,34 +99,44 @@ class FiniteQuadraticForm:
                 total += xi * xi * row[i]
                 for j in range(i + 1, len(x)):
                     total += 2 * xi * x[j] * row[j]
-        return Fraction(total % (2 * den), den) if den else Fraction(0)
+        return total % (2 * self.exponent)
 
-    def b_value(self, x, y):
-        """Bilinear pairing b(x, y) as a Fraction in [0, 1)."""
-        den = self._den
+    def _b_num(self, x, y):
+        """e * b(x, y) as an integer in [0, e)."""
         qn = self._qnum
         total = 0
         for i, xi in enumerate(x):
             if xi:
                 row = qn[i]
                 total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return Fraction(total % den, den) if den else Fraction(0)
+        return total % self.exponent
+
+    def q_value(self, x):
+        """q(x) as a Fraction in [0, 2)."""
+        return Fraction(self._q_num(x), self.exponent)
+
+    def b_value(self, x, y):
+        """Bilinear pairing b(x, y) as a Fraction in [0, 1)."""
+        return Fraction(self._b_num(x, y), self.exponent)
 
     def neg(self):
-        return FiniteQuadraticForm(self.factors,
-                                   [[-a for a in row] for row in self.q])
+        return FiniteQuadraticForm._from_numerators(
+            self.factors, [[-a for a in row] for row in self._qnum])
 
     def value_multiset(self):
+        """Counts of the numerators e * q(x) over the group."""
         counts = {}
         for x in self.elements():
-            v = self.q_value(x)
+            v = self._q_num(x)
             counts[v] = counts.get(v, 0) + 1
         return counts
 
     def to_json(self):
+        e = self.exponent
         return {"factors": self.factors[:],
-                "q": [[[a.numerator, a.denominator] for a in row]
-                      for row in self.q]}
+                "q": [[[f.numerator, f.denominator]
+                       for f in (Fraction(a, e) for a in row)]
+                      for row in self._qnum]}
 
     @classmethod
     def from_json(cls, obj):
@@ -133,10 +153,11 @@ class FiniteQuadraticForm:
 
 @dataclass
 class DiscriminantData:
-    """The finite form of a lattice plus coordinates on its group.
+    """The finite form of a lattice plus integer coordinates on its group.
 
-    gens[i] is a rational row (in the lattice basis) generating a cyclic
-    factor of order form.factors[i] of A_L = L*/L.
+    gens[i] is an integer row y in the lattice basis; the dual vector
+    y / form.factors[i] generates the i-th cyclic factor of A_L = L*/L.
+    class_coords(y, d) maps the dual vector y/d back to coordinates.
     """
 
     lattice: Lattice
@@ -145,18 +166,17 @@ class DiscriminantData:
     _V: list
     _keep: list
 
-    def class_coords(self, x):
-        """Coordinates in A_L of a dual vector x (rational row in L's basis).
+    def class_coords(self, y, d):
+        """Coordinates in A_L of the dual vector y/d, for an integer row y
+        in L's basis and an integer d >= 1.
 
-        Raises if x is not in the dual lattice.
+        Raises ValueError unless y G = 0 mod d, i.e. unless y/d is in L*.
         """
-        pairings = [sum(Fraction(a) * g for a, g in zip(x, col))
-                    for col in zip(*self.lattice.gram)]
-        if any(p.denominator != 1 for p in pairings):
+        pairings = linalg.vec_mat(y, self.lattice.gram)
+        if any(p % d for p in pairings):
             raise ValueError("vector is not in the dual lattice")
-        y = linalg.vec_mat([int(p) for p in pairings], self._V)
-        return tuple(y[i] % self.form.factors[j]
-                     for j, i in enumerate(self._keep))
+        z = linalg.vec_mat([p // d for p in pairings], self._V)
+        return tuple(z[i] % f for i, f in zip(self._keep, self.form.factors))
 
 
 def discriminant_data(L):
@@ -166,20 +186,21 @@ def discriminant_data(L):
     if not L.is_even():
         raise ValueError("discriminant form requires an even lattice")
     n = L.rank
-    if n == 0:
-        return DiscriminantData(L, FiniteQuadraticForm.trivial(), [], [], [])
     D, U, V = linalg.snf(L.gram)
     # A_L = Z^n / Z^n G via pairing vectors; y -> yV diagonalizes to sum Z/d_i.
     # D = U G V gives (G V)^-1 = D^-1 U: the dual generator of the i-th
     # cyclic factor is U[i] / d_i.
     keep = [i for i in range(n) if D[i][i] > 1]
     factors = [D[i][i] for i in keep]
-    rows = [U[i] for i in keep]
-    gens = [[Fraction(a, f) for a in row] for row, f in zip(rows, factors)]
-    RG = linalg.mat_mul(rows, L.gram)
-    q = [[Fraction(linalg.dot(rg, rj), fi * fj)
-          for rj, fj in zip(rows, factors)] for rg, fi in zip(RG, factors)]
-    return DiscriminantData(L, FiniteQuadraticForm(factors, q), gens, V, keep)
+    gens = [U[i] for i in keep]
+    # q(g_i, g_j) = U_i G U_j^T / (d_i d_j); d_j g_j lies in L, so
+    # d_j b(g_i, g_j) and d_i q(g_i) are integers and e q is integral
+    e = factors[-1] if factors else 1
+    RG = linalg.mat_mul(gens, L.gram)
+    num = [[linalg.dot(rg, rj) * e // (fi * fj)
+            for rj, fj in zip(gens, factors)] for rg, fi in zip(RG, factors)]
+    form = FiniteQuadraticForm._from_numerators(factors, num)
+    return DiscriminantData(L, form, gens, V, keep)
 
 
 def discriminant_form(L):
@@ -264,7 +285,7 @@ def milgram_signature(form, order_cap=MILGRAM_ORDER_CAP):
         raise ValueError(
             f"group order {size} exceeds the Milgram cap {order_cap}; the "
             f"Gauss sum visits every element, so pass a larger order_cap")
-    den = form._den or 1
+    den = form.exponent
     # squarefree part s of |A| decides which sqrt factors we need
     m, s = 1, size
     d = 2
@@ -287,19 +308,8 @@ def milgram_signature(form, order_cap=MILGRAM_ORDER_CAP):
     N = math.lcm(2 * den, 8, *odd_primes)
     # Gauss sum as an exponent vector over zeta_N
     S = [0] * N
-    qn = form._qnum
-    k = form.length
     for x in form.elements():
-        total = 0
-        for i in range(k):
-            xi = x[i]
-            if xi:
-                row = qn[i]
-                total += xi * xi * row[i]
-                for j in range(i + 1, k):
-                    total += 2 * xi * x[j] * row[j]
-        a = total % (2 * den)
-        S[a * N // (2 * den) % N] += 1
+        S[form._q_num(x) * N // (2 * den)] += 1
     # sqrt(|A|) = m * prod sqrt(p) over primes p | s, via quadratic Gauss sums
     root = [0] * N
     root[0] = m
@@ -335,18 +345,26 @@ def _unit_vector(n, k):
 
 # -- isomorphism search ------------------------------------------------------
 
-def _subgroup_order(form, gens):
-    zero = tuple([0] * form.length)
-    seen = {zero}
-    queue = [zero]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = tuple((a + b) % d for a, b, d in zip(x, g, form.factors))
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen)
+def subgroup(gens, factors):
+    """The subgroup of Z/f_1 + ... + Z/f_k spanned by gens, as a set of
+    tuples reduced mod the factors f_i."""
+    H = {tuple(0 for _ in factors)}
+    for g in gens:
+        g = tuple(a % f for a, f in zip(g, factors))
+        if g in H:
+            continue
+        # H + <g> is the union of the cosets H + j g before the first
+        # multiple of g that falls back into H
+        new = []
+        coset = list(H)
+        while True:
+            coset = [tuple((a + b) % f for a, b, f in zip(x, g, factors))
+                     for x in coset]
+            if coset[0] in H:
+                break
+            new.extend(coset)
+        H.update(new)
+    return H
 
 
 def _find_generator_images(q1, q2, sign, node_cap=_SEARCH_NODE_CAP):
@@ -357,14 +375,13 @@ def _find_generator_images(q1, q2, sign, node_cap=_SEARCH_NODE_CAP):
     if q1.is_trivial():
         return []
     k = q1.length
-    gens1 = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    targets_q = [(sign * q1.q_value(g)) % 2 for g in gens1]
-    targets_b = [[(sign * q1.b_value(gens1[i], gens1[j])) % 1 for j in range(i)]
-                 for i in range(k)]
-    elements = list(q2.elements())
+    e = q1.exponent  # the shared exponent: the factors agree
+    qn = q1._qnum
+    targets_q = [sign * qn[i][i] % (2 * e) for i in range(k)]
+    targets_b = [[sign * qn[i][j] % e for j in range(i)] for i in range(k)]
     by_profile = {}
-    for x in elements:
-        key = (q2.element_order(x), q2.q_value(x))
+    for x in q2.elements():
+        key = (q2.element_order(x), q2._q_num(x))
         by_profile.setdefault(key, []).append(x)
     p = q1.factors[0]
     elementary = all(d == p for d in q1.factors) and _is_prime(p)
@@ -385,13 +402,13 @@ def _find_generator_images(q1, q2, sign, node_cap=_SEARCH_NODE_CAP):
         if i == k:
             if elementary:
                 return True  # independent images of a basis generate
-            return _subgroup_order(q2, chosen) == q2.order()
+            return len(subgroup(chosen, q2.factors)) == q2.order()
         cands = by_profile.get((q1.factors[i], targets_q[i]), [])
         for y in cands:
             nodes += 1
             if nodes > node_cap:
                 raise RuntimeError("search budget exceeded")
-            if not all(q2.b_value(y, chosen[j]) == targets_b[i][j]
+            if not all(q2._b_num(y, chosen[j]) == targets_b[i][j]
                        for j in range(i)):
                 continue
             if elementary:
@@ -408,9 +425,11 @@ def _find_generator_images(q1, q2, sign, node_cap=_SEARCH_NODE_CAP):
                 echelon.pop()
         return False
 
-    if dfs(0):
-        return [list(y) for y in chosen]
-    return None
+    try:
+        found = dfs(0)
+    finally:
+        del dfs  # a self-referencing closure: free by_profile now, not at gc
+    return [list(y) for y in chosen] if found else None
 
 
 def _is_prime(n):
@@ -523,11 +542,8 @@ def two_modular_invariants(L):
     form = discriminant_form(L)
     if any(d != 2 for d in form.factors):
         raise ValueError("discriminant group is not 2-elementary")
-    delta = 0
-    for x in form.elements():
-        if form.q_value(x) not in (Fraction(0), Fraction(1)):
-            delta = 1
-            break
+    # Delta = 1 iff some q value is not integral, i.e. e q(x) = 0 mod e fails
+    delta = int(any(form._q_num(x) % form.exponent for x in form.elements()))
     return L.rank, L.signature(), form.length, delta
 
 
@@ -570,41 +586,38 @@ def glue_overlattice(S, T, glue, name=None):
     """
     dS = discriminant_data(S)
     dT = discriminant_data(T)
-    qS, gensS = dS.form, dS.gens
-    qT, gensT = dT.form, dT.gens
-    # walk the glued subgroup, checking well-definedness and anti-isometry
-    zero = (tuple([0] * qS.length), tuple([0] * qT.length))
-    seen = {zero[0]: zero[1]}
-    frontier = [zero]
-    pairs = [(tuple(d), tuple(i)) for d, i in zip(glue.domain, glue.images)]
-    while frontier:
-        x, y = frontier.pop()
-        for d, i in pairs:
-            nx = tuple((a + b) % f for a, b, f in zip(x, d, qS.factors))
-            ny = tuple((a + b) % f for a, b, f in zip(y, i, qT.factors))
-            if nx in seen:
-                if seen[nx] != ny:
-                    raise ValueError(f"glue map is not well defined at {nx}")
-                continue
-            seen[nx] = ny
-            frontier.append((nx, ny))
-    for x, y in seen.items():
-        if (qS.q_value(x) + qT.q_value(y)) % 2 != 0:
+    qS, qT = dS.form, dT.form
+    # the graph of the glue map is the subgroup its pairs span in A_S + A_T
+    pairs = [(list(d), list(i)) for d, i in zip(glue.domain, glue.images)]
+    if len(glue.domain) != len(glue.images) or any(
+            len(d) != qS.length or len(i) != qT.length for d, i in pairs):
+        raise ValueError("glue rows do not match the discriminant groups")
+    graph = {}
+    for z in subgroup([d + i for d, i in pairs], qS.factors + qT.factors):
+        x, y = z[:qS.length], z[qS.length:]
+        if graph.setdefault(x, y) != y:
+            raise ValueError(f"glue map is not well defined at {x}")
+    eS, eT = qS.exponent, qT.exponent
+    for x, y in graph.items():
+        if (qS._q_num(x) * eT + qT._q_num(y) * eS) % (2 * eS * eT):
             raise ValueError(f"glue is not an anti-isometry at element {x}: "
                              f"q_S = {qS.q_value(x)}, q_T = {qT.q_value(y)}")
-    if len({y for y in seen.values()}) != len(seen):
+    if len(set(graph.values())) != len(graph):
         raise ValueError("glue map is not injective")
-    index = len(seen)
+    index = len(graph)
 
     ns, nt = S.rank, T.rank
     amb = S + T
     # every lift lies in (1/den)(S + T), den the exponent of A_S + A_T
-    den = math.lcm(*qS.factors[-1:], *qT.factors[-1:])
+    den = math.lcm(eS, eT)
+
+    def scaled_lift(coeffs, data, n):  # den * sum_i c_i gens_i / f_i
+        w = [c * (den // f) for c, f in zip(coeffs, data.form.factors)]
+        return [sum(c * g[b] for c, g in zip(w, data.gens)) for b in range(n)]
+
     rows = [[den * a for a in row] for row in linalg.identity(ns + nt)]
     for d, i in pairs:
-        lift = [sum(c * g[b] for c, g in zip(d, gensS)) for b in range(ns)] + \
-               [sum(c * g[b] for c, g in zip(i, gensT)) for b in range(nt)]
-        rows.append([int(den * a) for a in lift])
+        rows.append(scaled_lift(d, dS, ns) + scaled_lift(i, dT, nt))
     H, _ = linalg.hnf(rows)
     basis = [row for row in H if any(row)][:ns + nt]  # den * basis of L
     gram = linalg.mat_mul(linalg.mat_mul(basis, amb.gram),

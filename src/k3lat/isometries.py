@@ -7,11 +7,9 @@ actions and the frame-based isometries of the holy construction all
 reduce to exact kernel and transport computations.
 """
 
-from fractions import Fraction
-
 from . import enumeration, linalg
 from .discforms import discriminant_data
-from .lattice import Lattice
+from .lattice import Lattice, int_matrix
 
 GROUP_ORDER_CAP = 10 ** 6
 
@@ -24,7 +22,7 @@ class Isometry:
     """An isometry of a lattice, v -> v P on basis coordinates."""
 
     def __init__(self, lattice, matrix, check=True):
-        matrix = [list(map(int, row)) for row in matrix]
+        matrix = int_matrix(matrix, what="isometry matrix")
         if check and not is_isometry(lattice, matrix):
             raise ValueError("matrix does not preserve the Gram matrix")
         self.lattice = lattice
@@ -174,11 +172,8 @@ def discriminant_action(L, isometry):
     data = discriminant_data(L)
     if data.form.is_trivial():
         return "trivial"
-    images = []
-    for g in data.gens:
-        img = [sum(Fraction(a) * isometry.matrix[k][j]
-                   for k, a in enumerate(g)) for j in range(L.rank)]
-        images.append(data.class_coords(img))
+    images = [data.class_coords(linalg.vec_mat(g, isometry.matrix), f)
+              for g, f in zip(data.gens, data.form.factors)]
     k = data.form.length
     trivial = all(img == tuple(int(i == j) for j in range(k))
                   for i, img in enumerate(images))

@@ -11,18 +11,33 @@ import math
 from . import linalg
 
 
+def int_matrix(rows, width=None, what="matrix"):
+    """A copy of rows (a list or tuple of lists or tuples) as lists of
+    `width` ints each; by default the matrix must be square.
+
+    Floats, strings and bools are refused with ValueError, not coerced.
+    """
+    seq = (list, tuple)
+    if not (isinstance(rows, seq) and all(isinstance(r, seq) for r in rows)
+            and all(len(r) == (len(rows) if width is None else width)
+                    and all(type(a) is int for a in r) for r in rows)):
+        shape = "square matrix" if width is None else f"{width}-column matrix"
+        raise ValueError(f"{what} must be a {shape} of integers")
+    return [list(r) for r in rows]
+
+
 class Lattice:
     """Integer Gram matrix, optionally sitting inside an ambient lattice."""
 
     def __init__(self, gram, name=None, ambient=None, coords=None,
                  allow_degenerate=False):
-        gram = [list(map(int, row)) for row in gram]
+        gram = int_matrix(gram, what="Gram")
         if not linalg.is_symmetric(gram):
             raise ValueError("Gram matrix must be symmetric")
         if (ambient is None) != (coords is None):
             raise ValueError("ambient and coords must be supplied together")
         if coords is not None:
-            coords = [list(map(int, row)) for row in coords]
+            coords = int_matrix(coords, ambient.rank, "coordinates")
             if len(coords) != len(gram):
                 raise ValueError("coordinate rows must match the rank")
             expected = linalg.mat_mul(linalg.mat_mul(coords, ambient.gram),
@@ -165,9 +180,7 @@ class LatticeVector:
     """Integer coordinate row in the basis of a fixed lattice."""
 
     def __init__(self, lattice, coords):
-        coords = list(map(int, coords))
-        if len(coords) != lattice.rank:
-            raise ValueError("coordinate length does not match rank")
+        (coords,) = int_matrix([coords], lattice.rank, "vector coordinates")
         self.lattice = lattice
         self.coords = coords
 

@@ -9,7 +9,6 @@ is complete, so an "absent" answer is a proof of absence.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import catalog, discforms as df, enumeration as en
 from . import isometries as iso
@@ -249,8 +248,9 @@ def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
     # x0 = (s/vv) v + tau with tau in the K-span; K is orthogonal to v, so
     # the tau coordinates solve the K-Gram system directly
     bvec = linalg.mat_vec(KG, x0)
-    rho_target = Fraction(rho) - Fraction(s_val * s_val, vv)
-    if rho_target > 0:
+    # the K part of r has norm rho - s^2/vv; excess is vv (> 0) times it
+    excess = rho * vv - s_val * s_val
+    if excess > 0:
         return
     (tau_int,), den = solve([bvec])  # den * tau in K coords
     rows = [[den * int(i == j) for j in range(len(K))] for i in range(len(K))]
@@ -259,10 +259,9 @@ def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
     J = linalg.hnf_span(rows)  # sublattice of (1/den)K containing K and tau
     LJ = Lattice(linalg.mat_mul(linalg.mat_mul(J, A), linalg.transpose(J)))
     # LJ is scaled by den^2 relative to (1/den)K
-    want = rho_target * den * den
-    if want.denominator != 1:
+    if excess * den * den % vv:
         return
-    want = int(want)
+    want = excess * den * den // vv
     candidates = []
     if want == 0:
         candidates.append([0] * len(K))
@@ -318,7 +317,7 @@ def realizability(S, group_or_gens, n, complement=None, all_vectors=False):
     return verdict
 
 
-def mukai_gluing(S, T, cache_key=None):
+def mukai_gluing(S, T):
     """Glue S to T along a full anti-isometry into a Mukai-lattice model."""
     if S.rank + T.rank != 24:
         raise ValueError("complement rank must bring the total to 24")
@@ -451,12 +450,9 @@ def wall_in_s_obstruction(M, n, generators):
     form = form_data.form
     if form.length + M.rank != 24:
         return "inapplicable"
-    classes = []
-    for t in generators:
-        a = t.divisibility()
-        coords = [Fraction(c, a) for c in t.coords]
-        classes.append(form_data.class_coords(coords))
-    if df._subgroup_order(form, classes) != form.order():
+    classes = [form_data.class_coords(t.coords, t.divisibility())
+               for t in generators]
+    if len(df.subgroup(classes, form.factors)) != form.order():
         raise ValueError("generator classes do not span the discriminant group")
     return all(2 * abs(t.norm()) <= t.divisibility() ** 2 * (n + 3)
                for t in generators)
@@ -476,13 +472,19 @@ def d12_exclusion(n):
     return verdict.wall
 
 
-_model_cache = {}
+_gluing_cache = {}
+
+
+def _cached_gluing(S, T):
+    """mukai_gluing(S, T), computed once per (S.name, T.name)."""
+    key = (S.name, T.name)
+    if key not in _gluing_cache:
+        _gluing_cache[key] = mukai_gluing(S, T)
+    return _gluing_cache[key]
 
 
 def _exclusion_model(name):
     """Glued Mukai models for the three excluded lattices."""
-    if name in _model_cache:
-        return _model_cache[name]
     U = catalog.hyperbolic()
     if name == "BW16(-1)":
         S = catalog.exceptional("BW16(-1)")
@@ -500,9 +502,7 @@ def _exclusion_model(name):
         T.name = "U(3)^4"
     else:
         raise ValueError(f"no exclusion model for {name}")
-    glued = mukai_gluing(S, T)
-    _model_cache[name] = glued
-    return glued
+    return _cached_gluing(S, T)
 
 
 def _exclusion_vector(name, n):
@@ -584,14 +584,14 @@ def _k3_route(S, cap=en.DEFAULT_CAP):
     return True, "complement exists and the image is root-free"
 
 
-_ROW_SPECS = [
-    (2, "S_2.K3", "S_2.K3"),
-    (3, "S_3.K3", "S_3.K3"),
-    (3, "W(-1)", "W(-1)"),
-    (5, "S_5.K3", "S_5.K3"),
-    (5, "S_5exo", "S_5exo"),
-    (7, "S_7.K3", "S_7.K3"),
-    (11, "S_11.K3[2]", "S_11.K3[2]"),
+_ROW_SPECS = [  # (p, catalog name of the coinvariant lattice)
+    (2, "S_2.K3"),
+    (3, "S_3.K3"),
+    (3, "W(-1)"),
+    (5, "S_5.K3"),
+    (5, "S_5exo"),
+    (7, "S_7.K3"),
+    (11, "S_11.K3[2]"),
 ]
 
 
@@ -618,8 +618,8 @@ def minimal_n(row_name, n_max=12, cap=en.DEFAULT_CAP):
     if spec is None:
         raise ValueError(f"{row_name} is not in the classification catalog; "
                          f"rows: " + ", ".join(r[1] for r in _ROW_SPECS))
-    p, name, catalog_name = spec
-    S = catalog.exceptional(catalog_name)
+    p, name = spec
+    S = catalog.exceptional(name)
     ok, reason = _k3_route(S, cap=cap)
     if ok:
         row = ClassificationRow(prime=p, lattice=name, minimal_n=1,
@@ -631,7 +631,7 @@ def minimal_n(row_name, n_max=12, cap=en.DEFAULT_CAP):
         embeddings = 0
         witness = None
         for S_row, T in pairs:
-            glued = _row_gluing(name, S_row, T)
+            glued = _cached_gluing(S_row, T)
             check_all = (n - 1) % p == 0
             verdict = wall_verdict_in_model(glued, n, all_vectors=check_all,
                                             cap=cap)
@@ -646,16 +646,6 @@ def minimal_n(row_name, n_max=12, cap=en.DEFAULT_CAP):
             _deformation_count(row, S, embeddings=embeddings)
             return row
     raise RuntimeError(f"no embedding found for {row_name} with n <= {n_max}")
-
-
-_row_glue_cache = {}
-
-
-def _row_gluing(name, S_row, T):
-    key = (name, T.name)
-    if key not in _row_glue_cache:
-        _row_glue_cache[key] = mukai_gluing(S_row, T)
-    return _row_glue_cache[key]
 
 
 def _deformation_count(row, S, embeddings=None):
@@ -691,7 +681,7 @@ EXCLUSION_LEVELS = {"BW16(-1)": 3, "S_3exo": 4, "D12+(-2)": 2}
 def classification_table(n_max=12, cap=en.DEFAULT_CAP):
     """All seven rows plus the three exclusions and the large-prime check;
     cap bounds every enumeration of the rows and the wall searches."""
-    rows = [minimal_n(name, n_max=n_max, cap=cap) for _, name, _ in _ROW_SPECS]
+    rows = [minimal_n(name, n_max=n_max, cap=cap) for _, name in _ROW_SPECS]
     exclusions = {}
     for name, n in EXCLUSION_LEVELS.items():
         verdict = exclusion_witness(name, n, cap=cap)

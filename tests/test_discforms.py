@@ -1,7 +1,10 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3lat import catalog, discforms as df
 from k3lat import linalg
@@ -15,8 +18,9 @@ def L(gram, k=1, name=None):
 
 
 def test_unimodular_trivial_group():
-    q = df.discriminant_form(L(U))
-    assert q.is_trivial() and q.order() == 1
+    for lat in (L(U), Lattice([])):
+        q = df.discriminant_form(lat)
+        assert q.is_trivial() and q.order() == 1 and q.exponent == 1
 
 
 def test_minus_two_form():
@@ -197,11 +201,32 @@ def test_glue_determinant_index_relation():
     assert g.t_sub.saturation().coords == g.t_sub.coords
 
 
+def test_glue_across_exponents():
+    # A_S = Z/2 (q = 3/2) glued into A_T = Z/2 + Z/4 (exponent 4) along an
+    # element of order 2 with q = 1/2
+    S = Lattice([[-2]])
+    T = Lattice([[2]]) + Lattice([[4]])
+    qT = df.discriminant_form(T)
+    y = next(y for y in qT.elements()
+             if qT.element_order(y) == 2 and qT.q_value(y) == Fraction(1, 2))
+    g = df.glue_overlattice(S, T, df.GlueMap([[1]], [list(y)]))
+    assert g.index == 2 and g.lattice.rank == 3 and g.lattice.is_even()
+    assert abs(g.lattice.det()) == abs(S.det() * T.det()) // 4
+
+
 def test_glue_rejects_non_anti_isometry():
     S = Lattice([[-2]])
     T = Lattice([[4]])  # q = 1/4 on Z/4: subgroup gen 2 has q(2) = 1
     with pytest.raises(ValueError, match="anti-isometry|well defined"):
         df.glue_overlattice(S, T, df.GlueMap([[1]], [[2]]))
+
+
+@pytest.mark.parametrize("domain, images", [([[1, 0]], [[1]]),
+                                            ([[1]], [[1, 5]]), ([[1]], [])])
+def test_glue_rejects_rows_of_the_wrong_length(domain, images):
+    S, T = Lattice([[-2]]), Lattice([[2]])
+    with pytest.raises(ValueError, match="do not match"):
+        df.glue_overlattice(S, T, df.GlueMap(domain, images))
 
 
 def test_embedding_milgram_consistency():
@@ -238,3 +263,116 @@ def test_discriminant_form_invariant_under_base_change(name, seed):
     q0, q = df.discriminant_form(L0), df.discriminant_form(M)
     assert q.factors == q0.factors
     assert df.forms_isomorphic(q, q0) is True
+
+
+def test_form_needs_integral_scaled_entries():
+    # q = 1/4 on Z/2 is not well defined: q(2x) = 1, not 0 mod 2
+    with pytest.raises(ValueError, match="exponent e = 2"):
+        df.FiniteQuadraticForm([2], [[Fraction(1, 4)]])
+    q = df.FiniteQuadraticForm([4], [[Fraction(-1, 4)]])
+    assert q.exponent == 4 and q.q_value((1,)) == Fraction(7, 4)
+    assert q.neg().q_value((1,)) == Fraction(1, 4)
+
+
+def test_subgroup():
+    assert df.subgroup([], [3, 3]) == {(0, 0)}
+    assert df.subgroup([(2,)], [4]) == {(0,), (2,)}
+    assert df.subgroup([(5, -1)], [2, 4]) == \
+        {(0, 0), (1, 3), (0, 2), (1, 1)}
+    assert len(df.subgroup([(1, 0), (0, 2), (1, 2)], [2, 4])) == 4
+    assert len(df.subgroup([(1, 1, 0), (0, 1, 1), (1, 0, 1)], [2] * 3)) == 4
+
+
+@pytest.mark.parametrize("name", ["N4", "N10", "N15", "N17", "N20", "N21",
+                                  "N22", "N23"])
+def test_glue_code_has_unimodular_size(name):
+    # the glue code of A_n^m is an index-(n+1)^(m/2) overlattice
+    from k3lat.gram_data import NIEMEIER_ROWS
+    n, m = NIEMEIER_ROWS[name][:2]
+    code = catalog.glue_code(name)
+    assert len(code) ** 2 == (n + 1) ** m
+    assert len(set(code)) == len(code) and code == sorted(code)
+
+
+def test_class_coords_rejects_non_dual_vectors():
+    data = df.discriminant_data(L(A2, 3))  # A_L = Z/3 + Z/9
+    assert data.form.factors == [3, 9]
+    with pytest.raises(ValueError, match="dual lattice"):
+        data.class_coords([1, 0], 2)
+    assert data.class_coords([0, 0], 5) == (0, 0)
+    assert data.class_coords([3, 0], 1) == (0, 0)  # a vector of L itself
+
+
+def _check_integer_form(M):
+    """q, class_coords and the JSON round trip against the Gram itself."""
+    data = df.discriminant_data(M)
+    form, factors = data.form, data.form.factors
+    k = form.length
+
+    def dual(c):  # sum_i c_i gens_i / f_i, in Fractions
+        return [sum(Fraction(ci * g[b], f)
+                    for ci, g, f in zip(c, data.gens, factors))
+                for b in range(M.rank)]
+
+    elements = list(form.elements())
+    if len(elements) > 150:
+        elements = random.Random(0).sample(elements, 150)
+    for c in elements:
+        x = dual(c)
+        assert all(p.denominator == 1 for p in linalg.vec_mat(x, M.gram))
+        assert form.q_value(c) == linalg.dot(x, x, M.gram) % 2
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    for i, unit in enumerate(units):
+        assert data.class_coords(data.gens[i], factors[i]) == unit
+        for j in range(i):
+            assert form.b_value(unit, units[j]) == \
+                linalg.dot(dual(unit), dual(units[j]), M.gram) % 1
+    obj = form.to_json()
+    assert df.FiniteQuadraticForm.from_json(obj).to_json() == obj
+
+
+@st.composite
+def base_changes(draw, gram):
+    n = len(gram)
+    P = linalg.identity(n)
+    for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.integers(-2, 2))
+        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    return linalg.mat_mul(linalg.mat_mul(P, gram), linalg.transpose(P))
+
+
+@st.composite
+def even_grams(draw):
+    """Nondegenerate even Grams of either signature with |det| <= 400."""
+    n = draw(st.integers(1, 4))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i):
+            G[i][j] = G[j][i] = draw(st.integers(-3, 3))
+    assume(0 < abs(linalg.det(G)) <= 400)
+    return draw(base_changes(G))
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_grams())
+def test_integer_form_matches_gram(gram):
+    _check_integer_form(Lattice(gram))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["A2(3)", "U(3)", "E8(-2)", "S_11.K3[2]", "S_5exo"])
+       .flatmap(lambda name: base_changes(catalog.named(name).gram)))
+def test_integer_form_matches_gram_on_catalog_lattices(gram):
+    _check_integer_form(Lattice(gram))
+
+
+def test_discriminant_forms_pinned():
+    """to_json of every nontrivial form in the Milgram battery, as written
+    by the rational-entry implementation."""
+    golden = json.loads(pathlib.Path(__file__)
+                        .with_name("discriminant_forms.json").read_text())
+    assert {name: df.discriminant_form(catalog.named(name)).to_json()
+            for name in golden} == golden

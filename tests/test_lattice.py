@@ -2,6 +2,7 @@ import pytest
 
 from k3lat import linalg
 from k3lat.gram_data import U, A2, E8, gram_D
+from k3lat.isometries import Isometry
 from k3lat.lattice import Lattice
 
 
@@ -174,3 +175,24 @@ def test_json_roundtrip():
 
 def test_d_lattice_det():
     assert linalg.det(gram_D(12)) == 4
+
+
+@pytest.mark.parametrize("gram", [[[2.7, 1], [1, 2]], [["2", 1], [1, 2]],
+                                  [[True, 0], [0, 2]], [[2, 1], [1]],
+                                  "", {}, 5, [[2, 1], "ab"]],
+                         ids=["float", "string", "bool", "ragged",
+                              "empty-string", "dict", "scalar", "string-row"])
+def test_gram_entries_must_be_ints(gram):
+    with pytest.raises(ValueError, match="integer"):
+        Lattice(gram)
+
+
+def test_vector_and_isometry_entries_must_be_ints():
+    A = Lattice(A2)
+    for coords in ([1.0, 0], ["1", 0], [True, 0], [1]):
+        with pytest.raises(ValueError, match="integer"):
+            A.vector(coords)
+    for matrix in ([[1.0, 0], [0, 1]], [[True, 0], [0, 1]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="integer"):
+            Isometry(A, matrix)
+    assert A.vector((1, -1)).coords == [1, -1]

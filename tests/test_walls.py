@@ -246,29 +246,28 @@ def _div2_spanning_generators(M, bound):
     Harvested through the rescaled dual lattice, whose ball is small; for
     a 2-elementary M every doubled dual vector lies in M.
     """
-    from fractions import Fraction
     data = df.discriminant_data(M)
     X, d = linalg.rowspace_solver(M.gram)(linalg.identity(M.rank))  # G^-1 = X/d
     assert all(2 * a % d == 0 for row in X for a in row)
     dual_scaled = Lattice([[2 * a // d for a in row] for row in X])
     gens, classes = [], []
+    order = data.form.order()
     for y in en.short_vectors(dual_scaled, bound // 2, up_to_sign=True):
-        half = [Fraction(a, d) for a in linalg.vec_mat(y.coords, X)]
-        t_coords = [2 * h for h in half]
-        assert all(c.denominator == 1 for c in t_coords)
-        t = M.vector([int(c) for c in t_coords])
+        w = linalg.vec_mat(y.coords, X)  # the dual vector is w/d
+        assert all(2 * a % d == 0 for a in w)
+        t = M.vector([2 * a // d for a in w])
         if t.divisibility() != 2:
             continue
-        cls = data.class_coords(half)
+        cls = data.class_coords(w, d)
         if not any(cls):
             continue
-        if df._subgroup_order(data.form, classes + [cls]) > \
-                df._subgroup_order(data.form, classes):
+        if len(df.subgroup(classes + [cls], data.form.factors)) > \
+                len(df.subgroup(classes, data.form.factors)):
             gens.append(t)
             classes.append(cls)
-        if df._subgroup_order(data.form, classes) == data.form.order():
+        if len(df.subgroup(classes, data.form.factors)) == order:
             break
-    assert df._subgroup_order(data.form, classes) == data.form.order()
+    assert len(df.subgroup(classes, data.form.factors)) == order
     return gens
 
 
