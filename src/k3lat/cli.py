@@ -21,7 +21,7 @@ import time
 from . import acceptance, catalog, discforms as df, enumeration as en
 from . import isometries as iso
 from . import walls
-from .lattice import Lattice
+from .lattice import Lattice, int_matrix
 
 
 class InputError(Exception):
@@ -49,20 +49,15 @@ def _load_lattice(path):
         raise InputError(f"{path}: {exc}")
 
 
-def _int_rows(rows, width):
-    """True iff rows is a list of lists of `width` ints (not bools) each."""
-    return isinstance(rows, list) and all(
-        isinstance(row, list) and len(row) == width
-        and all(type(a) is int for a in row) for row in rows)
-
-
 def _load_mukai_sublattice(path, mukai):
     """A sublattice record {"coords": rows in the Mukai basis, "gram"?}."""
     obj = _load_json(path)
-    coords = obj.get("coords") if isinstance(obj, dict) else None
-    if not _int_rows(coords, mukai.rank):
+    try:
+        coords = int_matrix(obj.get("coords") if isinstance(obj, dict)
+                            else None, mukai.rank)
+    except ValueError:
         raise InputError(f"{path}: needs 'coords', integer rows in the "
-                         f"{mukai.rank}-dimensional Mukai basis")
+                         f"{mukai.rank}-dimensional Mukai basis") from None
     S = mukai.sublattice(coords)
     if "gram" in obj and obj["gram"] != S.gram:
         raise InputError(f"{path}: 'gram' is not the Gram matrix of 'coords'")
@@ -144,7 +139,11 @@ def cmd_autos(args):
     gens = []
     for entry in gens_obj:
         matrix = entry.get("matrix") if isinstance(entry, dict) else entry
-        if not (_int_rows(matrix, L.rank) and len(matrix) == L.rank):
+        try:
+            matrix = int_matrix(matrix)
+        except ValueError:
+            matrix = None
+        if matrix is None or len(matrix) != L.rank:
             raise InputError(f"{args.gens}: each generator must be a "
                              f"{L.rank}x{L.rank} integer matrix")
         if not iso.is_isometry(L, matrix):

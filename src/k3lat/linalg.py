@@ -12,7 +12,8 @@ raise ValueError. Integral coordinates are exactly the case d = 1.
 
 Gram-Schmidt data are integers too: the leading minors d_i and
 lam_ij = d_{j+1} mu_ij of integral_gram_schmidt, which lll_reduce updates
-and the Fincke-Pohst tree of enumeration is built from.
+and the Fincke-Pohst tree of enumeration is built from. lll_reduce has one
+Lovasz constant, 99/100, tested in integers; it takes no parameter.
 """
 
 import math
@@ -405,13 +406,17 @@ def integral_gram_schmidt(W):
 
 
 def lll_reduce(G):
-    """LLL-reduce a definite Gram matrix, Lovasz constant 3/4.
+    """LLL-reduce a definite Gram matrix, Lovasz constant 99/100.
 
     Returns (G2, T) with G2 = T^t G T, T unimodular and G2 LLL-reduced as
     a form of the sign of G. Integral LLL (Cohen, GTM 138, Alg. 2.6.7) on
     integral_gram_schmidt's data, except that row k is size-reduced
     against every j < k before the Lovasz test and lam / d rounds half to
-    even. Raises ValueError unless G is definite.
+    even. The Lovasz test is the integer form of B_k >= (99/100 - mu^2)
+    B_{k-1}, 100 d[k+1] d[k-1] >= 99 d[k]^2 - 100 lam[k][k-1]^2: the
+    constant near 1 costs a few more swaps here and leaves a smaller
+    Fincke-Pohst tree for enumeration, its only caller. Raises ValueError
+    unless G is definite.
     """
     n = len(G)
     if n == 0:
@@ -433,7 +438,7 @@ def lll_reduce(G):
                 for l in range(j):
                     lam[k][l] -= r * lam[j][l]
         lk = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lk * lk:
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * lk * lk:
             k += 1
             continue
         R[k], R[k - 1] = R[k - 1], R[k]

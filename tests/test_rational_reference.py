@@ -1,9 +1,13 @@
-"""The integer Gram-Schmidt routines against their frozen rational copies.
+"""The integer Gram-Schmidt routines against their frozen copies.
 
 `linalg.inertia`, `linalg.lll_reduce` and `enumeration._integer_cholesky`
 must give exactly what the `Fraction` routines in `rational_reference`
-gave: the same signs, the same (G2, T) or the same ValueError, and the
-same Fincke-Pohst tuple, so every enumeration downstream is unchanged.
+gave: the same signs, the same (G2, T) or the same ValueError (LLL with
+the Lovasz constant 99/100), and the same Fincke-Pohst tuple.
+`enumeration._enumerate_reduced` must return the leaves of the eager loop
+in `eager_reference` in the same order, so every enumeration downstream
+is unchanged. LLL's output is also checked against the definition of a
+reduced basis.
 """
 
 from fractions import Fraction
@@ -11,8 +15,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eager_reference
 import rational_reference as ref
 from k3lat import catalog, enumeration as en, gram_data, linalg
+
+DELTA = Fraction(99, 100)
 
 
 @st.composite
@@ -27,9 +34,9 @@ def unimodular(draw, n):
 
 
 @st.composite
-def definite_grams(draw):
+def definite_grams(draw, max_rank=6):
     """sign * P G P^t with G diagonally dominant and P unimodular."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_rank))
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i):
@@ -85,7 +92,27 @@ def test_inertia_matches_reference(G):
 @settings(max_examples=300, deadline=None)
 @given(any_grams)
 def test_lll_matches_reference(G):
-    assert outcome(linalg.lll_reduce, G) == outcome(ref.lll_reduce, G)
+    assert outcome(linalg.lll_reduce, G) == \
+        outcome(lambda M: ref.lll_reduce(M, DELTA), G)
+
+
+@settings(max_examples=300, deadline=None)
+@given(definite_grams(max_rank=8))
+def test_lll_output_is_reduced(G):
+    n = len(G)
+    G2, T = linalg.lll_reduce(G)
+    assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), G), T) == G2
+    assert abs(linalg.det(T)) == 1
+    sign = -1 if G[0][0] < 0 else 1
+    d, lam = linalg.integral_gram_schmidt([[sign * a for a in row]
+                                           for row in G2])
+    assert all(2 * abs(lam[k][j]) <= d[j + 1]
+               for k in range(n) for j in range(k))
+    # B_k >= (delta - mu_{k,k-1}^2) B_{k-1}, with B_k = d[k+1] / d[k]
+    assert all(DELTA.denominator * d[k + 1] * d[k - 1]
+               >= DELTA.numerator * d[k] ** 2
+               - DELTA.denominator * lam[k][k - 1] ** 2
+               for k in range(1, n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,7 +144,26 @@ def test_integer_cholesky_matches_reference(G):
 def test_catalog_grams_match_reference(name):
     G = catalog.leech().gram if name == "leech" else getattr(gram_data, name)
     assert linalg.inertia(G) == reference_inertia(G)
-    assert linalg.lll_reduce(G) == ref.lll_reduce(G)
+    assert linalg.lll_reduce(G) == ref.lll_reduce(G, DELTA)
     W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
     G2, _ = linalg.lll_reduce(W)
     assert en._integer_cholesky(G2) == ref.integer_cholesky(G2)
+
+
+def leaves(enumerate_reduced, G, bound, cap, stop_after):
+    try:
+        return [(q, list(x))
+                for q, x in enumerate_reduced(G, bound, cap, stop_after)]
+    except en.EnumerationCap:
+        return en.EnumerationCap
+
+
+@settings(max_examples=200, deadline=None)
+@given(definite_grams(max_rank=8), st.integers(-1, 8),
+       st.sampled_from([None, 1]), st.sampled_from([5, en.DEFAULT_CAP]))
+def test_tree_order_matches_eager_loop(G, bound, stop_after, cap):
+    W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
+    for M in (W, linalg.lll_reduce(W)[0]):
+        assert leaves(en._enumerate_reduced, M, bound, cap, stop_after) == \
+            leaves(eager_reference.enumerate_reduced, M, bound, cap,
+                   stop_after)
