@@ -117,8 +117,7 @@ def group_closure(generators, cap=GROUP_ORDER_CAP):
     while queue:
         cur = queue.pop()
         for g in gens:
-            nxt = tuple(tuple(sum(cur[i][k] * g[k][j] for k in range(n))
-                              for j in range(n)) for i in range(n))
+            nxt = tuple(map(tuple, linalg.mat_mul(cur, g)))
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise GroupOrderCap(f"group not verified finite within "

@@ -40,10 +40,11 @@ class Lattice:
             coords = int_matrix(coords, ambient.rank, "coordinates")
             if len(coords) != len(gram):
                 raise ValueError("coordinate rows must match the rank")
-            expected = linalg.mat_mul(linalg.mat_mul(coords, ambient.gram),
-                                      linalg.transpose(coords))
-            if expected != gram:
+            if ambient._gram_of(coords) != gram:
                 raise ValueError("Gram does not match coordinates in ambient")
+        self._store(gram, name, ambient, coords, allow_degenerate)
+
+    def _store(self, gram, name, ambient, coords, allow_degenerate):
         self.gram = gram
         self.name = name
         self.ambient = ambient
@@ -52,6 +53,11 @@ class Lattice:
         self.degenerate = self._det == 0 and self.rank > 0
         if self.degenerate and not allow_degenerate:
             raise ValueError("degenerate form (pass allow_degenerate to allow)")
+
+    def _gram_of(self, rows):
+        """Gram matrix rows G rows^T of the given coordinate rows."""
+        return linalg.mat_mul(linalg.mat_mul(rows, self.gram),
+                              linalg.transpose(rows))
 
     # -- basic invariants ---------------------------------------------------
 
@@ -117,15 +123,17 @@ class Lattice:
 
     def sublattice(self, vectors, name=None):
         """Sublattice spanned by the given vectors (must be independent)."""
-        rows = [v.coords if isinstance(v, LatticeVector) else list(v)
-                for v in vectors]
+        rows = int_matrix([v.coords if isinstance(v, LatticeVector)
+                           else list(v) for v in vectors],
+                          self.rank, "coordinates")
         if rows and linalg.row_rank(rows) != len(rows):
             ker = linalg.kernel_basis(linalg.transpose(rows))
             raise ValueError(f"dependent vectors, e.g. relation {ker[0]}")
-        gram = linalg.mat_mul(linalg.mat_mul(rows, self.gram),
-                              linalg.transpose(rows))
-        return Lattice(gram, name=name, ambient=self, coords=rows,
-                       allow_degenerate=True)
+        # the Gram is computed here, so the constructor's check is skipped
+        sub = Lattice.__new__(Lattice)
+        sub._store(self._gram_of(rows), name, self, rows,
+                   allow_degenerate=True)
+        return sub
 
     def saturation(self, name=None):
         """Primitive closure inside the ambient lattice (HNF-canonical)."""

@@ -2,7 +2,15 @@
 
 Matrices are lists of row lists with Python int entries; vectors are plain
 lists. Everything is arbitrary precision and nothing here touches floating
-point or fractions. Functions never mutate their inputs.
+point or fractions. Functions never mutate their inputs, and no output
+shares a row with an input.
+
+Products have one rule, read from the input. In mat_mul and vec_mat a
+row of A with at most a third of its entries nonzero is built as the sum
+of a_k B[k] over its nonzero a_k, with no multiply where a_k = 1; a
+denser row takes its dot products with the columns of B. Every dot
+product, here and in mat_vec and dot, is sum(map(mul, row, col)), and
+dot(u, v, G) is u . (G v).
 
 Coordinates in a basis have one solver, rowspace_solver(B). It factors a
 full-row-rank integer B once, fraction-free (Bareiss), and for integer
@@ -17,6 +25,8 @@ Lovasz constant, 99/100, tested in integers; it takes no parameter.
 """
 
 import math
+from itertools import repeat
+from operator import add, mul
 
 
 def identity(n):
@@ -38,30 +48,45 @@ def transpose(M):
 
 
 def mat_mul(A, B):
-    """Matrix product."""
+    """Matrix product, by the row rule of the module docstring."""
     if not A:
         return []
     if not B:
         return [[] for _ in A]
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    Bt = []
+    return [_row_times(row, B, Bt) for row in A]
 
 
 def vec_mat(v, M):
     if not M:
         return []
-    return [sum(a * b for a, b in zip(v, col)) for col in zip(*M)]
+    return _row_times(v, M, [])
+
+
+def _row_times(row, B, Bt):
+    """row B for a nonempty B. Bt caches the columns of B across the rows
+    of one product; a dense row fills it on first use."""
+    terms = [(a, b) for a, b in zip(row, B) if a]
+    if 3 * len(terms) <= len(row):
+        acc = None
+        for a, b in terms:
+            t = b if a == 1 else map(mul, b, repeat(a))
+            acc = list(t) if acc is None else list(map(add, acc, t))
+        return [0] * len(B[0]) if acc is None else acc
+    if not Bt:
+        Bt.extend(zip(*B))
+    return [sum(map(mul, row, col)) for col in Bt]
 
 
 def mat_vec(M, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in M]
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def dot(u, v, G=None):
     """u.v, or u G v^T when a Gram matrix is supplied."""
     if G is None:
-        return sum(a * b for a, b in zip(u, v))
-    return sum(u[i] * sum(G[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
+        return sum(map(mul, u, v))
+    return sum(map(mul, u, mat_vec(G, v)))
 
 
 def is_symmetric(M):
@@ -338,7 +363,8 @@ def rowspace_solver(B):
         # X B = d V holds on the pivot columns by construction; multiply
         # back on the others, where a row outside the span shows
         for x, v in zip(X, V):
-            if any(sum(a * b[c] for a, b in zip(x, B)) != d * v[c]
+            xB = vec_mat(x, B) if B else [0] * len(v)
+            if any(xB[c] != d * v[c]
                    for c in range(len(v)) if c not in pivot_set):
                 return None
         return X, d

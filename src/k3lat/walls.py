@@ -276,9 +276,7 @@ def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
         if any(c % den for c in diff):
             continue
         z = [c // den for c in diff]  # integer K coordinates of w - tau
-        r = [a + sum(zi * K[k][i] for k, zi in enumerate(z))
-             for i, a in enumerate(x0)]
-        yield r
+        yield [a + b for a, b in zip(x0, linalg.vec_mat(z, K))]
 
 
 # -- realizability -------------------------------------------------------------

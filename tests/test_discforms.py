@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -376,3 +377,48 @@ def test_discriminant_forms_pinned():
                         .with_name("discriminant_forms.json").read_text())
     assert {name: df.discriminant_form(catalog.named(name)).to_json()
             for name in golden} == golden
+
+
+def _check_walk(form):
+    """The group walk against _q_num and element_order, element by element."""
+    assert list(form._walk()) == [(form._q_num(x), form.element_order(x))
+                                  for x in form.elements()]
+    assert [form._index(x) for x in form.elements()] == \
+        list(range(form.order()))
+
+
+def test_walk_matches_pinned_and_trivial_forms():
+    golden = json.loads(pathlib.Path(__file__)
+                        .with_name("discriminant_forms.json").read_text())
+    assert len(golden) == 26
+    for obj in golden.values():
+        _check_walk(df.FiniteQuadraticForm.from_json(obj))
+    _check_walk(df.FiniteQuadraticForm.trivial())
+
+
+@st.composite
+def raw_forms(draw):
+    """Symmetric numerator matrices on drawn divisibility chains, order
+    at most 2000; the walk's recursion holds for any of them."""
+    factors = [draw(st.integers(2, 6))]
+    for _ in range(draw(st.integers(0, 4))):
+        factors.append(factors[-1] * draw(st.integers(1, 3)))
+    assume(math.prod(factors) <= 2000)
+    e, k = factors[-1], len(factors)
+    num = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1):
+            num[i][j] = num[j][i] = draw(st.integers(0, 2 * e - 1))
+    return df.FiniteQuadraticForm._from_numerators(factors, num)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_forms())
+def test_walk_matches_elementwise_values(form):
+    _check_walk(form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_grams())
+def test_walk_matches_elementwise_values_of_lattices(gram):
+    _check_walk(df.discriminant_form(Lattice(gram)))

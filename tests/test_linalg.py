@@ -201,3 +201,58 @@ def test_det_bareiss_matches_snf():
         for i in range(len(M)):
             prod *= D[i][i]
         assert prod == abs(linalg.det(M))
+
+
+BIG = 2 ** 64
+nonzero_entries = st.one_of(st.sampled_from([1, -1]),
+                            st.integers(-5, 5).filter(bool),
+                            st.integers(BIG, 4 * BIG),
+                            st.integers(-4 * BIG, -BIG))
+
+
+@st.composite
+def sparse_rows(draw, width):
+    """Rows whose count of nonzero entries is often right at either side
+    of mat_mul's one-third rule, or 0 or all."""
+    third = width // 3
+    count = draw(st.sampled_from(sorted({0, third, third + 1, width}))
+                 | st.integers(0, width))
+    row = [0] * width
+    for c in draw(st.permutations(range(width)))[:count]:
+        row[c] = draw(nonzero_entries)
+    return row
+
+
+@st.composite
+def product_inputs(draw):
+    r, n, m = (draw(st.integers(0, 5)), draw(st.integers(0, 7)),
+               draw(st.integers(0, 5)))
+    if draw(st.booleans()):
+        r = n = m = 1
+    A = [draw(sparse_rows(n)) for _ in range(r)]
+    B = [draw(sparse_rows(m)) for _ in range(n)]
+    G = [draw(sparse_rows(n)) for _ in range(n)]
+    return A, B, G, draw(sparse_rows(n)), draw(sparse_rows(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_inputs())
+def test_products_match_naive_loops(inputs):
+    A, B, G, u, v = inputs
+    before = repr(inputs)
+    m = len(B[0]) if B else 0  # an empty B fixes no width: rows come back []
+    naive = [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(m)]
+             for i in range(len(A))]
+    AB = linalg.mat_mul(A, B)
+    assert AB == naive
+    assert linalg.vec_mat(u, B) == [sum(u[k] * B[k][j] for k in range(len(B)))
+                                    for j in range(m)]
+    assert linalg.mat_vec(A, v) == [sum(a * b for a, b in zip(row, v))
+                                    for row in A]
+    assert linalg.dot(u, v) == sum(u[i] * v[i] for i in range(len(u)))
+    assert linalg.dot(u, v, G) == sum(u[i] * G[i][j] * v[j]
+                                      for i in range(len(u))
+                                      for j in range(len(v)))
+    # no input is mutated and no output row is an input row
+    assert repr(inputs) == before
+    assert not any(row is b for row in AB for b in B)
