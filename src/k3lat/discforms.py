@@ -495,15 +495,14 @@ def _is_prime(n):
 def forms_isomorphic(q1, q2, order_cap=ISOMORPHISM_ORDER_CAP):
     """True/False, or None when the search is inconclusive.
 
-    Prefiltered by invariant factors, Milgram signature and the multiset
-    of q-values; then a generator-image backtracking search.
+    Prefiltered by invariant factors and the multiset of q-values; then a
+    generator-image backtracking search. The Milgram signature is no
+    filter: the Gauss sum is a function of that multiset.
     """
     if q1.factors != q2.factors:
         return False
     if q1.order() > order_cap:
         return None
-    if milgram_signature(q1) != milgram_signature(q2):
-        return False
     if q1.value_multiset() != q2.value_multiset():
         return False
     try:

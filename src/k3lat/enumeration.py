@@ -1,13 +1,15 @@
 """Short-vector enumeration on definite lattices.
 
-Fincke-Pohst over an LLL-reduced Gram matrix. The search tree uses pure
-integer arithmetic: its data are built from the integral Gram-Schmidt data
-of linalg (the leading minors d and lam = d mu), divided by one gcd per
-column, so level bounds come from integer square roots and enumeration is
-exhaustive by construction, not up to rounding. LLL's Lovasz constant
+Fincke-Pohst over an LLL-reduced Gram matrix, in integers only. The tree
+reads the integral Gram-Schmidt data of linalg (the leading minors d and
+lam = d mu) as they are: each level keeps an integer budget d_j times
+what is left of the bound, level ranges come from integer square roots,
+and enumeration is exhaustive by construction, not up to rounding. On a
+reduced Gram every value fits in one machine word. LLL's Lovasz constant
 99/100 gives a smaller tree than 3/4 (a third fewer nodes for the norm-4
-Leech census); a descent refreshes one row of partial sums, lazily, and
-each leaf is one (norm, tuple) pair.
+Leech census). A node refreshes one row of partial sums, lazily, never
+descends into an empty range, and a level-1 node emits its leaves as one
+batch of (norm, tuple) pairs.
 
 The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
 `norm_census`, `has_roots` and `min_norm` only count or test norms and stay
@@ -51,97 +53,126 @@ def _reduced_gram(L):
     return G2, T, sign
 
 
-def _integer_cholesky(G):
-    """Denominator-free Cholesky data for the integer FP recursion.
+def _cut(out, before, stop_after, cap):
+    """Replay the per-leaf checks on the leaves past out[:before].
 
-    Returns (w, D, mnum, scale) such that for integer x,
-        scale * x G x^T = sum_j w[j] * (x[j]*D[j] + C_j)^2,
-    with C_j = sum_{i>j} mnum[j][i] * x[i]. As mu_ij = lam[i][j] / d[j+1],
-    D[j] = d[j+1] / g and mnum[j][i] = lam[i][j] / g with g the gcd of
-    d[j+1] and the lam[i][j], i > j.
+    Leaf m (1-based) returns out[:m] if m >= stop_after, and otherwise
+    raises EnumerationCap if m > cap; the return is tested first.
     """
-    n = len(G)
-    d, lam = linalg.integral_gram_schmidt(G)
-    D, mnum, wnum, wden = [], [], [], []
-    for j in range(n):
-        g = math.gcd(d[j + 1], *(lam[i][j] for i in range(j + 1, n)))
-        D.append(d[j + 1] // g)
-        mnum.append([0] * (j + 1) + [lam[i][j] // g for i in range(j + 1, n)])
-        h = math.gcd(d[j + 1], d[j])
-        wnum.append(d[j + 1] // h)
-        wden.append(d[j] // h * D[j] * D[j])
-    scale = math.lcm(*wden)
-    w = [scale // b * a for a, b in zip(wnum, wden)]
-    return w, D, mnum, scale
+    if stop_after is not None:
+        m = max(stop_after, before + 1)
+        if m <= min(cap + 1, len(out)):
+            del out[m:]
+            return out
+    raise EnumerationCap(cap)
 
 
 def _enumerate_reduced(G, bound, cap, stop_after=None):
     """All (norm, x) with 0 < x G x^T <= bound, one per +-pair.
 
     G must be positive definite. x is a tuple; the representative of each
-    pair has its highest-index nonzero coordinate positive.
+    pair has its highest-index nonzero coordinate positive. Leaves come
+    with x_0 fastest and each coordinate increasing; the first stop_after
+    leaves are returned, and more than cap leaves raise EnumerationCap.
 
-    sigma[l][k] = sum_{i >= k} mnum[l][i] * x[i] is refreshed lazily
+    Budgets. With (d, lam) = linalg.integral_gram_schmidt(G), x's
+    coordinate along the j-th Gram-Schmidt vector is u_j / d[j+1], where
+    u_j = d[j+1] x_j + C_j and C_j = sum_{i>j} lam[i][j] x_i; so the
+    projection pi_j(x) orthogonal to the first j basis vectors has
+    P_j = ||pi_j(x)||^2 = sum_{i>=j} u_i^2 / (d[i] d[i+1]). Level j keeps
+    the budget E_j = d[j] (bound - P_j), with E_n = d[n] bound and
+        E_j = (d[j] E_{j+1} - u_j^2) / d[j+1].
+    The division is exact because E_j is an integer: with a_k = <x, b_k>
+    and G_j the leading j x j block, P_j = x G x^T - a G_j^-1 a^T, and
+    d[j] G_j^-1 is the adjugate of G_j, an integer matrix. Level j's range
+    is E_j >= 0, i.e. |u_j| <= isqrt(F[j]) with F[j] = d[j] E_{j+1}, and a
+    leaf's norm is bound - E_0 (d[0] = 1). For an LLL-reduced Gram these
+    are small: below 2^25 in the norm-4 census of the P^1(Z/23) and N23
+    Leech models, so one machine word each.
+
+    sigma[l][k] = sum_{i >= k} lam[i][l] x[i] is refreshed lazily
     (Schnorr-Euchner): top[j] is the highest column whose x changed since
-    row j - 1 was last refreshed, so a descent from level j rewrites only
-    row j - 1, at columns top[j] down to j, and not every row below j.
+    row j - 1 was last refreshed, so a node at level j rewrites only row
+    j - 1, at columns top[j] down to j. A node computes its child's range
+    and steps to its next sibling when that range is empty; a level-1 node
+    appends every x_0 of its range as a leaf at once.
     """
     n = len(G)
     out = []
     if bound <= 0:
         return out
-    w, D, mnum, scale = _integer_cholesky(G)
-    total = scale * bound
+    d, lam = linalg.integral_gram_schmidt(G)
+    limit = cap + 1 if stop_after is None else min(stop_after, cap + 1)
+    isqrt = math.isqrt
+    if n == 1:
+        a = d[1]
+        out = [(a * x0 * x0, (x0,)) for x0 in range(1, isqrt(bound // a) + 1)]
+        if out and len(out) >= limit:
+            return _cut(out, 0, stop_after, cap)
+        return out
+    lamc = [[lam[i][l] for i in range(n)] for l in range(n)]
     sigma = [[0] * (n + 1) for _ in range(n)]
     top = list(range(n))
-    R = [0] * n
+    F = [0] * n
     x = [0] * n
     xmax = [0] * n
     zero_above = [False] * n
-
-    def set_range(j):
-        Cj = sigma[j][j + 1]
-        M = math.isqrt(R[j] // w[j])
-        lo = -((M + Cj) // D[j])
-        if zero_above[j] and lo < 0:
-            lo = 0
-        x[j] = lo
-        xmax[j] = (M - Cj) // D[j]
-
-    j = n - 1
-    R[j] = total
+    j, xj = n - 1, 0
+    F[j] = d[j] * d[n] * bound
+    xmax[j] = isqrt(F[j]) // d[n]
     zero_above[j] = True
-    set_range(j)
     while True:
-        if x[j] > xmax[j]:
+        # node x[j] = xj: its budget, then row j - 1 and the child's range
+        u = d[j + 1] * xj + sigma[j][j + 1]
+        e = (F[j] - u * u) // d[j + 1]
+        row = sigma[j - 1]
+        t = top[j]
+        if t == j:
+            c = row[j] = row[j + 1] + lamc[j - 1][j] * xj
+        else:
+            col = lamc[j - 1]
+            c = row[t + 1]
+            for k in range(t, j - 1, -1):
+                c += col[k] * x[k]
+                row[k] = c
+            top[j] = j
+        if t > top[j - 1]:
+            top[j - 1] = t
+        dj = d[j]
+        f = d[j - 1] * e
+        M = isqrt(f)
+        lo = -((M + c) // dj)
+        hi = (M - c) // dj
+        za = zero_above[j] and xj == 0
+        if j == 1:
+            if za and lo < 1:
+                lo = 1
+            if lo <= hi:
+                before = len(out)
+                prefix = tuple(x[1:])
+                for x0 in range(lo, hi + 1):
+                    v = dj * x0 + c
+                    out.append((bound - (f - v * v) // dj, (x0,) + prefix))
+                if len(out) >= limit:
+                    return _cut(out, before, stop_after, cap)
+        else:
+            if za and lo < 0:
+                lo = 0
+            if lo <= hi:
+                j -= 1
+                F[j] = f
+                x[j] = xj = lo
+                xmax[j] = hi
+                zero_above[j] = za
+                continue
+        # next sibling, climbing past exhausted levels
+        xj += 1
+        while xj > xmax[j]:
             j += 1
             if j == n:
-                break
-            x[j] += 1
-            continue
-        Cj = sigma[j][j + 1]
-        spent = w[j] * (x[j] * D[j] + Cj) ** 2
-        if j == 0:
-            rem = R[0] - spent
-            if rem >= 0 and (x[0] or not zero_above[0]):
-                out.append(((total - rem) // scale, tuple(x)))
-                if stop_after is not None and len(out) >= stop_after:
-                    return out
-                if len(out) > cap:
-                    raise EnumerationCap(cap)
-            x[0] += 1
-        else:
-            R[j - 1] = R[j] - spent
-            zero_above[j - 1] = zero_above[j] and x[j] == 0
-            sig, m, t = sigma[j - 1], mnum[j - 1], top[j]
-            for k in range(t, j - 1, -1):
-                sig[k] = sig[k + 1] + m[k] * x[k]
-            if t > top[j - 1]:
-                top[j - 1] = t
-            top[j] = j
-            j -= 1
-            set_range(j)
-    return out
+                return out
+            xj = x[j] + 1
+        x[j] = xj
 
 
 def _canonical_sign(coords):

@@ -32,11 +32,6 @@ class Isometry:
         from .lattice import LatticeVector
         return LatticeVector(self.lattice, linalg.vec_mat(v.coords, self.matrix))
 
-    def compose(self, other):
-        """self followed by other."""
-        return Isometry(self.lattice,
-                        linalg.mat_mul(self.matrix, other.matrix), check=False)
-
     def inverse(self):
         X, d = linalg.rowspace_solver(self.matrix)(
             linalg.identity(self.lattice.rank))
@@ -68,12 +63,16 @@ class Isometry:
 
 
 def is_isometry(L, P):
-    """True iff P preserves the Gram matrix and is invertible over Z."""
+    """True iff P preserves the Gram matrix and is invertible over Z.
+
+    For a nondegenerate Gram, P G P^t = G gives det(P)^2 = 1; only a
+    degenerate Gram needs the determinant.
+    """
     if len(P) != L.rank or any(len(row) != L.rank for row in P):
         return False
     if linalg.mat_mul(linalg.mat_mul(P, L.gram), linalg.transpose(P)) != L.gram:
         return False
-    return abs(linalg.det(P)) == 1
+    return not L.degenerate or abs(linalg.det(P)) == 1
 
 
 def identity_isometry(L):

@@ -117,10 +117,6 @@ class Lattice:
     def vector(self, coords):
         return LatticeVector(self, coords)
 
-    def basis_vectors(self):
-        n = self.rank
-        return [self.vector([int(i == j) for j in range(n)]) for i in range(n)]
-
     def sublattice(self, vectors, name=None):
         """Sublattice spanned by the given vectors (must be independent)."""
         rows = int_matrix([v.coords if isinstance(v, LatticeVector)

@@ -1,16 +1,19 @@
 """Frozen copy of the eager Fincke-Pohst loop of `enumeration`.
 
 `enumerate_reduced` is `enumeration._enumerate_reduced` as it was before
-the partial sums were refreshed lazily: each descent from level j
-rewrites column j of every row l < j of `sigma`, and leaves are lists.
-The property tests check that the lazy loop visits the same leaves in the
-same order, which `primitive_represents` depends on; nothing in `src/`
-imports this module.
+the partial sums were refreshed lazily and before the tree kept integer
+budgets per level: it scales every level to one common denominator
+(`rational_reference.integer_cholesky`), each descent from level j
+rewrites column j of every row l < j of `sigma`, every node is one pass
+of the loop, and leaves are lists. The property tests check that the
+current loop visits the same leaves in the same order, which
+`primitive_represents` depends on; nothing in `src/` imports this module.
 """
 
 import math
 
-from k3lat.enumeration import EnumerationCap, _integer_cholesky
+from k3lat.enumeration import EnumerationCap
+from rational_reference import integer_cholesky
 
 
 def enumerate_reduced(G, bound, cap, stop_after=None):
@@ -23,7 +26,7 @@ def enumerate_reduced(G, bound, cap, stop_after=None):
     out = []
     if bound <= 0:
         return out
-    w, D, mnum, scale = _integer_cholesky(G)
+    w, D, mnum, scale = integer_cholesky(G)
     total = scale * bound
     sigma = [[0] * (n + 1) for _ in range(n)]
     R = [0] * n

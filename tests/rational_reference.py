@@ -2,9 +2,10 @@
 
 `congruent_diagonal`, `gram_schmidt_from_gram` and `lll_reduce` are the
 `Fraction` versions that `k3lat.linalg` carried before it went integer-only,
-and `integer_cholesky` is the matching `enumeration._integer_cholesky`. The
-property tests compare the integer routines against them; nothing in
-`src/` imports this module.
+and `integer_cholesky` is the matching Fincke-Pohst data that `enumeration`
+scaled to one common denominator before it kept an integer budget per
+level; `eager_reference` runs on it. The property tests compare the integer
+routines against them; nothing in `src/` imports this module.
 """
 
 import math

@@ -15,6 +15,15 @@ def test_is_isometry_basics():
     assert iso.is_isometry(L, [[0, 1], [1, 0]])
 
 
+def test_is_isometry_degenerate_needs_unit_determinant():
+    L = Lattice([[2, 0], [0, 0]], allow_degenerate=True)
+    P = [[1, 0], [0, 2]]  # P G P^t = G, det P = 2
+    assert linalg.mat_mul(linalg.mat_mul(P, L.gram),
+                          linalg.transpose(P)) == L.gram
+    assert not iso.is_isometry(L, P)
+    assert iso.is_isometry(L, [[1, 0], [0, -1]])
+
+
 def test_leech_translation_is_isometry():
     model = catalog.leech_model()
     g = model.translation_isometry()  # verified integral on construction

@@ -1,15 +1,17 @@
 """The integer Gram-Schmidt routines against their frozen copies.
 
-`linalg.inertia`, `linalg.lll_reduce` and `enumeration._integer_cholesky`
-must give exactly what the `Fraction` routines in `rational_reference`
-gave: the same signs, the same (G2, T) or the same ValueError (LLL with
-the Lovasz constant 99/100), and the same Fincke-Pohst tuple.
-`enumeration._enumerate_reduced` must return the leaves of the eager loop
-in `eager_reference` in the same order, so every enumeration downstream
-is unchanged. LLL's output is also checked against the definition of a
-reduced basis.
+`linalg.inertia` and `linalg.lll_reduce` must give exactly what the
+`Fraction` routines in `rational_reference` gave: the same signs and the
+same (G2, T) or the same ValueError (LLL with the Lovasz constant 99/100).
+The integer budgets of the Fincke-Pohst tree must equal
+d_j (bound - ||pi_j(x)||^2) computed in `Fraction`, with every division
+exact. `enumeration._enumerate_reduced` must return the leaves of the
+eager loop in `eager_reference` in the same order, so every enumeration
+downstream is unchanged. LLL's output is also checked against the
+definition of a reduced basis.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -131,13 +133,63 @@ def test_integral_gram_schmidt_matches_reference(G):
                for i in range(n) for j in range(i))
 
 
+def budgets(G, x, bound):
+    """E_j of the tree's recursion for the coordinates x, checked exact.
+
+    E_n = d[n] bound and E_j = (d[j] E_{j+1} - u_j^2) / d[j+1] with
+    u_j = d[j+1] x_j + sum_{i>j} lam[i][j] x_i.
+    """
+    n = len(G)
+    d, lam = linalg.integral_gram_schmidt(G)
+    E = [0] * n + [d[n] * bound]
+    for j in range(n - 1, -1, -1):
+        u = d[j + 1] * x[j] + sum(lam[i][j] * x[i] for i in range(j + 1, n))
+        E[j], r = divmod(d[j] * E[j + 1] - u * u, d[j + 1])
+        assert r == 0
+    return E
+
+
+def projected_norms(mu, B, x):
+    """||pi_j(x)||^2 for j = 0..n, from the Fraction Gram-Schmidt data."""
+    n = len(x)
+    P = [Fraction(0)] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        c = x[j] + sum(mu[i][j] * x[i] for i in range(j + 1, n))
+        P[j] = P[j + 1] + B[j] * c * c
+    return P
+
+
+def check_budgets(G, mu, B, x, bound):
+    d, _ = linalg.integral_gram_schmidt(G)
+    P = projected_norms(mu, B, x)
+    assert budgets(G, x, bound) == [d[j] * (bound - P[j])
+                                    for j in range(len(G) + 1)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(definite_grams())
-def test_integer_cholesky_matches_reference(G):
+@given(definite_grams(max_rank=8), st.data())
+def test_tree_budgets_match_projected_norms(G, data):
     W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
-    assert en._integer_cholesky(W) == ref.integer_cholesky(W)
-    G2, _ = linalg.lll_reduce(W)
-    assert en._integer_cholesky(G2) == ref.integer_cholesky(G2)
+    bound = data.draw(st.integers(0, 60))
+    for M in (W, linalg.lll_reduce(W)[0]):
+        x = data.draw(st.lists(st.integers(-4, 4), min_size=len(M),
+                               max_size=len(M)))
+        check_budgets(M, *ref.gram_schmidt_from_gram(M), x, bound)
+
+
+@functools.cache
+def reduced_leech():
+    G = catalog.leech().gram  # negative definite
+    G2, _ = linalg.lll_reduce([[-a for a in row] for row in G])
+    return G2, ref.gram_schmidt_from_gram(G2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=24, max_size=24),
+       st.integers(0, 8))
+def test_leech_tree_budgets_match_projected_norms(x, bound):
+    G2, (mu, B) = reduced_leech()
+    check_budgets(G2, mu, B, x, bound)
 
 
 @pytest.mark.parametrize("name", ["A2", "E8", "S_LATTICE_2_9_3_6", "leech"])
@@ -145,9 +197,6 @@ def test_catalog_grams_match_reference(name):
     G = catalog.leech().gram if name == "leech" else getattr(gram_data, name)
     assert linalg.inertia(G) == reference_inertia(G)
     assert linalg.lll_reduce(G) == ref.lll_reduce(G, DELTA)
-    W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
-    G2, _ = linalg.lll_reduce(W)
-    assert en._integer_cholesky(G2) == ref.integer_cholesky(G2)
 
 
 def leaves(enumerate_reduced, G, bound, cap, stop_after):
@@ -160,7 +209,8 @@ def leaves(enumerate_reduced, G, bound, cap, stop_after):
 
 @settings(max_examples=200, deadline=None)
 @given(definite_grams(max_rank=8), st.integers(-1, 8),
-       st.sampled_from([None, 1]), st.sampled_from([5, en.DEFAULT_CAP]))
+       st.sampled_from([None, 1, 2, 7]),
+       st.sampled_from([0, 1, 5, 6, en.DEFAULT_CAP]))
 def test_tree_order_matches_eager_loop(G, bound, stop_after, cap):
     W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
     for M in (W, linalg.lll_reduce(W)[0]):
