@@ -69,8 +69,13 @@ def leech_kissing(fast):
     return first == second == 196560, {"count": first, "permuted": second}
 
 
+def _root_count(L):
+    # nonzero v with |q(v)| <= 2, both signs: the roots of an even lattice
+    return sum(en.norm_census(L, 2, up_to_sign=False).counts.values())
+
+
 def niemeier_root_counts(fast):
-    detail = {name: len(en.short_vectors(catalog.niemeier(name), 2))
+    detail = {name: _root_count(catalog.niemeier(name))
               for name in sorted(NIEMEIER_ROWS)}
     expected = {"N23": 48, "N22": 72, "N20": 120, "N17": 168, "N10": 312,
                 "N3": 720}
@@ -90,7 +95,7 @@ def holy_construction(fast):
         good = (L.rank == 24 and L.det() == 1 and L.is_even()
                 and L.signature() == (0, 24) and not en.has_roots(L)
                 and frame.hole.det() == 1
-                and len(en.short_vectors(frame.hole, 2)) == 24 * row[2])
+                and _root_count(frame.hole) == 24 * row[2])
         detail[name] = "ok" if good else "FAIL"
     return all(v == "ok" for v in detail.values()), detail
 

@@ -92,7 +92,8 @@ def cmd_construct(args):
         checks = {"det": L.det(), "rank": L.rank, "even": L.is_even()}
         if L.rank and L.is_definite():
             checks["min_norm"] = en.min_norm(L, cap=args.cap)
-            checks["roots"] = len(en.short_vectors(L, 2, cap=args.cap))
+            census = en.norm_census(L, 2, up_to_sign=False, cap=args.cap)
+            checks["roots"] = sum(census.counts.values())
         if not L.degenerate:
             plus, minus = L.signature()
             checks["signature"] = [plus, minus]

@@ -9,17 +9,20 @@ reduced Gram every value fits in one machine word. LLL's Lovasz constant
 99/100 gives a smaller tree than 3/4 (a third fewer nodes for the norm-4
 Leech census). A node refreshes one row of partial sums, lazily, never
 descends into an empty range, and a level-1 node emits its leaves as one
-batch of (norm, tuple) pairs.
+batch of (norm, tuple) pairs, or of norms alone where only norms are read.
 
 The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
-`norm_census`, `has_roots` and `min_norm` only count or test norms and stay
-in reduced coordinates; `primitive_represents` tests the gcd there and
+`norm_census`, `has_roots` and `min_norm` read norms only: their leaves
+are norms alone, one small int per +-pair (the norm-4 Leech census holds
+98 280 ints, not as many 24-tuples), and no vector is converted.
+`primitive_represents` tests the gcd in reduced coordinates and
 converts only the vector it returns. This is exact: norms do not depend on
 the basis, the unimodular T preserves gcds, and T maps +-pairs to +-pairs.
 `short_vectors` converts every vector and picks its sign in the input basis.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -67,13 +70,15 @@ def _cut(out, before, stop_after, cap):
     raise EnumerationCap(cap)
 
 
-def _enumerate_reduced(G, bound, cap, stop_after=None):
+def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     """All (norm, x) with 0 < x G x^T <= bound, one per +-pair.
 
     G must be positive definite. x is a tuple; the representative of each
     pair has its highest-index nonzero coordinate positive. Leaves come
     with x_0 fastest and each coordinate increasing; the first stop_after
     leaves are returned, and more than cap leaves raise EnumerationCap.
+    With coords=False each leaf is its norm alone, in the same order and
+    with the same cuts; only the leaf emission differs.
 
     Budgets. With (d, lam) = linalg.integral_gram_schmidt(G), x's
     coordinate along the j-th Gram-Schmidt vector is u_j / d[j+1], where
@@ -95,7 +100,9 @@ def _enumerate_reduced(G, bound, cap, stop_after=None):
     row j - 1 was last refreshed, so a node at level j rewrites only row
     j - 1, at columns top[j] down to j. A node computes its child's range
     and steps to its next sibling when that range is empty; a level-1 node
-    appends every x_0 of its range as a leaf at once.
+    appends every x_0 of its range as a leaf at once. A norm-only leaf
+    needs neither x_0 nor the prefix tuple: its norm is
+    bound - E_0 = bound - (F[0] - u_0^2) / d[1], with u_0 stepping by d[1].
     """
     n = len(G)
     out = []
@@ -106,7 +113,9 @@ def _enumerate_reduced(G, bound, cap, stop_after=None):
     isqrt = math.isqrt
     if n == 1:
         a = d[1]
-        out = [(a * x0 * x0, (x0,)) for x0 in range(1, isqrt(bound // a) + 1)]
+        xs = range(1, isqrt(bound // a) + 1)
+        out = ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
+               else [a * x0 * x0 for x0 in xs])
         if out and len(out) >= limit:
             return _cut(out, 0, stop_after, cap)
         return out
@@ -149,10 +158,15 @@ def _enumerate_reduced(G, bound, cap, stop_after=None):
                 lo = 1
             if lo <= hi:
                 before = len(out)
-                prefix = tuple(x[1:])
-                for x0 in range(lo, hi + 1):
-                    v = dj * x0 + c
-                    out.append((bound - (f - v * v) // dj, (x0,) + prefix))
+                if coords:
+                    prefix = tuple(x[1:])
+                    for x0 in range(lo, hi + 1):
+                        v = dj * x0 + c
+                        out.append((bound - (f - v * v) // dj,
+                                    (x0,) + prefix))
+                else:
+                    out += [bound - (f - v * v) // dj
+                            for v in range(dj * lo + c, dj * hi + c + 1, dj)]
                 if len(out) >= limit:
                     return _cut(out, before, stop_after, cap)
         else:
@@ -208,16 +222,16 @@ def min_norm(L, cap=DEFAULT_CAP):
     step = 2 if L.is_even() else 1
     start = step
     for b in range(start, limit + 1, step):
-        hit = _enumerate_reduced(G2, b, cap, stop_after=1)
+        hit = _enumerate_reduced(G2, b, cap, stop_after=1, coords=False)
         if hit:
-            return sign * hit[0][0]
+            return sign * hit[0]
     raise AssertionError("diagonal entry should have been reachable")
 
 
 def has_roots(L, cap=DEFAULT_CAP):
     """True iff the lattice contains a vector of norm +-2."""
     G2, _, _ = _reduced_gram(L)
-    return any(q == 2 for q, _ in _enumerate_reduced(G2, 2, cap))
+    return 2 in _enumerate_reduced(G2, 2, cap, coords=False)
 
 
 def primitive_represents(L, m, cap=DEFAULT_CAP):
@@ -255,9 +269,7 @@ class NormCensus:
 def norm_census(L, bound, up_to_sign=True, cap=DEFAULT_CAP):
     """Censuses of vector counts by norm up to the bound."""
     G2, _, sign = _reduced_gram(L)
-    counts = {}
-    for q, _ in _enumerate_reduced(G2, bound, cap):
-        counts[sign * q] = counts.get(sign * q, 0) + 1
-    if not up_to_sign:
-        counts = {q: 2 * c for q, c in counts.items()}
+    pairs = Counter(_enumerate_reduced(G2, bound, cap, coords=False))
+    k = 1 if up_to_sign else 2
+    counts = {sign * q: k * c for q, c in pairs.items()}
     return NormCensus(bound=bound, up_to_sign=up_to_sign, counts=counts)

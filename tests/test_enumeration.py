@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ def e8_coordinate_oracle(norm_times_4):
     """
     assert norm_times_4 <= 16
     count = 0
-    box = int(norm_times_4 ** 0.5 / 2) + 1
+    box = math.isqrt(norm_times_4 // 4)  # 4 sum(y_i^2) = N bounds each |y_i|
     for y in itertools.product(range(-box, box + 1), repeat=8):
         if any(y) and sum(y) % 2 == 0 and 4 * sum(a * a for a in y) == norm_times_4:
             count += 1
@@ -145,6 +146,20 @@ def test_cap_raises():
     # E8 is even, so no vector of norm 3: all 120 root pairs are scanned
     with pytest.raises(en.EnumerationCap):
         en.primitive_represents(Lattice(E8), 3, cap=10)
+
+
+def test_census_holds_norms_not_vectors():
+    # one 8-byte list slot per counted +-pair; a (norm, 8-tuple) leaf
+    # would take about 166 bytes
+    tracemalloc.start()
+    try:
+        census = en.norm_census(Lattice(E8), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = sum(census.counts.values())
+    assert pairs == 120 + 1080 + 3360 + 8760
+    assert peak < 16 * pairs
 
 
 def test_ordering_deterministic():

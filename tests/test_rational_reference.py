@@ -7,7 +7,8 @@ The integer budgets of the Fincke-Pohst tree must equal
 d_j (bound - ||pi_j(x)||^2) computed in `Fraction`, with every division
 exact. `enumeration._enumerate_reduced` must return the leaves of the
 eager loop in `eager_reference` in the same order, so every enumeration
-downstream is unchanged. LLL's output is also checked against the
+downstream is unchanged, and its norm-only leaves must be those leaves'
+norms, with the same cuts. LLL's output is also checked against the
 definition of a reduced basis.
 """
 
@@ -217,3 +218,25 @@ def test_tree_order_matches_eager_loop(G, bound, stop_after, cap):
         assert leaves(en._enumerate_reduced, M, bound, cap, stop_after) == \
             leaves(eager_reference.enumerate_reduced, M, bound, cap,
                    stop_after)
+
+
+def norm_leaves(G, bound, cap, stop_after):
+    try:
+        return en._enumerate_reduced(G, bound, cap, stop_after, coords=False)
+    except en.EnumerationCap:
+        return en.EnumerationCap
+
+
+@pytest.mark.parametrize("max_rank", [1, 8])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bound=st.integers(-1, 16),
+       stop_after=st.sampled_from([None, 1, 2, 7]),
+       cap=st.sampled_from([0, 1, 5, 6, en.DEFAULT_CAP]))
+def test_norm_leaves_are_pair_norms(max_rank, data, bound, stop_after, cap):
+    G = data.draw(definite_grams(max_rank=max_rank))
+    W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
+    for M in (W, linalg.lll_reduce(W)[0]):
+        pairs = leaves(en._enumerate_reduced, M, bound, cap, stop_after)
+        if pairs is not en.EnumerationCap:
+            pairs = [q for q, _ in pairs]
+        assert norm_leaves(M, bound, cap, stop_after) == pairs
