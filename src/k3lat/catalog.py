@@ -24,18 +24,19 @@ def _cached(key, builder):
     return _cache[key]
 
 
-def lattice_from_span(rows, scale_sq, sign, name=None):
-    """Lattice spanned by integer coordinate rows under sign*(x.y)/scale_sq.
+def lattice_from_span(rows, scale_sq, name=None):
+    """Lattice spanned by integer coordinate rows under -(x.y)/scale_sq.
 
     Returns (basis, lattice): the HNF-canonical basis rows and the Gram
-    they induce. Raises if the form is not integral or not even on the span.
+    they induce, negative definite like every catalog model built here.
+    Raises if the form is not integral or not even on the span.
     """
     basis = linalg.hnf_span(rows)
     gram = []
     for x in basis:
         line = []
         for y in basis:
-            d = sign * linalg.dot(x, y)
+            d = -linalg.dot(x, y)
             if d % scale_sq:
                 raise ValueError("form is not integral on the span")
             line.append(d // scale_sq)
@@ -122,7 +123,7 @@ class LeechModel:
                     row[j] = sj
                     spanning.append(row)
         self.basis, self.lattice = lattice_from_span(
-            spanning, self.SCALE_SQ, -1, name="Leech")
+            spanning, self.SCALE_SQ, name="Leech")
         if self.lattice.rank != 24 or self.lattice.det() != 1:
             raise AssertionError("Leech model failed its invariants")
         self._golay = None
@@ -280,7 +281,7 @@ def niemeier_model(name):
                 for letter in w:
                     row += _glue_rep(n, letter % size)
                 rows.append(row)
-        basis, L = lattice_from_span(rows, size * size, -1, name=name)
+        basis, L = lattice_from_span(rows, size * size, name=name)
         if L.rank != 24 or L.det() != 1:
             raise AssertionError(f"{name} failed its invariants")
         return basis, L
@@ -337,13 +338,13 @@ class HolyFrame:
             [self.h_rows[w] for w in self.code if w != zero]
         diff = [[a - b for a, b in zip(row, h0)] for row in fam]
         self.basis, self.leech = lattice_from_span(
-            diff, scale * scale, -1, name=f"Leech[{name}]")
+            diff, scale * scale, name=f"Leech[{name}]")
         if self.leech.rank != 24 or self.leech.det() != 1:
             raise AssertionError("holy construction gave a wrong lattice")
         hole_rows = self.f_rows + self.f0_rows + \
             [[a - b for a, b in zip(self.h_rows[w], h0)] for w in self.code]
         self.hole_basis, self.hole = lattice_from_span(
-            hole_rows, scale * scale, -1, name=f"{name}[hole]")
+            hole_rows, scale * scale, name=f"{name}[hole]")
         self._solver = None
 
     @property
@@ -381,7 +382,7 @@ def _barnes_wall():
     row = [0] * 16
     row[0] = 8
     gens.append(row)
-    _, L = lattice_from_span(gens, 8, -1, name="BW16(-1)")
+    _, L = lattice_from_span(gens, 8, name="BW16(-1)")
     if L.rank != 16 or L.det() != 2 ** 8:
         raise AssertionError("Barnes-Wall model failed its invariants")
     return L
@@ -401,7 +402,7 @@ def _d12_plus():
     row[10] = row[11] = 2  # e_11 + e_12 completes the D12 fork
     rows.append(row)
     rows.append([1] * 12)  # the half-vector (1/2, ..., 1/2), doubled
-    _, L = lattice_from_span(rows, 2, -1, name="D12+(-2)")
+    _, L = lattice_from_span(rows, 2, name="D12+(-2)")
     if L.rank != 12 or abs(L.det()) != 2 ** 12:
         raise AssertionError("D12+(-2) model failed its invariants")
     return L

@@ -4,8 +4,7 @@ Subcommands: construct, analyze, autos, walls, classify, verify. All
 results go to standard output as JSON; progress notes and verify's
 per-check times go to standard error. verify runs `k3lat.acceptance`,
 the one acceptance battery, which tier-1 runs too. Runs are
-deterministic and single-threaded; --threads is accepted for
-compatibility and changes nothing, so every value produces the same
+deterministic and single-threaded, so repeated runs produce the same
 bytes.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
@@ -251,9 +250,6 @@ def build_parser():
         description="Exact lattice computations: Leech/Niemeier "
                     "constructions, discriminant forms, isometry groups "
                     "and wall-divisor classification.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="ignored: every computation is single-"
-                             "threaded, so output is the same for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a catalog lattice")

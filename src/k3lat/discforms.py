@@ -4,7 +4,8 @@ Covers the finite quadratic form of an even lattice with integer class
 coordinates of its dual vectors, the exact Milgram signature via Gauss
 sums in cyclotomic integer rings, brute-force (anti-)isometry of forms,
 the simplified existence/embedding/uniqueness criteria for even
-lattices, 2-elementary invariants, subgroups spanned by generators, and
+lattices (rank below length is no: A_L is a quotient of Z^rank),
+2-elementary invariants, subgroups spanned by generators, and
 overlattice gluing. Forms are stored and searched as integer numerators
 over the group's exponent; Fraction appears only in a form's rational
 constructor input, in the q_value/b_value results and in the JSON records.
@@ -256,14 +257,6 @@ def discriminant_form(L):
     return discriminant_data(L).form
 
 
-def discriminant_group_length(L):
-    """Minimal number of generators of A_L (no evenness required)."""
-    if L.degenerate:
-        raise ValueError("discriminant group of a degenerate lattice")
-    D, _, _ = linalg.snf(L.gram)
-    return sum(1 for i in range(L.rank) if abs(D[i][i]) > 1)
-
-
 # -- exact Gauss sums in Z[zeta_N] ------------------------------------------
 
 def _cyclotomic_poly(n, _cache={}):
@@ -321,7 +314,7 @@ def _poly_mul_mod_xn(a, b, n):
     return out
 
 
-def milgram_signature(form, order_cap=MILGRAM_ORDER_CAP):
+def milgram_signature(form):
     """Signature mod 8 of a finite quadratic form, by exact Gauss sum.
 
     Computes sum_x exp(pi i q(x)) in a cyclotomic integer ring and matches
@@ -330,10 +323,10 @@ def milgram_signature(form, order_cap=MILGRAM_ORDER_CAP):
     if form.is_trivial():
         return 0
     size = form.order()
-    if size > order_cap:
+    if size > MILGRAM_ORDER_CAP:
         raise ValueError(
-            f"group order {size} exceeds the Milgram cap {order_cap}; the "
-            f"Gauss sum visits every element, so pass a larger order_cap")
+            f"group order {size} exceeds the Milgram cap {MILGRAM_ORDER_CAP}; "
+            f"the Gauss sum visits every element")
     den = form.exponent
     # squarefree part s of |A| decides which sqrt factors we need
     m, s = 1, size
@@ -417,7 +410,7 @@ def subgroup(gens, factors):
     return H
 
 
-def _find_generator_images(q1, q2, sign, node_cap=_SEARCH_NODE_CAP):
+def _find_generator_images(q1, q2, sign):
     """Images in q2 of q1's generators under a (sign=+1) isometry or
     (sign=-1) anti-isometry; None if none exists, or raises on cap."""
     if q1.factors != q2.factors:
@@ -455,7 +448,7 @@ def _find_generator_images(q1, q2, sign, node_cap=_SEARCH_NODE_CAP):
         cands = by_profile.get((q1.factors[i], targets_q[i]), [])
         for y in cands:
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _SEARCH_NODE_CAP:
                 raise RuntimeError("search budget exceeded")
             if not all(q2._b_num(y, chosen[j]) == targets_b[i][j]
                        for j in range(i)):
@@ -492,7 +485,7 @@ def _is_prime(n):
     return True
 
 
-def forms_isomorphic(q1, q2, order_cap=ISOMORPHISM_ORDER_CAP):
+def forms_isomorphic(q1, q2):
     """True/False, or None when the search is inconclusive.
 
     Prefiltered by invariant factors and the multiset of q-values; then a
@@ -501,7 +494,7 @@ def forms_isomorphic(q1, q2, order_cap=ISOMORPHISM_ORDER_CAP):
     """
     if q1.factors != q2.factors:
         return False
-    if q1.order() > order_cap:
+    if q1.order() > ISOMORPHISM_ORDER_CAP:
         return None
     if q1.value_multiset() != q2.value_multiset():
         return False
@@ -512,9 +505,9 @@ def forms_isomorphic(q1, q2, order_cap=ISOMORPHISM_ORDER_CAP):
     return images is not None
 
 
-def find_anti_isometry(q1, q2, order_cap=ISOMORPHISM_ORDER_CAP):
+def find_anti_isometry(q1, q2):
     """A full anti-isometry gamma: q1 -> q2 as generator images, or None."""
-    if q1.factors != q2.factors or q1.order() > order_cap:
+    if q1.factors != q2.factors or q1.order() > ISOMORPHISM_ORDER_CAP:
         return None
     try:
         return _find_generator_images(q1, q2, -1)
@@ -537,17 +530,16 @@ class Verdict:
 def nikulin_lattice_exists(sig, form):
     """Existence of an even lattice with the given signature and form.
 
-    Applies the simplified hypotheses: signature congruence mod 8,
-    nonnegativity, and rank >= length standing in for the existence of a
-    form of that rank. Outside them the answer is inconclusive.
+    Applies the simplified hypotheses: nonnegativity, rank >= length
+    (else no: A_L is a quotient of Z^rank) and the signature congruence
+    mod 8; rank >= length stands in for the existence of a form of that
+    rank.
     """
     tp, tm = sig
     if tp < 0 or tm < 0:
         return Verdict("no", reason=f"negative signature component ({tp},{tm})")
     if tp + tm < form.length:
-        # outside the lemma's hypotheses; Milgram may not even apply
-        return Verdict("inconclusive",
-                       reason=f"rank {tp + tm} below length {form.length}")
+        return Verdict("no", reason=f"rank {tp + tm} below length {form.length}")
     sigma = milgram_signature(form)
     if (tp - tm) % 8 != sigma:
         return Verdict("no", reason=f"signature {tp - tm} is not {sigma} mod 8")
@@ -606,9 +598,9 @@ class GlueMap:
     images: list
 
     @classmethod
-    def full(cls, qS, qT, order_cap=ISOMORPHISM_ORDER_CAP):
+    def full(cls, qS, qT):
         """The glue map of a full anti-isometry A_S -> A_T, if one exists."""
-        images = find_anti_isometry(qS, qT, order_cap=order_cap)
+        images = find_anti_isometry(qS, qT)
         if images is None:
             return None
         k = qS.length

@@ -30,11 +30,15 @@ from .lattice import LatticeVector
 
 
 class EnumerationCap(RuntimeError):
-    """Raised when an enumeration exceeds its vector-count safety cap."""
+    """Raised when an enumeration exceeds its safety cap.
+
+    Every entry point counts the cap in +-pairs: one per {v, -v}, whether
+    or not it returns both signs.
+    """
 
     def __init__(self, cap):
-        super().__init__(f"enumeration exceeded the safety cap of {cap} vectors; "
-                         f"rerun with a larger cap to resume")
+        super().__init__(f"enumeration exceeded the safety cap of {cap} vectors "
+                         f"up to sign; rerun with a larger cap to resume")
         self.cap = cap
 
 
@@ -209,8 +213,6 @@ def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
              for q, y in _enumerate_reduced(G2, bound, cap)]
     if not up_to_sign:
         found = found + [(q, [-a for a in v]) for q, v in found]
-        if len(found) > cap:
-            raise EnumerationCap(cap)
     found.sort(key=lambda t: (abs(t[0]), t[1]))
     return [LatticeVector(L, v) for _, v in found]
 

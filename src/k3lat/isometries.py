@@ -12,6 +12,7 @@ from .discforms import discriminant_data
 from .lattice import Lattice, int_matrix
 
 GROUP_ORDER_CAP = 10 ** 6
+ISOMETRY_SEARCH_NODE_CAP = 2_000_000
 
 
 class GroupOrderCap(RuntimeError):
@@ -39,7 +40,7 @@ class Isometry:
             raise ValueError("matrix is not invertible over the integers")
         return Isometry(self.lattice, X, check=False)
 
-    def order(self, cap=GROUP_ORDER_CAP):
+    def order(self):
         n = self.lattice.rank
         ident = linalg.identity(n)
         P = self.matrix
@@ -47,7 +48,7 @@ class Isometry:
         while P != ident:
             P = linalg.mat_mul(P, self.matrix)
             k += 1
-            if k > cap:
+            if k > GROUP_ORDER_CAP:
                 raise RuntimeError("order exceeds cap")
         return k
 
@@ -295,7 +296,7 @@ def glue_translation_isometry(frame, word):
                                      solver=frame.solver)
 
 
-def find_isometry(L1, L2, node_cap=2_000_000):
+def find_isometry(L1, L2):
     """Search for an isometry between definite lattices of equal rank.
 
     Backtracks over images of the basis among short vectors; returns the
@@ -326,7 +327,7 @@ def find_isometry(L1, L2, node_cap=2_000_000):
             return True
         for x in cands[L1.gram[i][i]]:
             nodes += 1
-            if nodes > node_cap:
+            if nodes > ISOMETRY_SEARCH_NODE_CAP:
                 raise RuntimeError("isometry search budget exceeded")
             if pairing_ok(x):
                 chosen.append(x)
@@ -341,7 +342,5 @@ def find_isometry(L1, L2, node_cap=2_000_000):
         return None
     if not found:
         return None
-    T = [row[:] for row in chosen]
-    if abs(linalg.det(T)) != 1:
-        return None
-    return T
+    # T G2 T^t = G1 with det G1 = det G2 != 0 forces det(T)^2 = 1
+    return [row[:] for row in chosen]

@@ -174,9 +174,11 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
     vv = ctx.v_sq
     Mbar = ctx.mukai.sublattice([v] + S.coords).saturation()
     B = Mbar.coords
-    # the v-pairing as a linear form on Mbar, and its kernel (= S)
+    # the v-pairing as a linear form on Mbar, and its kernel (= S); the
+    # first row of the HNF transform takes the value gcd(ell) on it
     ell = [linalg.dot(row, v, G) for row in B]
-    gell = math.gcd(*ell)
+    H, U = linalg.hnf(linalg.transpose([ell]))
+    gell = H[0][0]
     K = linalg.kernel_basis(linalg.transpose([ell]))  # rows: S basis in Mbar
     # the K-Gram and its solver depend on K alone, not on the slice
     KG = linalg.mat_mul(K, Mbar.gram)
@@ -191,7 +193,7 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
         if s_val % gell:
             continue
         # particular solution x0 in Mbar coordinates with (v, x0) = s_val
-        x0 = _solve_linear_form(ell, s_val)
+        x0 = [a * (s_val // gell) for a in U[0]]
         for rho in targets:
             for r_m in _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho,
                                       vv, cap):
@@ -207,29 +209,6 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
         if report.is_wall:
             return report
     return None
-
-
-def _solve_linear_form(ell, target):
-    """Integer x with sum x_i ell_i = target (ell not all zero)."""
-    n = len(ell)
-    x = [0] * n
-    g = 0
-    for i, e in enumerate(ell):
-        if not e:
-            continue
-        if g == 0:
-            x = [0] * n
-            x[i] = 1 if e > 0 else -1
-            g = abs(e)
-            continue
-        gg, u, w = linalg._xgcd(g, e)  # u*g + w*e = gg
-        x = [u * a for a in x]
-        x[i] += w
-        g = gg
-    if g == 0 or target % g:
-        raise ArithmeticError("linear form does not represent the target")
-    m = target // g
-    return [a * m for a in x]
 
 
 def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
@@ -292,7 +271,7 @@ class RealizabilityVerdict:
         return self.status == "realizable"
 
 
-def realizability(S, group_or_gens, n, complement=None, all_vectors=False):
+def realizability(S, group_or_gens, n, complement=None):
     """Is (S, G) induced by symplectic automorphisms on some K3^[n] model?
 
     S must be the full coinvariant lattice of G on itself. A Mukai model
@@ -310,7 +289,7 @@ def realizability(S, group_or_gens, n, complement=None, all_vectors=False):
             "inconclusive", reason="no Mukai complement supplied",
             leech_pair=pair)
     glued = mukai_gluing(S, complement)
-    verdict = wall_verdict_in_model(glued, n, all_vectors=all_vectors)
+    verdict = wall_verdict_in_model(glued, n)
     verdict.leech_pair = pair
     return verdict
 
@@ -404,10 +383,9 @@ def conway_condition(group_or_gens):
     """rk(S_G) <= 20 and rk(T_G) > l(A_T), for a group on the Leech lattice."""
     T = iso.invariant_lattice(group_or_gens)
     S = T.orthogonal_complement()
-    lT = df.discriminant_group_length(Lattice(T.gram, allow_degenerate=True)) \
-        if T.rank else 0
-    lS = df.discriminant_group_length(Lattice(S.gram, allow_degenerate=True)) \
-        if S.rank else 0
+    # T and S lie in the even Leech lattice, so their forms are defined
+    lT = df.discriminant_form(Lattice(T.gram)).length if T.rank else 0
+    lS = df.discriminant_form(Lattice(S.gram)).length if S.rank else 0
     ok = S.rank <= 20 and T.rank > lT
     equivalent = S.rank + lS <= 23
     return ok, {"rank_S": S.rank, "rank_T": T.rank, "length_T": lT,
@@ -426,12 +404,10 @@ def huybrechts_equivalents(M):
     plus, _ = M.signature()
     if plus:
         raise ValueError("M must be negative definite")
-    form = df.discriminant_form(M)
-    neg = form.neg()
-    c1 = (df.nikulin_lattice_exists((0, 24 - M.rank), neg).status == "yes"
-          and 24 - M.rank > form.length)
-    c2 = (df.nikulin_lattice_exists((4, 20 - M.rank), neg).status == "yes"
-          and 24 - M.rank > form.length)
+    # conditions 1 and 2 both need rk(M) + l(A_M) <= 23
+    strict = 24 - M.rank > df.discriminant_form(M).length
+    c1 = strict and df.nikulin_embedding_exists(M, (0, 24)).status == "yes"
+    c2 = strict and df.nikulin_embedding_exists(M, (4, 20)).status == "yes"
     if c1 != c2:
         raise AssertionError("conditions 1 and 2 must agree")
     return (c1, c2, c1, c1)
@@ -462,8 +438,6 @@ def d12_exclusion(n):
     Returns the WallReport whose rank-2 lattice has Gram
     [[2n-2, n-1], [n-1, -2]] and whose divisor has square -2n-6.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     verdict = exclusion_witness("D12+(-2)", n)
     if verdict.status != "obstructed":
         raise AssertionError("expected a wall witness for D12+(-2)")
@@ -528,20 +502,18 @@ def exclusion_witness(name, n, cap=en.DEFAULT_CAP):
     Returns an obstructed verdict with the witness WallReport, or an
     inconclusive one when no primitive embedding into L_n exists at all.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     v_t = _exclusion_vector(name, n)
     if v_t is None:
         return RealizabilityVerdict(
             "inconclusive",
             reason=f"complement of {name} does not represent {2 * n - 2}")
-    glued = _exclusion_model(name)
-    v_amb = linalg.vec_mat(v_t, glued.t_sub.coords)
-    ctx = wall_context(n, mukai=glued.lattice, v=v_amb)
-    wall = numerical_wall_in(glued.s_sub, ctx, cap=cap)
-    if wall is None:
+    verdict = wall_verdict_in_model(_exclusion_model(name), n, v_in_T=v_t,
+                                    cap=cap)
+    if verdict.status != "obstructed":
         raise AssertionError(f"{name} unexpectedly wall-free at n = {n}")
-    return RealizabilityVerdict("obstructed",
-                                reason="embedding produces a numerical wall",
-                                wall=wall)
+    return verdict
 
 
 # -- classification ---------------------------------------------------------------
@@ -567,16 +539,9 @@ class ClassificationRow:
 def _k3_route(S, cap=en.DEFAULT_CAP):
     """Definitive test for a root-free primitive embedding into the K3
     lattice (rank 22, signature (3,19))."""
-    form = df.discriminant_form(S)
-    r = S.rank
-    if 19 - r < 0:
-        return False, "rank exceeds the K3 lattice's negative part"
-    if 22 - r < form.length:
-        # a discriminant group needs at most rank(T) generators
-        return False, "complement rank is below the discriminant length"
-    sigma = df.milgram_signature(form.neg())
-    if (3 - (19 - r)) % 8 != sigma:
-        return False, "Milgram congruence fails"
+    embeds = df.nikulin_embedding_exists(S, (3, 19))
+    if embeds.status != "yes":
+        return False, embeds.reason
     if en.has_roots(S, cap=cap):
         return False, "lattice contains -2 vectors"
     return True, "complement exists and the image is root-free"
@@ -609,7 +574,10 @@ def _mukai_complements(row_name):
     raise ValueError(f"no Mukai complement data for {row_name}")
 
 
-def minimal_n(row_name, n_max=12, cap=en.DEFAULT_CAP):
+N_MAX = 12  # the highest level the classification searches
+
+
+def minimal_n(row_name, cap=en.DEFAULT_CAP):
     """The classification row for a catalog coinvariant lattice; cap
     bounds every enumeration on the way."""
     spec = next((row for row in _ROW_SPECS if row[1] == row_name), None)
@@ -625,7 +593,7 @@ def minimal_n(row_name, n_max=12, cap=en.DEFAULT_CAP):
         _deformation_count(row, S)
         return row
     pairs = _mukai_complements(name)
-    for n in range(2, n_max + 1):
+    for n in range(2, N_MAX + 1):
         embeddings = 0
         witness = None
         for S_row, T in pairs:
@@ -643,7 +611,7 @@ def minimal_n(row_name, n_max=12, cap=en.DEFAULT_CAP):
                                     witness=witness)
             _deformation_count(row, S, embeddings=embeddings)
             return row
-    raise RuntimeError(f"no embedding found for {row_name} with n <= {n_max}")
+    raise RuntimeError(f"no embedding found for {row_name} with n <= {N_MAX}")
 
 
 def _deformation_count(row, S, embeddings=None):
@@ -676,10 +644,10 @@ def large_prime_rejection():
 EXCLUSION_LEVELS = {"BW16(-1)": 3, "S_3exo": 4, "D12+(-2)": 2}
 
 
-def classification_table(n_max=12, cap=en.DEFAULT_CAP):
+def classification_table(cap=en.DEFAULT_CAP):
     """All seven rows plus the three exclusions and the large-prime check;
     cap bounds every enumeration of the rows and the wall searches."""
-    rows = [minimal_n(name, n_max=n_max, cap=cap) for _, name in _ROW_SPECS]
+    rows = [minimal_n(name, cap=cap) for _, name in _ROW_SPECS]
     exclusions = {}
     for name, n in EXCLUSION_LEVELS.items():
         verdict = exclusion_witness(name, n, cap=cap)

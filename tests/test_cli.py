@@ -262,14 +262,9 @@ def test_byte_identical_runs():
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("argv", [["construct", "A2"],
-                                  ["construct", "A2", "--verify"]],
-                         ids=["construct", "construct-verify"])
-def test_threads_flag_changes_nothing(argv):
-    code1, out1, _ = run_cli(["--threads", "1"] + argv)
-    code8, out8, _ = run_cli(["--threads", "8"] + argv)
-    assert code1 == code8 == 0
-    assert out1 == out8 and json.loads(out1)
+def test_threads_flag_is_gone():
+    code, out, _ = run_cli(["--threads", "2", "construct", "A2"])
+    assert code == 2 and out == ""
 
 
 def test_output_file(tmp_path):

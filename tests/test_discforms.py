@@ -131,9 +131,9 @@ def test_nikulin_lattice_exists_cases():
     # signature (0,1), Milgram 1 form: congruence fails
     q_plus = df.discriminant_form(Lattice([[2]]))
     assert df.nikulin_lattice_exists((0, 1), q_plus).status == "no"
-    # rank below length: inconclusive
+    # rank below length: no, A_L is a quotient of Z^rank
     q_222 = df.FiniteQuadraticForm([2, 2, 2], [[0] * 3] * 3)
-    assert df.nikulin_lattice_exists((1, 0), q_222).status == "inconclusive"
+    assert df.nikulin_lattice_exists((1, 0), q_222).status == "no"
     # honest case
     q = df.discriminant_form(Lattice([[-2]]))
     assert df.nikulin_lattice_exists((1, 2), q).status == "yes"

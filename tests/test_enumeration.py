@@ -148,6 +148,18 @@ def test_cap_raises():
         en.primitive_represents(Lattice(E8), 3, cap=10)
 
 
+def test_cap_counts_pairs_everywhere():
+    # E8 has 240 roots, 120 +-pairs: a cap of 120 admits them all, in both
+    # entry points that return both signs, and 119 stops both
+    L = Lattice(E8)
+    assert len(en.short_vectors(L, 2, cap=120)) == 240
+    assert en.norm_census(L, 2, up_to_sign=False, cap=120).counts == {2: 240}
+    with pytest.raises(en.EnumerationCap):
+        en.short_vectors(L, 2, cap=119)
+    with pytest.raises(en.EnumerationCap):
+        en.norm_census(L, 2, up_to_sign=False, cap=119)
+
+
 def test_census_holds_norms_not_vectors():
     # one 8-byte list slot per counted +-pair; a (norm, 8-tuple) leaf
     # would take about 166 bytes

@@ -39,6 +39,16 @@ def test_hnf_canonical_under_row_mixing():
     assert linalg.hnf(M)[0] == linalg.hnf(mixed)[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=8)
+       .filter(any))
+def test_hnf_of_column_gives_gcd_and_solution(c):
+    # the wall search takes its particular solutions of (v, x) = s from this
+    H, U_ = linalg.hnf(linalg.transpose([c]))
+    assert H[0][0] == math.gcd(*c)
+    assert linalg.dot(U_[0], c) == H[0][0]
+
+
 def test_snf_diagonal_stays():
     D, _, _ = linalg.snf([[2, 0], [0, 2]])
     assert D == [[2, 0], [0, 2]]
