@@ -262,9 +262,17 @@ def test_byte_identical_runs():
     assert outs[0] == outs[1]
 
 
-def test_threads_flag_is_gone():
-    code, out, _ = run_cli(["--threads", "2", "construct", "A2"])
-    assert code == 2 and out == ""
+@pytest.mark.parametrize("argv", [["construct", "A2"],
+                                  ["construct", "A2", "--verify"]],
+                         ids=["construct", "construct-verify"])
+def test_threads_flag_changes_nothing(argv):
+    # --threads is no longer an option: it is rejected before any work is
+    # done, and the command without it still succeeds.
+    for n in ("1", "8"):
+        code, out, _ = run_cli(["--threads", n] + argv)
+        assert code == 2 and out == ""
+    code, out, _ = run_cli(argv)
+    assert code == 0 and json.loads(out)
 
 
 def test_output_file(tmp_path):
