@@ -31,7 +31,7 @@ def lattice_from_span(rows, scale_sq, name=None):
     they induce, negative definite like every catalog model built here.
     Raises if the form is not integral or not even on the span.
     """
-    basis = linalg.hnf_span(rows)
+    basis = linalg.hnf(rows)
     gram = []
     for x in basis:
         line = []
@@ -515,7 +515,7 @@ def s_lattice_2936_in_leech():
         ]
         members = [model.vector(v) for v in vectors]
         span_rows = [v.coords for v in members]
-        basis = linalg.hnf_span(span_rows)
+        basis = linalg.hnf(span_rows)
         S = model.lattice.sublattice(basis).saturation(name="2^9 3^6")
         if S.rank != 4:
             raise AssertionError("printed vectors do not span rank 4")

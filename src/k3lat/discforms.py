@@ -31,15 +31,15 @@ class FiniteQuadraticForm:
     (each > 1). With e = d_k the exponent (1 for the trivial group), q is
     stored on the generators as the symmetric integer matrix e*q, its
     diagonal read mod 2e and its off-diagonal mod e, so two forms on the
-    same factors compare as plain ints. The constructor takes rational
-    entries and raises ValueError unless e*q is integral, as it is for
-    every well-defined form.
+    same factors compare as plain ints. The constructor takes int factors
+    and rational entries and raises ValueError unless e*q is integral, as
+    it is for every well-defined form.
     """
 
     def __init__(self, factors, q_matrix):
-        factors = [int(d) for d in factors]
-        if any(d <= 1 for d in factors):
-            raise ValueError("invariant factors must be > 1")
+        factors = list(factors)  # refused, not coerced: 2.7, "3", True
+        if any(type(d) is not int or d <= 1 for d in factors):
+            raise ValueError("invariant factors must be integers > 1")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
@@ -660,8 +660,7 @@ def glue_overlattice(S, T, glue, name=None):
     rows = [[den * a for a in row] for row in linalg.identity(ns + nt)]
     for d, i in pairs:
         rows.append(scaled_lift(d, dS, ns) + scaled_lift(i, dT, nt))
-    H, _ = linalg.hnf(rows)
-    basis = [row for row in H if any(row)][:ns + nt]  # den * basis of L
+    basis = linalg.hnf(rows)  # den * basis of L
     gram = linalg.mat_mul(linalg.mat_mul(basis, amb.gram),
                           linalg.transpose(basis))
     if any(a % (den * den) for row in gram for a in row):

@@ -144,8 +144,7 @@ class Lattice:
         if K:
             sat = linalg.kernel_basis(linalg.transpose(K))
         else:
-            sat, _ = linalg.hnf(linalg.identity(n))
-        sat = [row for row in sat if any(row)]
+            sat = linalg.identity(n)
         return self.ambient.sublattice(sat, name=name)
 
     def orthogonal_complement(self, name=None):

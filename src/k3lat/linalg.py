@@ -18,6 +18,18 @@ rows V returns integer X and the least d >= 1 with X B = d V, or None
 when a row of V is outside the rational row span; dependent rows of B
 raise ValueError. Integral coordinates are exactly the case d = 1.
 
+Hermite normal forms have one elimination, _echelon: Euclidean row
+echelon, pivoting on the smallest nonzero entry of each column. hnf adds
+positive pivots with the entries above them reduced into [0, pivot) and
+returns the nonzero rows, the canonical basis of the row span; row_rank
+counts the pivots; kernel_basis runs it on [M | I] over the columns of M
+alone, and the I-parts of the rows left zero there span the saturated
+left kernel (Cohen, GTM 138, Sec. 2.4). An extended gcd of c is the
+first row (gcd c, u) of the hnf of the rows (c_i | e_i). hnf takes its
+rows a width at a time, so a long spanning list, such as a Niemeier
+model's frame vectors, is never copied whole. snf stays apart: it needs
+both transforms.
+
 Gram-Schmidt data are integers too: the leading minors d_i and
 lam_ij = d_{j+1} mu_ij of integral_gram_schmidt, which lll_reduce updates
 and the Fincke-Pohst tree of enumeration is built from. lll_reduce has one
@@ -118,121 +130,70 @@ def det(M):
     return sign * A[n - 1][n - 1]
 
 
-def hnf(M):
-    """Row Hermite normal form.
-
-    Returns (H, U) with H = U * M, U unimodular, pivots positive and
-    entries above each pivot reduced into [0, pivot). Zero rows sink to
-    the bottom. The output is canonical for the row span of M.
-    """
-    H = copy_mat(M)
+def _echelon(H, cols):
+    """Euclidean row echelon of H, in place, on its first cols columns,
+    with no normalisation. Returns the pivot columns: row i has its pivot
+    in the i-th, and the rows after the last pivot row are zero there."""
     rows = len(H)
-    cols = len(H[0]) if rows else 0
-    U = identity(rows)
-    r = 0
+    pivots = []
     for c in range(cols):
-        # Euclidean elimination below the pivot row.
+        r = len(pivots)
+        if r == rows:
+            break
         while True:
-            piv, best = None, None
+            piv = None
             for i in range(r, rows):
-                if H[i][c] != 0 and (best is None or abs(H[i][c]) < best):
-                    piv, best = i, abs(H[i][c])
+                a = abs(H[i][c])
+                if a and (piv is None or a < best):
+                    piv, best = i, a
             if piv is None:
                 break
-            if piv != r:
-                H[r], H[piv] = H[piv], H[r]
-                U[r], U[piv] = U[piv], U[r]
+            H[r], H[piv] = H[piv], H[r]
+            p = H[r]
             done = True
             for i in range(r + 1, rows):
-                if H[i][c] != 0:
-                    q = H[i][c] // H[r][c]
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-                    if H[i][c] != 0:
+                if H[i][c]:
+                    q = H[i][c] // p[c]
+                    H[i] = [a - q * b for a, b in zip(H[i], p)]
+                    if H[i][c]:
                         done = False
             if done:
+                pivots.append(c)
                 break
-        if r < rows and H[r][c] != 0:
-            if H[r][c] < 0:
-                H[r] = [-a for a in H[r]]
-                U[r] = [-a for a in U[r]]
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q:
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-            r += 1
-            if r == rows:
-                break
-    return H, U
+    return pivots
+
+
+def hnf(rows):
+    """The nonzero rows of the row Hermite normal form of rows."""
+    width = len(rows[0]) if rows else 0
+    step = max(width, 1)
+    H, pivots = [], []
+    for start in range(0, len(rows), step):
+        H += copy_mat(rows[start:start + step])
+        pivots = _echelon(H, width)
+        del H[len(pivots):]
+    for i, c in enumerate(pivots):
+        if H[i][c] < 0:
+            H[i] = [-a for a in H[i]]
+        p = H[i]
+        for j in range(i):
+            q = H[j][c] // p[c]
+            if q:
+                H[j] = [a - q * b for a, b in zip(H[j], p)]
+    return H
 
 
 def row_rank(M):
-    H, _ = hnf(M)
-    return sum(1 for row in H if any(row))
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def hnf_span(rows):
-    """HNF basis of the integer row span, built by incremental insertion.
-
-    Returns only the nonzero canonical rows (no transform); suited to
-    spans with many more generators than rank.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = {}  # column -> row with its first nonzero entry there
-    for row in rows:
-        row = list(row)
-        while True:
-            col = next((c for c in range(ncols) if row[c]), None)
-            if col is None:
-                break
-            if col not in pivots:
-                if row[col] < 0:
-                    row = [-a for a in row]
-                pivots[col] = row
-                break
-            p = pivots[col]
-            g, u, v = _xgcd(p[col], row[col])
-            pc, rc = p[col] // g, row[col] // g
-            combined = [u * a + v * b for a, b in zip(p, row)]
-            row = [pc * b - rc * a for a, b in zip(p, row)]
-            pivots[col] = combined
-    cols = sorted(pivots)
-    basis = [pivots[c] for c in cols]
-    # reduce entries above each pivot into [0, pivot)
-    for i, c in enumerate(cols):
-        piv = basis[i][c]
-        for j in range(i):
-            q = basis[j][c] // piv
-            if q:
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
-    return basis
+    return len(_echelon(copy_mat(M), len(M[0]) if M else 0))
 
 
 def kernel_basis(M):
     """Basis of the saturated left kernel {x : x M = 0}, HNF-canonical."""
-    H, U = hnf(M)
-    ker = [U[i] for i in range(len(H)) if not any(H[i])]
-    if not ker:
-        return []
-    K, _ = hnf(ker)
-    return [row for row in K if any(row)]
+    cols = len(M[0]) if M else 0
+    A = [list(row) + [int(i == j) for j in range(len(M))]
+         for i, row in enumerate(M)]
+    r = len(_echelon(A, cols))
+    return hnf([row[cols:] for row in A[r:]])
 
 
 def snf(M):

@@ -106,10 +106,14 @@ def is_wall_divisor(ctx, D):
     sol = linalg.rowspace_solver(T.coords)([v])
     if sol is None or sol[1] != 1:
         raise AssertionError("v does not lie in its saturated span")
-    g, u, w = linalg._xgcd(*sol[0][0])
+    # v = a T0 + b T1; the HNF of the rows (a, 1, 0), (b, 0, 1) starts
+    # with a Bezout row (gcd(a, b), u, w)
+    a, b = sol[0][0]
+    g, u, w = linalg.hnf([[a, 1, 0], [b, 0, 1]])[0]
     if g != 1:
         raise AssertionError("v is not primitive in its saturated span")
-    # complete v to a basis {v, r} of T
+    # complete v to a basis {v, r} of T (another Bezout pair moves r by a
+    # multiple of v, which the reduction of s below removes)
     r = [-w * x + u * y for x, y in zip(T.coords[0], T.coords[1])]
     vv = ctx.v_sq
     s = linalg.dot(v, r, G)
@@ -174,12 +178,13 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
     vv = ctx.v_sq
     Mbar = ctx.mukai.sublattice([v] + S.coords).saturation()
     B = Mbar.coords
-    # the v-pairing as a linear form on Mbar, and its kernel (= S); the
-    # first row of the HNF transform takes the value gcd(ell) on it
+    # the v-pairing as a linear form ell on Mbar: the HNF of the rows
+    # (ell_i | e_i) is (gcd(ell), u) with u . ell = gcd(ell), then the rows
+    # (0 | K) with K the kernel of ell (= S), its rows an S basis in Mbar
     ell = [linalg.dot(row, v, G) for row in B]
-    H, U = linalg.hnf(linalg.transpose([ell]))
-    gell = H[0][0]
-    K = linalg.kernel_basis(linalg.transpose([ell]))  # rows: S basis in Mbar
+    H = linalg.hnf([[a] + e for a, e in zip(ell, linalg.identity(len(ell)))])
+    gell, u = H[0][0], H[0][1:]
+    K = [row[1:] for row in H[1:]]
     # the K-Gram and its solver depend on K alone, not on the slice
     KG = linalg.mat_mul(K, Mbar.gram)
     A = linalg.mat_mul(KG, linalg.transpose(K))
@@ -193,7 +198,7 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
         if s_val % gell:
             continue
         # particular solution x0 in Mbar coordinates with (v, x0) = s_val
-        x0 = [a * (s_val // gell) for a in U[0]]
+        x0 = [a * (s_val // gell) for a in u]
         for rho in targets:
             for r_m in _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho,
                                       vv, cap):
@@ -235,7 +240,7 @@ def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
     rows = [[den * int(i == j) for j in range(len(K))] for i in range(len(K))]
     if any(tau_int):
         rows.append(tau_int)
-    J = linalg.hnf_span(rows)  # sublattice of (1/den)K containing K and tau
+    J = linalg.hnf(rows)  # sublattice of (1/den)K containing K and tau
     LJ = Lattice(linalg.mat_mul(linalg.mat_mul(J, A), linalg.transpose(J)))
     # LJ is scaled by den^2 relative to (1/den)K
     if excess * den * den % vv:
@@ -547,7 +552,7 @@ def _k3_route(S, cap=en.DEFAULT_CAP):
     return True, "complement exists and the image is root-free"
 
 
-_ROW_SPECS = [  # (p, catalog name of the coinvariant lattice)
+ROW_SPECS = [  # (p, catalog name of the coinvariant lattice)
     (2, "S_2.K3"),
     (3, "S_3.K3"),
     (3, "W(-1)"),
@@ -580,10 +585,10 @@ N_MAX = 12  # the highest level the classification searches
 def minimal_n(row_name, cap=en.DEFAULT_CAP):
     """The classification row for a catalog coinvariant lattice; cap
     bounds every enumeration on the way."""
-    spec = next((row for row in _ROW_SPECS if row[1] == row_name), None)
+    spec = next((row for row in ROW_SPECS if row[1] == row_name), None)
     if spec is None:
         raise ValueError(f"{row_name} is not in the classification catalog; "
-                         f"rows: " + ", ".join(r[1] for r in _ROW_SPECS))
+                         f"rows: " + ", ".join(r[1] for r in ROW_SPECS))
     p, name = spec
     S = catalog.exceptional(name)
     ok, reason = _k3_route(S, cap=cap)
@@ -647,7 +652,7 @@ EXCLUSION_LEVELS = {"BW16(-1)": 3, "S_3exo": 4, "D12+(-2)": 2}
 def classification_table(cap=en.DEFAULT_CAP):
     """All seven rows plus the three exclusions and the large-prime check;
     cap bounds every enumeration of the rows and the wall searches."""
-    rows = [minimal_n(name, cap=cap) for _, name in _ROW_SPECS]
+    rows = [minimal_n(name, cap=cap) for _, name in ROW_SPECS]
     exclusions = {}
     for name, n in EXCLUSION_LEVELS.items():
         verdict = exclusion_witness(name, n, cap=cap)

@@ -275,6 +275,13 @@ def test_form_needs_integral_scaled_entries():
     assert q.neg().q_value((1,)) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("factor", [2.7, "3", True])
+def test_form_refuses_non_int_factors(factor):
+    # 2.7 would truncate to 2 and "3" parse as 3 if coerced
+    with pytest.raises(ValueError, match="integers"):
+        df.FiniteQuadraticForm([factor], [[Fraction(1, 2)]])
+
+
 def test_subgroup():
     assert df.subgroup([], [3, 3]) == {(0, 0)}
     assert df.subgroup([(2,)], [4]) == {(0,), (2,)}

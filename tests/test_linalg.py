@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,41 +14,64 @@ def is_unimodular(M):
 
 
 def test_hnf_identity():
-    H, U_ = linalg.hnf(linalg.identity(3))
-    assert H == linalg.identity(3)
-    assert U_ == linalg.identity(3)
+    assert linalg.hnf(linalg.identity(3)) == linalg.identity(3)
 
 
 def test_hnf_small():
-    M = [[2, 4], [1, 3]]
-    H, T = linalg.hnf(M)
     # our convention: positive pivots, entries above reduced into [0, pivot)
-    assert H == [[1, 1], [0, 2]]
-    assert linalg.mat_mul(T, M) == H
-    assert is_unimodular(T)
+    assert linalg.hnf([[2, 4], [1, 3]]) == [[1, 1], [0, 2]]
 
 
 def test_hnf_zero():
-    M = [[0, 0], [0, 0]]
-    H, T = linalg.hnf(M)
-    assert H == M
-    assert T == linalg.identity(2)
+    # only the nonzero rows are returned
+    assert linalg.hnf([[0, 0], [0, 0]]) == []
 
 
 def test_hnf_canonical_under_row_mixing():
     M = [[2, 4], [1, 3]]
     mixed = [[3, 7], [1, 3]]  # row0 + row1, row1: same row span
-    assert linalg.hnf(M)[0] == linalg.hnf(mixed)[0]
+    assert linalg.hnf(M) == linalg.hnf(mixed)
+
+
+def test_hnf_and_kernel_edge_cases():
+    assert linalg.hnf([]) == []
+    assert linalg.kernel_basis([]) == []
+    # two rows of width 0: every x kills M
+    assert linalg.kernel_basis([[], []]) == linalg.identity(2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-60, 60), min_size=1, max_size=8)
        .filter(any))
 def test_hnf_of_column_gives_gcd_and_solution(c):
-    # the wall search takes its particular solutions of (v, x) = s from this
-    H, U_ = linalg.hnf(linalg.transpose([c]))
-    assert H[0][0] == math.gcd(*c)
-    assert linalg.dot(U_[0], c) == H[0][0]
+    # the wall search takes gcd(c), a particular solution u of u . c =
+    # gcd(c) and the kernel of c from the HNF of the rows (c_i | e_i)
+    n = len(c)
+    H = linalg.hnf([[a] + e for a, e in zip(c, linalg.identity(n))])
+    g, u = H[0][0], H[0][1:]
+    assert g == math.gcd(*c)
+    assert linalg.dot(u, c) == g
+    assert [row[0] for row in H[1:]] == [0] * (n - 1)
+    assert [row[1:] for row in H[1:]] == \
+        linalg.kernel_basis(linalg.transpose([c]))
+
+
+def test_hnf_memory_stays_flat_on_long_spanning_lists():
+    # hnf takes the rows a width at a time, so its working set is at most
+    # twice the width in rows, however many rows it is handed
+    rng = random.Random(0)
+    tracemalloc.start()
+    try:
+        rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(4000)]
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        H = linalg.hnf(rows)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(H) == 24
+    assert peak < size / 10
 
 
 def test_snf_diagonal_stays():
@@ -201,6 +226,72 @@ def test_rowspace_solver_property(B, data):
         assert d >= 1 and linalg.det(B) % d == 0
         assert linalg.mat_mul(X, B) == [[d * a for a in v] for v in V]
         assert math.gcd(d, *(a for row in X for a in row)) == 1
+
+
+def _is_hnf(H):
+    """Pivot columns increase, pivots are positive and the entries above
+    each pivot lie in [0, pivot)."""
+    cols = [next((c for c, a in enumerate(row) if a), None) for row in H]
+    if None in cols or cols != sorted(set(cols)):
+        return False
+    return all(H[i][c] > 0 and all(0 <= H[j][c] < H[i][c] for j in range(i))
+               for i, c in enumerate(cols))
+
+
+@st.composite
+def spanning_lists(draw):
+    """(B, M): independent rows B and a list M of integer combinations of
+    them that spans the same lattice, with dependent rows mixed in."""
+    B = draw(full_rank_bases())
+    k = len(B)
+    extra = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                          max_size=4))
+    M = B + linalg.mat_mul(extra, B)
+    order = draw(st.permutations(range(len(M))))
+    return B, [M[i] for i in order]
+
+
+def _unimodular_mix(M, rng):
+    """Rows of U M for a random unimodular U, by elementary row moves."""
+    M = linalg.copy_mat(M)
+    for _ in range(3 * len(M)):
+        i, j = rng.randrange(len(M)), rng.randrange(len(M))
+        if i != j:
+            q = rng.randint(-3, 3)
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        else:
+            M[i] = [-a for a in M[i]]
+    rng.shuffle(M)
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanning_lists(), st.randoms(use_true_random=False))
+def test_hnf_property(BM, rng):
+    B, M = BM
+    H = linalg.hnf(M)
+    assert _is_hnf(H)
+    # the same lattice: each side has integral coordinates in the other
+    assert linalg.rowspace_solver(H)(B)[1] == 1
+    assert linalg.rowspace_solver(B)(H)[1] == 1
+    assert linalg.hnf(_unimodular_mix(M, rng)) == H
+
+
+matrices = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                       min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_kernel_basis_property(M):
+    K = linalg.kernel_basis(M)
+    assert all(not any(linalg.vec_mat(x, M)) for x in K)
+    assert len(K) == len(M) - linalg.row_rank(M)
+    if K:  # saturated: every invariant factor is 1
+        D, _, _ = linalg.snf(K)
+        assert [D[i][i] for i in range(len(K))] == [1] * len(K)
+    assert linalg.hnf(K) == K
 
 
 def test_det_bareiss_matches_snf():
