@@ -19,9 +19,35 @@ are norms alone, one small int per +-pair (the norm-4 Leech census holds
 converts only the vector it returns. This is exact: norms do not depend on
 the basis, the unimodular T preserves gcds, and T maps +-pairs to +-pairs.
 `short_vectors` converts every vector and picks its sign in the input basis.
+
+A big walk uses every usable CPU (Dagdelen-Schneider, Euro-Par 2010).
+Each walk without stop_after runs serially until it has visited
+SPLIT_NODES nodes; the subtrees of level s = n - SPLIT_DEPTH that it
+reaches from then on are numbered in walk order and dealt round-robin,
+subtree first + i to share i mod w of w workers. The trigger counts work
+done because the top levels cannot tell a big tree from a small one; of
+the benchmark's trees only the Leech census reaches it. Share 0 is
+walked by the calling process, which keeps the prefix found before the
+split, and each other share by one forked child, which walks the top
+levels again, descends only into its own subtrees and sends their leaves
+back marshalled through a pipe. The parent merges the shares in subtree
+order, so the result is the serial list, element for element, and it
+raises EnumerationCap exactly when the serial walk would: a share stops
+at the leaves the prefix left under the cap, and the merged length is
+checked. The parent walks a share itself rather than wait: two children
+and a parent that samples a speed probe (perfbench does, from SIGALRM;
+forked children do not inherit the interval timer) would be three busy
+processes on two cores, slowing the probe and making the scaled times
+look better than they are. Where the fork fails, or a child exits
+nonzero or sends short data, the parent walks that share itself.
+Children end in os._exit, so the parent's buffered output is not written
+twice, and are reaped on every path, killed first on an exception.
 """
 
+import contextlib
+import marshal
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -43,6 +69,19 @@ class EnumerationCap(RuntimeError):
 
 
 DEFAULT_CAP = 10_000_000
+
+# A big walk is dealt out at level n - SPLIT_DEPTH: 1 043 nodes for E8 at
+# norm <= 8, 1 212 for the Leech census, against 5 + 22 + 91 + 361 above
+# it, enough to balance a few workers.
+SPLIT_DEPTH = 5
+
+# Work done before a walk is dealt out, in nodes (about 0.1 s). The top of
+# the tree cannot tell a big tree from a small one: at depths 3/4/5/6, E8
+# at norm <= 8 (11 ms) has 91/313/1 043/2 782 nodes and the Leech census
+# at norm <= 4 (2.4 s) 91/361/1 212/3 300. Below this count a fork would
+# cost more than it saves; the largest tree of the benchmark other than
+# the Leech census, a rank-24 root check of 23 ms, stays below it.
+SPLIT_NODES = 1 << 17
 
 
 def _reduced_gram(L):
@@ -107,23 +146,54 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     appends every x_0 of its range as a leaf at once. A norm-only leaf
     needs neither x_0 nor the prefix tuple: its norm is
     bound - E_0 = bound - (F[0] - u_0^2) / d[1], with u_0 stepping by d[1].
+
+    A walk with stop_after None is split at level n - SPLIT_DEPTH once it
+    has visited SPLIT_NODES nodes (see the module docstring); the result
+    is the serial one, element for element.
     """
     n = len(G)
-    out = []
     if bound <= 0:
-        return out
+        return []
     d, lam = linalg.integral_gram_schmidt(G)
     limit = cap + 1 if stop_after is None else min(stop_after, cap + 1)
-    isqrt = math.isqrt
     if n == 1:
         a = d[1]
-        xs = range(1, isqrt(bound // a) + 1)
+        xs = range(1, math.isqrt(bound // a) + 1)
         out = ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
                else [a * x0 * x0 for x0 in xs])
         if out and len(out) >= limit:
             return _cut(out, 0, stop_after, cap)
         return out
-    lamc = [[lam[i][l] for i in range(n)] for l in range(n)]
+    tree = (d, [[lam[i][l] for i in range(n)] for l in range(n)], bound,
+            cap, stop_after, coords)
+    split = n - SPLIT_DEPTH if stop_after is None else 0
+    out, first = _prefix(tree, limit, split)
+    if first is None:
+        return out
+    shares = _shares(tree, limit - len(out), split, first, _workers())
+    if shares is None or len(out) + sum(len(s) for s, _ in shares) > cap:
+        raise EnumerationCap(cap)
+    # share k's c-th subtree is subtree first + k + c * len(shares)
+    for c in range(len(shares[0][1]) - 1):
+        for leaves, marks in shares:
+            if c + 1 < len(marks):
+                out += leaves[marks[c]:marks[c + 1]]
+    return out
+
+
+def _walk(tree, limit, split=0, deal=None):
+    """The leaves of the tree (d, lamc, bound, cap, stop_after, coords),
+    cut as `_enumerate_reduced` states at `limit` leaves.
+
+    A level-`split` node with a nonempty child range descends only if
+    deal(nodes, leaves) is true, given the nodes visited and the leaves
+    found so far; split <= 1 never asks, and a node that does not descend
+    is walked as one with an empty range.
+    """
+    d, lamc, bound, cap, stop_after, coords = tree
+    n = len(lamc)
+    out = []
+    isqrt = math.isqrt
     sigma = [[0] * (n + 1) for _ in range(n)]
     top = list(range(n))
     F = [0] * n
@@ -134,25 +204,29 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     F[j] = d[j] * d[n] * bound
     xmax[j] = isqrt(F[j]) // d[n]
     zero_above[j] = True
+    nodes = 0
     while True:
-        # node x[j] = xj: its budget, then row j - 1 and the child's range
-        u = d[j + 1] * xj + sigma[j][j + 1]
-        e = (F[j] - u * u) // d[j + 1]
-        row = sigma[j - 1]
+        nodes += 1
+        # node x[j] = xj: its budget, then row i = j - 1 and the child's range
+        dn = d[j + 1]
+        u = dn * xj + sigma[j][j + 1]
+        e = (F[j] - u * u) // dn
+        i = j - 1
+        row = sigma[i]
+        col = lamc[i]
         t = top[j]
         if t == j:
-            c = row[j] = row[j + 1] + lamc[j - 1][j] * xj
+            c = row[j] = row[j + 1] + col[j] * xj
         else:
-            col = lamc[j - 1]
             c = row[t + 1]
-            for k in range(t, j - 1, -1):
+            for k in range(t, i, -1):
                 c += col[k] * x[k]
                 row[k] = c
             top[j] = j
-        if t > top[j - 1]:
-            top[j - 1] = t
+        if t > top[i]:
+            top[i] = t
         dj = d[j]
-        f = d[j - 1] * e
+        f = d[i] * e
         M = isqrt(f)
         lo = -((M + c) // dj)
         hi = (M - c) // dj
@@ -176,7 +250,7 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
         else:
             if za and lo < 0:
                 lo = 0
-            if lo <= hi:
+            if lo <= hi and (j != split or deal(nodes, len(out))):
                 j -= 1
                 F[j] = f
                 x[j] = xj = lo
@@ -191,6 +265,126 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
                 return out
             xj = x[j] + 1
         x[j] = xj
+
+
+def _prefix(tree, limit, split):
+    """(leaves, first): the walk's leaves up to the first level-`split`
+    subtree it reaches after SPLIT_NODES nodes, and that subtree's number
+    in walk order; first is None when the walk ended before."""
+    seen, first = 0, None
+
+    def deal(nodes, leaves):
+        nonlocal seen, first
+        if first is None and nodes >= SPLIT_NODES:
+            first = seen
+        seen += 1
+        return first is None
+
+    return _walk(tree, limit, split, deal), first
+
+
+def _share(tree, limit, split, first, k, workers):
+    """(leaves, marks) of share k: level-`split` subtrees first + k,
+    first + k + workers, ..., subtree c being leaves[marks[c]:marks[c + 1]].
+    """
+    seen, marks = -first, []
+
+    def deal(nodes, leaves):
+        nonlocal seen
+        take = seen >= 0 and seen % workers == k
+        seen += 1
+        if take:
+            marks.append(leaves)
+        return take
+
+    leaves = _walk(tree, limit, split, deal)
+    marks.append(len(leaves))
+    return leaves, marks
+
+
+def _workers():
+    """The number of usable CPUs, or 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_share(tree, limit, split, first, k, workers):
+    """(pid, pipe) of a forked child that walks share k and sends it
+    through the pipe, marshalled, or None where the share passed the cap.
+    The child ends in os._exit, so nothing of the parent's (buffered
+    output, atexit hooks, the caller's code) runs in it."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                result = _share(tree, limit, split, first, k, workers)
+            except EnumerationCap:
+                result = None
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(marshal.dumps(result))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _shares(tree, limit, split, first, workers):
+    """The `workers` shares of the subtrees from `first` on. Share 0 is
+    walked here; each other share by a forked child, or here where the
+    fork fails or the child exits nonzero or sends short data. None when
+    a share passes `limit`. Every child is reaped on every path, and
+    killed first on an exception or an early return."""
+    children = {}
+    try:
+        for k in range(1, workers):
+            try:
+                children[k] = _fork_share(tree, limit, split, first, k,
+                                          workers)
+            except OSError:
+                pass
+        shares = [_share(tree, limit, split, first, 0, workers)]
+        for k in range(1, workers):
+            share = _collect(children, k) if k in children else False
+            if share is None:
+                return None
+            if share is False:
+                share = _share(tree, limit, split, first, k, workers)
+            shares.append(share)
+    finally:
+        if children:
+            import signal  # not at import: only a split cut short needs it
+        for pid, pipe in children.values():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return shares
+
+
+def _collect(children, k):
+    """Share k as child k sent it, None where it passed the cap, or False
+    where the child exited nonzero or sent short data; reaps the child."""
+    pid, pipe = children[k]
+    data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    del children[k]
+    pipe.close()
+    if os.waitstatus_to_exitcode(status) == 0:
+        with contextlib.suppress(EOFError, ValueError, TypeError):
+            return marshal.loads(data)
+    return False
 
 
 def _canonical_sign(coords):

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from k3lat import acceptance, cli
+from k3lat import acceptance, catalog, cli, enumeration
 
 
 def run_cli(argv):
@@ -260,6 +264,36 @@ def test_byte_identical_runs():
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# Prints a line into block-buffered stdout, then runs a census whose walk
+# is dealt out between this process and a forked child.
+SPLIT_CENSUS = """
+import os, sys
+from k3lat import cli, enumeration
+enumeration.SPLIT_NODES = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+print("before the census")
+sys.exit(cli.main(["analyze", "--input", sys.argv[1], "--census", "4"]))
+"""
+
+
+def test_split_census_writes_stdout_once(tmp_path, monkeypatch):
+    path = tmp_path / "leech.json"
+    path.write_text(json.dumps({"name": "leech", "gram": catalog.leech().gram}))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SPLIT_CENSUS, str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env, text=True, timeout=300)
+    monkeypatch.setattr(enumeration, "SPLIT_NODES", 1 << 62)
+    code, serial, _ = run_cli(["analyze", "--input", str(path),
+                               "--census", "4"])
+    assert proc.returncode == 0 and code == 0
+    assert proc.stdout == "before the census\n" + serial
+    assert json.loads(serial) == {"census": {"-4": 98280}}
 
 
 @pytest.mark.parametrize("argv", [["construct", "A2"],

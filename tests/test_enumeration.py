@@ -1,13 +1,15 @@
 import itertools
 import math
+import os
+import random
 import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3lat import catalog, linalg
 from k3lat import enumeration as en
-from k3lat import linalg
 from k3lat.gram_data import (A2, E8, U, S_LATTICE_2_5_3_10, S_LATTICE_2_9_3_6,
                              gram_D)
 from k3lat.lattice import Lattice
@@ -259,3 +261,154 @@ def test_enumeration_matches_box_scan(data):
     assert len(vecs) == len(box)
     assert [v.coords for v in vecs] == sorted(
         (v.coords for v in vecs), key=lambda c: (abs(linalg.dot(c, c, L.gram)), c))
+
+
+# -- the split walk ----------------------------------------------------------
+# With SPLIT_NODES = 0 every walk without stop_after deals its level
+# n - SPLIT_DEPTH subtrees out from the first one; with SERIAL it never
+# does. The split must return the serial list, element for element.
+
+SERIAL = 1 << 62
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Forks counted, `workers` usable CPUs (2 unless set, whatever the
+    machine has); no child may outlive the test."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def set_workers(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    set_workers(2)
+    yield forks, set_workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def walk(G, bound, cap=en.DEFAULT_CAP, coords=True, nodes=0):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "SPLIT_NODES", nodes)
+        try:
+            return en._enumerate_reduced(G, bound, cap, coords=coords)
+        except en.EnumerationCap:
+            return en.EnumerationCap
+
+
+def leech_base_change(gram, rng):
+    """P G P^T for P a seeded signed permutation followed by 4 seeded
+    elementary row additions."""
+    n = len(gram)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    P = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)]
+         for i in range(n)]
+    for _ in range(4):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    return linalg.mat_mul(linalg.mat_mul(P, gram), linalg.transpose(P))
+
+
+@pytest.mark.parametrize("model", ["P1-base-change", "N23"])
+def test_split_leech_census_is_serial(split, model):
+    if model == "N23":
+        gram = catalog.holy_construction("N23").leech.gram
+    else:
+        gram = leech_base_change(catalog.leech().gram, random.Random(1))
+    G, _, _ = en._reduced_gram(Lattice(gram))
+    serial = walk(G, 4, nodes=SERIAL)
+    assert len(serial) == 98280
+    assert walk(G, 4) == serial
+    assert walk(G, 4, coords=False) == [q for q, _ in serial]
+    assert len(split[0]) == 2
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("nodes", [0, 3000])
+def test_split_e8_is_serial(split, workers, nodes):
+    # with nodes = 3000 the bigger trees split after a prefix of leaves,
+    # which the shares' cap must leave room for
+    forks, set_workers = split
+    set_workers(workers)
+    G = linalg.lll_reduce(E8)[0]
+    for bound in range(2, 11):
+        for coords in (True, False):
+            serial = walk(G, bound, coords=coords, nodes=SERIAL)
+            assert walk(G, bound, coords=coords, nodes=nodes) == serial
+    for cap in (1000, 10000, 28439):  # 28 440 pairs of norm <= 10
+        assert walk(G, 10, cap, False, nodes) == walk(G, 10, cap, False, SERIAL)
+    assert forks and len(forks) % (workers - 1) == 0
+
+
+def share_sizes(G, bound, workers):
+    """Leaves of each share when every subtree is dealt."""
+    n = len(G)
+    d, lam = linalg.integral_gram_schmidt(G)
+    tree = (d, [[lam[i][l] for i in range(n)] for l in range(n)], bound,
+            en.DEFAULT_CAP, None, False)
+    return [len(en._share(tree, en.DEFAULT_CAP, n - en.SPLIT_DEPTH, 0, k,
+                          workers)[0]) for k in range(workers)]
+
+
+def test_split_raises_cap_exactly_when_serial(split):
+    G = linalg.lll_reduce(E8)[0]
+    total = len(walk(G, 6, nodes=SERIAL))
+    mine, child = share_sizes(G, 6, 2)
+    assert mine + child == total and mine < child
+    # only the child's share passes mine; only the merged list passes
+    # max(mine, child); nothing passes total
+    for cap in (0, mine - 1, mine, child - 1, child, total - 1, total):
+        for coords in (True, False):
+            assert walk(G, 6, cap, coords) == \
+                walk(G, 6, cap, coords, nodes=SERIAL)
+
+
+def test_split_recomputes_a_share_the_fork_refused(split, monkeypatch):
+    refused = []
+
+    def refuse():
+        refused.append(1)
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    G = linalg.lll_reduce(E8)[0]
+    assert walk(G, 6) == walk(G, 6, nodes=SERIAL)
+    assert refused == [1]
+
+
+def test_split_recomputes_the_share_of_a_failed_child(split, monkeypatch):
+    forks, _ = split
+    fork = os.fork
+
+    def failing_fork():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    G = linalg.lll_reduce(E8)[0]
+    assert walk(G, 6) == walk(G, 6, nodes=SERIAL)
+    assert walk(G, 6, coords=False) == walk(G, 6, coords=False, nodes=SERIAL)
+    assert len(forks) == 2
+
+
+def test_split_with_one_cpu_or_no_fork_never_forks(split, monkeypatch):
+    forks, set_workers = split
+    G = linalg.lll_reduce(E8)[0]
+    serial = walk(G, 6, nodes=SERIAL)
+    set_workers(1)
+    assert walk(G, 6) == serial
+    set_workers(2)
+    monkeypatch.delattr(os, "fork")
+    assert walk(G, 6) == serial
+    assert forks == []

@@ -3,7 +3,11 @@
 Only `discforms` imports `fractions`: the rest of k3lat computes in
 integers, and discforms uses Fraction only at its public boundary. No
 module reads a private name of another k3lat module: what one module
-needs of another is part of that module's public surface.
+needs of another is part of that module's public surface. No module
+imports `multiprocessing`, `concurrent.futures` or `threading`: the one
+parallel path is the forked split of a big Fincke-Pohst walk in
+`enumeration`, and every module-level import adds to the start-up time
+of every command.
 """
 
 import ast
@@ -25,6 +29,14 @@ def test_only_discforms_imports_fractions():
                    if any(m.split(".")[0] == "fractions"
                           for m in _imported_modules(path)))
     assert users == ["discforms.py"]
+
+
+def test_no_module_imports_a_pool_or_threads():
+    users = sorted(f"{path.name}: {m}" for path in SRC.glob("*.py")
+                   for m in _imported_modules(path)
+                   if m.split(".")[0] in ("multiprocessing", "concurrent",
+                                          "threading"))
+    assert users == []
 
 
 def _private(name):

@@ -13,6 +13,7 @@ definition of a reduced basis.
 """
 
 import functools
+import os
 from fractions import Fraction
 
 import pytest
@@ -37,9 +38,9 @@ def unimodular(draw, n):
 
 
 @st.composite
-def definite_grams(draw, max_rank=6):
+def definite_grams(draw, max_rank=6, min_rank=1):
     """sign * P G P^t with G diagonally dominant and P unimodular."""
-    n = draw(st.integers(1, max_rank))
+    n = draw(st.integers(min_rank, max_rank))
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i):
@@ -240,3 +241,21 @@ def test_norm_leaves_are_pair_norms(max_rank, data, bound, stop_after, cap):
         if pairs is not en.EnumerationCap:
             pairs = [q for q, _ in pairs]
         assert norm_leaves(M, bound, cap, stop_after) == pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(definite_grams(max_rank=10, min_rank=6), st.integers(1, 10),
+       st.sampled_from([0, 5, 50, en.DEFAULT_CAP]))
+def test_split_walk_matches_eager_loop(G, bound, cap):
+    # every walk of rank 7 and up is dealt out from its first subtree
+    # between this process and a forked child
+    W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "SPLIT_NODES", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        mp.setattr(os, "cpu_count", lambda: 2)
+        for M in (W, linalg.lll_reduce(W)[0]):
+            assert leaves(en._enumerate_reduced, M, bound, cap, None) == \
+                leaves(eager_reference.enumerate_reduced, M, bound, cap, None)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
