@@ -301,7 +301,16 @@ class HolyFrame:
     f-vectors are the extended roots of every copy, h-vectors the glue
     words evaluated on the deep-hole generators g_i; the hole (glue
     coefficients summing to zero) is the Niemeier lattice and the totally
-    sum-zero span is the Leech lattice.
+    sum-zero span is the Leech lattice (Conway-Sloane, SPLAG ch. 24).
+
+    The hole is spanned by the f-vectors and the h_w - h_0, the Leech
+    lattice by the f - h_0 and the h_w - h_0, with w running over the
+    generator words of the glue code only. That is enough: for codewords
+    w, w' the cocycle h_{w+w'} - h_w - h_{w'} + h_0 is an integer
+    combination of the simple roots f_1, ..., f_n of the copies whose
+    coefficients sum to 0 mod n + 1, and (n + 1) h_0 = -sum_i (f_i - h_0)
+    over the extended roots f_0, ..., f_n of one copy. So the cocycle
+    lies in both spans, and every h_w - h_0 is a sum of the generators'.
     """
 
     def __init__(self, name):
@@ -313,38 +322,31 @@ class HolyFrame:
         self.n, self.m = n, m
         size = n + 1
         scale = 2 * size  # clears the half-integer entries of g_0
-        dim = size * m
         self.code = glue_code(name)
         self.code_set = set(self.code)
 
-        self.f_rows = _simple_root_rows(n, m, scale)
-        f0 = [0] * dim
-        g0 = [2 * k - n for k in range(size)]  # g_0 scaled by 2(n+1)/h terms
-        self.f0_rows = []
+        roots = _simple_root_rows(n, m, scale)
         for j in range(m):
-            row = [0] * dim
+            row = [0] * (size * m)
             row[j * size] = scale
             row[j * size + size - 1] = -scale
-            self.f0_rows.append(row)
-        self.h_rows = {}
-        for w in self.code:
-            row = []
+            roots.append(row)
+        g0 = [2 * k - n for k in range(size)]  # g_0 scaled by 2(n+1)/h terms
+        h0 = g0 * m
+        glue = []
+        for w in _generator_words(seed, mode):
+            h = []
             for letter in w:
-                row += g0[-letter:] + g0[:-letter] if letter else g0[:]
-            self.h_rows[w] = row
-        zero = tuple([0] * m)
-        h0 = self.h_rows[zero]
-        fam = self.f_rows + self.f0_rows + \
-            [self.h_rows[w] for w in self.code if w != zero]
-        diff = [[a - b for a, b in zip(row, h0)] for row in fam]
+                letter %= size
+                h += g0[-letter:] + g0[:-letter]
+            glue.append([a - b for a, b in zip(h, h0)])
+        diff = [[a - b for a, b in zip(row, h0)] for row in roots]
         self.basis, self.leech = lattice_from_span(
-            diff, scale * scale, name=f"Leech[{name}]")
+            diff + glue, scale * scale, name=f"Leech[{name}]")
         if self.leech.rank != 24 or self.leech.det() != 1:
             raise AssertionError("holy construction gave a wrong lattice")
-        hole_rows = self.f_rows + self.f0_rows + \
-            [[a - b for a, b in zip(self.h_rows[w], h0)] for w in self.code]
         self.hole_basis, self.hole = lattice_from_span(
-            hole_rows, scale * scale, name=f"{name}[hole]")
+            roots + glue, scale * scale, name=f"{name}[hole]")
         self._solver = None
 
     @property

@@ -173,12 +173,18 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     shares = _shares(tree, limit - len(out), split, first, _workers())
     if shares is None or len(out) + sum(len(s) for s, _ in shares) > cap:
         raise EnumerationCap(cap)
-    # share k's c-th subtree is subtree first + k + c * len(shares)
-    for c in range(len(shares[0][1]) - 1):
-        for leaves, marks in shares:
+    # share k's c-th subtree is subtree first + k + c * len(shares); merge
+    # back to front, cutting each subtree off the end of its share, so the
+    # shares shrink as the reversed result grows, then reverse in place
+    merged = []
+    for c in range(len(shares[0][1]) - 2, -1, -1):
+        for leaves, marks in reversed(shares):
             if c + 1 < len(marks):
-                out += leaves[marks[c]:marks[c + 1]]
-    return out
+                merged += reversed(leaves[marks[c]:])
+                del leaves[marks[c]:]
+    merged += reversed(out)
+    merged.reverse()
+    return merged
 
 
 def _walk(tree, limit, split=0, deal=None):

@@ -437,18 +437,6 @@ def wall_in_s_obstruction(M, n, generators):
                for t in generators)
 
 
-def d12_exclusion(n):
-    """The explicit wall witness for D12+(-2) at level n (n >= 2).
-
-    Returns the WallReport whose rank-2 lattice has Gram
-    [[2n-2, n-1], [n-1, -2]] and whose divisor has square -2n-6.
-    """
-    verdict = exclusion_witness("D12+(-2)", n)
-    if verdict.status != "obstructed":
-        raise AssertionError("expected a wall witness for D12+(-2)")
-    return verdict.wall
-
-
 _gluing_cache = {}
 
 

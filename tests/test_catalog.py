@@ -1,5 +1,9 @@
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import holy_reference
 from k3lat import catalog, discforms as df, enumeration as en
 from k3lat import isometries as iso
 from k3lat import linalg
@@ -7,6 +11,7 @@ from k3lat.gram_data import NIEMEIER_ROWS, S_LATTICE_2_9_3_6
 from k3lat.lattice import Lattice
 
 COXETER = {name: row[2] for name, row in NIEMEIER_ROWS.items()}
+HOLY_ROWS = [n for n in sorted(NIEMEIER_ROWS) if NIEMEIER_ROWS[n][0] != "E8"]
 
 
 def test_named_elementary():
@@ -65,8 +70,7 @@ def test_niemeier_root_counts(name):
     assert roots == 24 * COXETER[name]
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(NIEMEIER_ROWS)
-                                  if NIEMEIER_ROWS[n][0] != "E8"])
+@pytest.mark.parametrize("name", HOLY_ROWS)
 def test_holy_construction(name):
     frame = catalog.holy_construction(name)
     L = frame.leech
@@ -76,6 +80,58 @@ def test_holy_construction(name):
     hole = frame.hole
     assert hole.det() == 1 and hole.rank == 24
     assert len(en.short_vectors(hole, 2)) == 24 * COXETER[name]
+
+
+@functools.cache
+def _holy_reference(name):
+    return holy_reference.HolyFrame(name)
+
+
+@pytest.mark.parametrize("name", HOLY_ROWS)
+def test_holy_frame_matches_all_codeword_build(name):
+    # the generators span what every codeword spans, HNF for HNF
+    frame, ref = catalog.holy_construction(name), _holy_reference(name)
+    assert frame.basis == ref.basis
+    assert frame.leech.gram == ref.leech.gram
+    assert frame.hole_basis == ref.hole_basis
+    assert frame.hole.gram == ref.hole.gram
+
+
+@functools.cache
+def _root_solver(name):
+    return linalg.rowspace_solver(_holy_reference(name).f_rows)
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.sampled_from(HOLY_ROWS), st.integers(0, 4095), st.integers(0, 4095))
+def test_glue_cocycle_lies_in_the_root_span(name, i, j):
+    """h_{w+w'} - h_w - h_{w'} + h_0 is an integer combination of the
+    simple roots with coefficient sum 0 mod n + 1: why the glue code's
+    generators span what all its words span (see catalog.HolyFrame)."""
+    ref = _holy_reference(name)
+    size = ref.n + 1
+    w, v = ref.code[i % len(ref.code)], ref.code[j % len(ref.code)]
+    s = tuple((a + b) % size for a, b in zip(w, v))
+    h = ref.h_rows
+    cocycle = [a - b - c + d for a, b, c, d in
+               zip(h[s], h[w], h[v], h[(0,) * ref.m])]
+    solved = _root_solver(name)([cocycle])
+    assert solved is not None and solved[1] == 1
+    assert sum(solved[0][0]) % size == 0
+
+
+def test_holy_frame_feeds_hnf_only_the_generators(monkeypatch):
+    # N23: 2m = 48 extended roots and 23 generator words, not 4 096 codewords
+    rows_in = []
+    hnf = catalog.linalg.hnf
+
+    def counting_hnf(rows):
+        rows_in.append(len(rows))
+        return hnf(rows)
+
+    monkeypatch.setattr(catalog.linalg, "hnf", counting_hnf)
+    catalog.HolyFrame("N23")
+    assert rows_in and max(rows_in) <= 2 * 24 + 23
 
 
 def test_holy_rejects_e8_row():

@@ -288,12 +288,13 @@ def _s3exo_generators(M):
 
 
 def test_d12_exclusion_grams():
-    w2 = walls.d12_exclusion(2)
-    assert w2.t_gram == [[2, 1], [1, -2]]
-    assert w2.divisor_norm == -10  # -2n-6 at n = 2
-    w3 = walls.d12_exclusion(3)
-    assert w3.t_gram == [[4, 2], [2, -2]]
-    assert w3.divisor_norm == -12  # -2n-6 at n = 3
+    # t_gram [[2n-2, n-1], [n-1, -2]] and a divisor of square -2n-6
+    for n, t_gram, divisor_norm in [(2, [[2, 1], [1, -2]], -10),
+                                    (3, [[4, 2], [2, -2]], -12)]:
+        verdict = walls.exclusion_witness("D12+(-2)", n)
+        assert verdict.status == "obstructed"
+        assert verdict.wall.t_gram == t_gram
+        assert verdict.wall.divisor_norm == divisor_norm
 
 
 def test_exclusion_witnesses_pass_wall_predicate():
