@@ -7,6 +7,7 @@ Leech lattice. Everything is built from explicit integer coordinates and
 validated against its documented invariants; results are cached.
 """
 
+import functools
 import re
 
 from . import discforms, isometries, linalg
@@ -322,8 +323,6 @@ class HolyFrame:
         self.n, self.m = n, m
         size = n + 1
         scale = 2 * size  # clears the half-integer entries of g_0
-        self.code = glue_code(name)
-        self.code_set = set(self.code)
 
         roots = _simple_root_rows(n, m, scale)
         for j in range(m):
@@ -348,6 +347,15 @@ class HolyFrame:
         self.hole_basis, self.hole = lattice_from_span(
             roots + glue, scale * scale, name=f"{name}[hole]")
         self._solver = None
+
+    @property
+    def code(self):
+        """Every glue codeword, listed on first read (4 096 for N23)."""
+        return glue_code(self.name)
+
+    @functools.cached_property
+    def code_set(self):
+        return set(self.code)
 
     @property
     def solver(self):

@@ -9,12 +9,22 @@ lattices (rank below length is no: A_L is a quotient of Z^rank),
 overlattice gluing. Forms are stored and searched as integer numerators
 over the group's exponent; Fraction appears only in a form's rational
 constructor input, in the q_value/b_value results and in the JSON records.
+
+Gluing never lists a group. An overlattice of S + T is an isotropic
+subgroup H of A_S + A_T, the graph of the glue map (Nikulin 1979,
+Sec. 1.4-1.5). q vanishes on H iff it vanishes on H's generators and b on
+every pair of them, since q(x + y) = q(x) + q(y) + 2 b(x, y) mod 2. The
+map is well defined iff |H| = |pi_S H| and injective iff |H| = |pi_T H|,
+and subgroup_order reads each order off one small Hermite normal form.
+The anti-isometry search likewise tests a candidate image against each
+chosen one by a single dot product with that image's row of b.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .lattice import Lattice
@@ -154,13 +164,6 @@ class FiniteQuadraticForm:
             levels[i + 1] = state
             for j in range(i + 2, k):  # the coordinates past i are 0 again
                 levels[j] = (state[0], state[1], state[2][j - i - 1:])
-
-    def _index(self, x):
-        """Position of x in elements() order (mixed radix)."""
-        idx = 0
-        for xi, d in zip(x, self.factors):
-            idx = idx * d + xi
-        return idx
 
     def q_value(self, x):
         """q(x) as a Fraction in [0, 2)."""
@@ -410,6 +413,20 @@ def subgroup(gens, factors):
     return H
 
 
+def subgroup_order(gens, factors):
+    """The order of the subgroup of Z/f_1 + ... + Z/f_k spanned by gens.
+
+    The lifts of the subgroup to Z^k form the lattice spanned by gens and
+    the f_i e_i, whose index in Z^k is the product of the diagonal of its
+    Hermite normal form; the order is prod f_i over that index.
+    """
+    k = len(factors)
+    H = linalg.hnf([list(g) for g in gens]
+                   + [[f * (i == j) for j in range(k)]
+                      for i, f in enumerate(factors)])
+    return math.prod(factors) // math.prod(H[i][i] for i in range(k))
+
+
 def _find_generator_images(q1, q2, sign):
     """Images in q2 of q1's generators under a (sign=+1) isometry or
     (sign=-1) anti-isometry; None if none exists, or raises on cap."""
@@ -429,6 +446,7 @@ def _find_generator_images(q1, q2, sign):
     elementary = all(d == p for d in q1.factors) and _is_prime(p)
     nodes = 0
     chosen = []
+    pairings = []  # per chosen y, the row e b(-, y) mod e
     echelon = []  # F_p row echelon of the chosen images, when elementary
 
     def reduces_to_zero(y):
@@ -444,14 +462,14 @@ def _find_generator_images(q1, q2, sign):
         if i == k:
             if elementary:
                 return True  # independent images of a basis generate
-            return len(subgroup(chosen, q2.factors)) == q2.order()
+            return subgroup_order(chosen, q2.factors) == q2.order()
         cands = by_profile.get((q1.factors[i], targets_q[i]), [])
         for y in cands:
             nodes += 1
             if nodes > _SEARCH_NODE_CAP:
                 raise RuntimeError("search budget exceeded")
-            if not all(q2._b_num(y, chosen[j]) == targets_b[i][j]
-                       for j in range(i)):
+            if not all(sum(map(mul, y, w)) % e == t
+                       for w, t in zip(pairings, targets_b[i])):
                 continue
             if elementary:
                 dependent, reduced = reduces_to_zero(y)
@@ -460,9 +478,11 @@ def _find_generator_images(q1, q2, sign):
                 piv = next(idx for idx, a in enumerate(reduced) if a)
                 echelon.append((piv, reduced))
             chosen.append(y)
+            pairings.append([sum(map(mul, row, y)) % e for row in q2._qnum])
             if dfs(i + 1):
                 return True
             chosen.pop()
+            pairings.pop()
             if elementary:
                 echelon.pop()
         return False
@@ -623,30 +643,41 @@ def glue_overlattice(S, T, glue, name=None):
     The glue map must be an anti-isometry between subgroups of A_S and
     A_T; lifts use the canonical dual-basis representatives. Returns a
     Gluing with S and T as primitive sublattices of the result.
+
+    Everything is decided on the generators g_k = (d_k, i_k) of the graph
+    H in A_S + A_T, never on its elements. The map is well defined iff
+    |H| = |pi_S H| (no (0, y) with y != 0 in H) and injective iff
+    |H| = |pi_T H|, each order read off one small Hermite normal form
+    (subgroup_order). It is an anti-isometry iff q_S + q_T vanishes on H,
+    which holds iff it vanishes mod 2 on every g_k and b_S + b_T vanishes
+    mod 1 on every pair g_k, g_l: q(x + y) = q(x) + q(y) + 2 b(x, y) and
+    q(n x) = n^2 q(x) mod 2. The index of S + T in the result is |H|.
     """
     dS = discriminant_data(S)
     dT = discriminant_data(T)
     qS, qT = dS.form, dT.form
-    # the graph of the glue map is the subgroup its pairs span in A_S + A_T
     pairs = [(list(d), list(i)) for d, i in zip(glue.domain, glue.images)]
     if len(glue.domain) != len(glue.images) or any(
             len(d) != qS.length or len(i) != qT.length for d, i in pairs):
         raise ValueError("glue rows do not match the discriminant groups")
-    graph = {}
-    for z in subgroup([d + i for d, i in pairs], qS.factors + qT.factors):
-        x, y = z[:qS.length], z[qS.length:]
-        if graph.setdefault(x, y) != y:
-            raise ValueError(f"glue map is not well defined at {x}")
+    index = subgroup_order([d + i for d, i in pairs], qS.factors + qT.factors)
+    span = subgroup_order([d for d, _ in pairs], qS.factors)
+    if index != span:
+        raise ValueError(f"glue map is not well defined: its graph has order "
+                         f"{index} over a domain of order {span}")
     eS, eT = qS.exponent, qT.exponent
-    valS = [v for v, _ in qS._walk()]
-    valT = [v for v, _ in qT._walk()]
-    for x, y in graph.items():
-        if (valS[qS._index(x)] * eT + valT[qT._index(y)] * eS) % (2 * eS * eT):
-            raise ValueError(f"glue is not an anti-isometry at element {x}: "
-                             f"q_S = {qS.q_value(x)}, q_T = {qT.q_value(y)}")
-    if len(set(graph.values())) != len(graph):
+    for k, (d, i) in enumerate(pairs):
+        if (qS._q_num(d) * eT + qT._q_num(i) * eS) % (2 * eS * eT):
+            raise ValueError(f"glue is not an anti-isometry at generator {k}: "
+                             f"q_S = {qS.q_value(d)}, q_T = {qT.q_value(i)}")
+    for (k, (d, i)), (l, (d2, i2)) in itertools.combinations(
+            enumerate(pairs), 2):
+        if (qS._b_num(d, d2) * eT + qT._b_num(i, i2) * eS) % (eS * eT):
+            raise ValueError(f"glue is not an anti-isometry at generators "
+                             f"{k}, {l}: b_S = {qS.b_value(d, d2)}, "
+                             f"b_T = {qT.b_value(i, i2)}")
+    if index != subgroup_order([i for _, i in pairs], qT.factors):
         raise ValueError("glue map is not injective")
-    index = len(graph)
 
     ns, nt = S.rank, T.rank
     amb = S + T

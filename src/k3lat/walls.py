@@ -431,7 +431,7 @@ def wall_in_s_obstruction(M, n, generators):
         return "inapplicable"
     classes = [form_data.class_coords(t.coords, t.divisibility())
                for t in generators]
-    if len(df.subgroup(classes, form.factors)) != form.order():
+    if df.subgroup_order(classes, form.factors) != form.order():
         raise ValueError("generator classes do not span the discriminant group")
     return all(2 * abs(t.norm()) <= t.divisibility() ** 2 * (n + 3)
                for t in generators)

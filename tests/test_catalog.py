@@ -121,17 +121,25 @@ def test_glue_cocycle_lies_in_the_root_span(name, i, j):
 
 
 def test_holy_frame_feeds_hnf_only_the_generators(monkeypatch):
-    # N23: 2m = 48 extended roots and 23 generator words, not 4 096 codewords
-    rows_in = []
-    hnf = catalog.linalg.hnf
+    # N23: 2m = 48 extended roots and 23 generator words, not 4 096
+    # codewords; the codewords are listed only when code is first read
+    rows_in, codes = [], []
+    hnf, glue_code = catalog.linalg.hnf, catalog.glue_code
 
     def counting_hnf(rows):
         rows_in.append(len(rows))
         return hnf(rows)
 
+    def counting_glue_code(name):
+        codes.append(name)
+        return glue_code(name)
+
     monkeypatch.setattr(catalog.linalg, "hnf", counting_hnf)
-    catalog.HolyFrame("N23")
+    monkeypatch.setattr(catalog, "glue_code", counting_glue_code)
+    frame = catalog.HolyFrame("N23")
     assert rows_in and max(rows_in) <= 2 * 24 + 23
+    assert codes == []
+    assert len(frame.code_set) == 4096 and codes == ["N23"]
 
 
 def test_holy_rejects_e8_row():

@@ -12,6 +12,8 @@ from k3lat import linalg
 from k3lat.gram_data import A2, E8, U
 from k3lat.lattice import Lattice
 
+import glue_reference
+
 
 def L(gram, k=1, name=None):
     base = Lattice(gram, name=name)
@@ -222,6 +224,130 @@ def test_glue_rejects_non_anti_isometry():
         df.glue_overlattice(S, T, df.GlueMap([[1]], [[2]]))
 
 
+def test_glue_rejects_a_map_that_is_not_well_defined():
+    # 1 in A_S = Z/2 to 1 in A_T = Z/4: the graph holds 2 (1, 1) = (0, 2)
+    S, T, glue = Lattice([[-2]]), Lattice([[4]]), df.GlueMap([[1]], [[1]])
+    with pytest.raises(ValueError, match="not well defined"):
+        glue_reference.glue_overlattice(S, T, glue)
+    with pytest.raises(ValueError, match="not well defined"):
+        df.glue_overlattice(S, T, glue)
+
+
+def test_glue_rejects_a_map_that_is_not_injective():
+    # the isotropic first generator of A_U(2) = (Z/2)^2 goes to 0 in A_T
+    S, T = catalog.named("U(2)"), Lattice([[2]])
+    glue = df.GlueMap([[1, 0]], [[0]])
+    with pytest.raises(ValueError, match="not injective"):
+        glue_reference.glue_overlattice(S, T, glue)
+    with pytest.raises(ValueError, match="not injective"):
+        df.glue_overlattice(S, T, glue)
+
+
+_GLUE_PIECES = ["A2", "A4", "D4", "E6", "U(2)", "U(3)", "A2(-1)", "A4(-1)",
+                "D4(-1)", "E6(-1)", 2, -2, 4, -4]  # an int k is <k>
+_GLUE_LEADS = ("glue map is not well defined", "glue is not an anti-isometry",
+               "glue map is not injective")
+
+
+def _glue_piece(name):
+    return Lattice([[name]]) if isinstance(name, int) else catalog.named(name)
+
+
+@st.composite
+def glue_cases(draw):
+    """(S, T, glue) from direct sums of small catalog lattices with
+    |A_S|, |A_T| <= 256. The domain is all of A_S or one or two drawn
+    elements, isotropic ones among them, with entries in [-f, 2f). Each
+    image is a drawn element of A_T, one with the opposite q, or 0, or the
+    map is a full anti-isometry, so that maps pass and fail every check."""
+    lats = []
+    for _ in range(2):
+        names = draw(st.lists(st.sampled_from(_GLUE_PIECES), min_size=1,
+                              max_size=3))
+        lat = _glue_piece(names[0])
+        for name in names[1:]:
+            lat = lat + _glue_piece(name)
+        lats.append(lat)
+    S, T = lats
+    if draw(st.booleans()):  # a T with a full anti-isometry from A_S
+        T = S.rescale(-1)
+    qS, qT = df.discriminant_form(S), df.discriminant_form(T)
+    assume(qS.order() <= 256 and qT.order() <= 256)
+    assume(not qS.is_trivial() and not qT.is_trivial())
+    if draw(st.booleans()):
+        full = df.GlueMap.full(qS, qT)
+        if full is not None:
+            return S, T, full
+    k = qS.length
+    if draw(st.booleans()):
+        domain = [[int(i == j) for j in range(k)] for i in range(k)]
+    else:
+        sources = list(qS.elements())
+        isotropic = [x for x in sources
+                     if any(x) and qS.q_value(x) == 0] or sources
+        domain = []
+        for _ in range(draw(st.integers(1, 2))):
+            pool = draw(st.sampled_from([sources, isotropic]))
+            x = draw(st.sampled_from(pool))
+            domain.append([a + f * draw(st.integers(-1, 1))
+                           for a, f in zip(x, qS.factors)])
+    targets = list(qT.elements())
+    images = []
+    for d in domain:
+        matching = [y for y in targets
+                    if (qT.q_value(y) + qS.q_value(d)) % 2 == 0]
+        pool = draw(st.sampled_from([targets, matching or targets,
+                                     targets[:1]]))
+        images.append(list(draw(st.sampled_from(pool))))
+    return S, T, df.GlueMap(domain, images)
+
+
+def _glue_outcome(glue_overlattice, S, T, glue):
+    try:
+        return glue_overlattice(S, T, glue)
+    except ValueError as exc:
+        return next(lead for lead in _GLUE_LEADS if str(exc).startswith(lead))
+
+
+@settings(max_examples=150, deadline=None)
+@given(glue_cases())
+def test_generator_checks_match_element_checks(case):
+    ref = _glue_outcome(glue_reference.glue_overlattice, *case)
+    new = _glue_outcome(df.glue_overlattice, *case)
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert not isinstance(new, str)
+        assert new.index == ref.index
+        assert new.lattice.gram == ref.lattice.gram
+
+
+@st.composite
+def generated_subgroups(draw):
+    """Random generators, negative entries included, on divisibility
+    chains whose product is at most 500."""
+    factors = [draw(st.integers(2, 12))]
+    for _ in range(draw(st.integers(0, 3))):
+        factors.append(factors[-1] * draw(st.integers(1, 4)))
+    assume(math.prod(factors) <= 500)
+    gens = draw(st.lists(st.lists(st.integers(-30, 30), min_size=len(factors),
+                                  max_size=len(factors)), max_size=4))
+    return gens, factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_subgroups())
+def test_subgroup_order_counts_the_subgroup(case):
+    gens, factors = case
+    assert df.subgroup_order(gens, factors) == len(df.subgroup(gens, factors))
+
+
+def test_subgroup_order_of_the_trivial_group():
+    assert df.subgroup_order([], []) == 1
+    assert df.subgroup_order([[]], []) == 1
+    assert df.subgroup_order([], [3, 3]) == 1
+
+
 @pytest.mark.parametrize("domain, images", [([[1, 0]], [[1]]),
                                             ([[1]], [[1, 5]]), ([[1]], [])])
 def test_glue_rejects_rows_of_the_wrong_length(domain, images):
@@ -390,8 +516,6 @@ def _check_walk(form):
     """The group walk against _q_num and element_order, element by element."""
     assert list(form._walk()) == [(form._q_num(x), form.element_order(x))
                                   for x in form.elements()]
-    assert [form._index(x) for x in form.elements()] == \
-        list(range(form.order()))
 
 
 def test_walk_matches_pinned_and_trivial_forms():
