@@ -20,6 +20,7 @@ The anti-isometry search likewise tests a candidate image against each
 chosen one by a single dot product with that image's row of b.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -232,6 +233,13 @@ class DiscriminantData:
         return tuple(z[i] % f for i, f in zip(self._keep, self.form.factors))
 
 
+# The two DiscriminantData built last. A gluing's caller has usually just
+# computed both forms for the anti-isometry search (walls.mukai_gluing
+# does), and glue_overlattice reads them from here rather than run two
+# more Smith normal forms.
+_recent_data = collections.deque(maxlen=2)
+
+
 def discriminant_data(L):
     """DiscriminantData of an even nondegenerate lattice."""
     if L.degenerate:
@@ -253,7 +261,18 @@ def discriminant_data(L):
     num = [[linalg.dot(rg, rj) * e // (fi * fj)
             for rj, fj in zip(gens, factors)] for rg, fi in zip(RG, factors)]
     form = FiniteQuadraticForm._from_numerators(factors, num)
-    return DiscriminantData(L, form, gens, V, keep)
+    data = DiscriminantData(L, form, gens, V, keep)
+    _recent_data.append(data)
+    return data
+
+
+def _data_of(L):
+    """discriminant_data(L), reusing one of the last two built if it was
+    built for this very object."""
+    for data in _recent_data:
+        if data.lattice is L:
+            return data
+    return discriminant_data(L)
 
 
 def discriminant_form(L):
@@ -652,9 +671,11 @@ def glue_overlattice(S, T, glue, name=None):
     which holds iff it vanishes mod 2 on every g_k and b_S + b_T vanishes
     mod 1 on every pair g_k, g_l: q(x + y) = q(x) + q(y) + 2 b(x, y) and
     q(n x) = n^2 q(x) mod 2. The index of S + T in the result is |H|.
+    The discriminant data of S and T are the ones just built for these
+    very objects, where there are such (see _data_of).
     """
-    dS = discriminant_data(S)
-    dT = discriminant_data(T)
+    dS = _data_of(S)
+    dT = _data_of(T)
     qS, qT = dS.form, dT.form
     pairs = [(list(d), list(i)) for d, i in zip(glue.domain, glue.images)]
     if len(glue.domain) != len(glue.images) or any(

@@ -26,32 +26,24 @@ SPLIT_NODES nodes; the subtrees of level s = n - SPLIT_DEPTH that it
 reaches from then on are numbered in walk order and dealt round-robin,
 subtree first + i to share i mod w of w workers. The trigger counts work
 done because the top levels cannot tell a big tree from a small one; of
-the benchmark's trees only the Leech census reaches it. Share 0 is
-walked by the calling process, which keeps the prefix found before the
-split, and each other share by one forked child, which walks the top
-levels again, descends only into its own subtrees and sends their leaves
-back marshalled through a pipe. The parent merges the shares in subtree
-order, so the result is the serial list, element for element, and it
-raises EnumerationCap exactly when the serial walk would: a share stops
-at the leaves the prefix left under the cap, and the merged length is
-checked. The parent walks a share itself rather than wait: two children
-and a parent that samples a speed probe (perfbench does, from SIGALRM;
-forked children do not inherit the interval timer) would be three busy
-processes on two cores, slowing the probe and making the scaled times
-look better than they are. Where the fork fails, or a child exits
-nonzero or sends short data, the parent walks that share itself.
-Children end in os._exit, so the parent's buffered output is not written
-twice, and are reaped on every path, killed first on an exception.
+the benchmark's trees only the Leech census reaches it. The shares are
+jobs of `parallel.run`: share 0 is walked by the calling process, which
+keeps the prefix found before the split, and each other share by one
+forked child, which walks the top levels again, descends only into its
+own subtrees and sends their leaves back marshalled; where the fork
+fails or the child fails, the caller walks that share itself. The
+parent merges the shares in subtree order, so the result is the serial
+list, element for element, and it raises EnumerationCap exactly when the
+serial walk would: a share stops at the leaves the prefix left under the
+cap, and the merged length is checked.
 """
 
-import contextlib
-import marshal
+import functools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import linalg
+from . import linalg, parallel
 from .lattice import LatticeVector
 
 
@@ -170,7 +162,8 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     out, first = _prefix(tree, limit, split)
     if first is None:
         return out
-    shares = _shares(tree, limit - len(out), split, first, _workers())
+    shares = _shares(tree, limit - len(out), split, first,
+                     parallel.workers())
     if shares is None or len(out) + sum(len(s) for s, _ in shares) > cap:
         raise EnumerationCap(cap)
     # share k's c-th subtree is subtree first + k + c * len(shares); merge
@@ -308,89 +301,21 @@ def _share(tree, limit, split, first, k, workers):
     return leaves, marks
 
 
-def _workers():
-    """The number of usable CPUs, or 1 where os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_share(tree, limit, split, first, k, workers):
-    """(pid, pipe) of a forked child that walks share k and sends it
-    through the pipe, marshalled, or None where the share passed the cap.
-    The child ends in os._exit, so nothing of the parent's (buffered
-    output, atexit hooks, the caller's code) runs in it."""
-    r, w = os.pipe()
+def _capped_share(tree, limit, split, first, k, workers):
+    """Share k, or None where it passed the cap."""
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            try:
-                result = _share(tree, limit, split, first, k, workers)
-            except EnumerationCap:
-                result = None
-            with os.fdopen(w, "wb") as pipe:
-                pipe.write(marshal.dumps(result))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
+        return _share(tree, limit, split, first, k, workers)
+    except EnumerationCap:
+        return None
 
 
 def _shares(tree, limit, split, first, workers):
-    """The `workers` shares of the subtrees from `first` on. Share 0 is
-    walked here; each other share by a forked child, or here where the
-    fork fails or the child exits nonzero or sends short data. None when
-    a share passes `limit`. Every child is reaped on every path, and
-    killed first on an exception or an early return."""
-    children = {}
-    try:
-        for k in range(1, workers):
-            try:
-                children[k] = _fork_share(tree, limit, split, first, k,
-                                          workers)
-            except OSError:
-                pass
-        shares = [_share(tree, limit, split, first, 0, workers)]
-        for k in range(1, workers):
-            share = _collect(children, k) if k in children else False
-            if share is None:
-                return None
-            if share is False:
-                share = _share(tree, limit, split, first, k, workers)
-            shares.append(share)
-    finally:
-        if children:
-            import signal  # not at import: only a split cut short needs it
-        for pid, pipe in children.values():
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return shares
-
-
-def _collect(children, k):
-    """Share k as child k sent it, None where it passed the cap, or False
-    where the child exited nonzero or sent short data; reaps the child."""
-    pid, pipe = children[k]
-    data = pipe.read()
-    status = os.waitpid(pid, 0)[1]
-    del children[k]
-    pipe.close()
-    if os.waitstatus_to_exitcode(status) == 0:
-        with contextlib.suppress(EOFError, ValueError, TypeError):
-            return marshal.loads(data)
-    return False
+    """The `workers` shares of the subtrees from `first` on, run as the
+    jobs of parallel.run; None when a share passes `limit`."""
+    shares = parallel.run([functools.partial(_capped_share, tree, limit,
+                                             split, first, k, workers)
+                           for k in range(workers)])
+    return None if any(share is None for share in shares) else shares
 
 
 def _canonical_sign(coords):

@@ -44,12 +44,13 @@ class Lattice:
                 raise ValueError("Gram does not match coordinates in ambient")
         self._store(gram, name, ambient, coords, allow_degenerate)
 
-    def _store(self, gram, name, ambient, coords, allow_degenerate):
+    def _store(self, gram, name, ambient, coords, allow_degenerate,
+               det=None):
         self.gram = gram
         self.name = name
         self.ambient = ambient
         self.coords = coords
-        self._det = linalg.det(gram)
+        self._det = linalg.det(gram) if det is None else det
         self.degenerate = self._det == 0 and self.rank > 0
         if self.degenerate and not allow_degenerate:
             raise ValueError("degenerate form (pass allow_degenerate to allow)")
@@ -98,18 +99,20 @@ class Lattice:
                        allow_degenerate=True)
 
     def direct_sum(self, other):
+        """The orthogonal sum; its determinant is the product of the
+        summands', so no elimination runs on the block Gram."""
         n, m = self.rank, other.rank
-        gram = linalg.zeros(n + m, n + m)
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                gram[n + i][n + j] = other.gram[i][j]
+        gram = ([row + [0] * m for row in self.gram]
+                + [[0] * n + row for row in other.gram])
         name = None
         if self.name and other.name:
             name = f"{self.name}+{other.name}"
-        return Lattice(gram, name=name, allow_degenerate=True)
+        # both blocks are symmetric integer Grams, so the constructor's
+        # checks are skipped
+        out = Lattice.__new__(Lattice)
+        out._store(gram, name, None, None, allow_degenerate=True,
+                   det=self._det * other._det)
+        return out
 
     def __add__(self, other):
         return self.direct_sum(other)

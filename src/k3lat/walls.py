@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import catalog, discforms as df, enumeration as en
 from . import isometries as iso
-from . import linalg
+from . import linalg, parallel
 from .lattice import Lattice, LatticeVector
 
 
@@ -639,15 +639,31 @@ EXCLUSION_LEVELS = {"BW16(-1)": 3, "S_3exo": 4, "D12+(-2)": 2}
 
 def classification_table(cap=en.DEFAULT_CAP):
     """All seven rows plus the three exclusions and the large-prime check;
-    cap bounds every enumeration of the rows and the wall searches."""
-    rows = [minimal_n(name, cap=cap) for _, name in ROW_SPECS]
-    exclusions = {}
-    for name, n in EXCLUSION_LEVELS.items():
-        verdict = exclusion_witness(name, n, cap=cap)
-        exclusions[name] = {"n": n, "status": verdict.status,
-                            "wall": verdict.wall.to_json()}
-    return {
-        "rows": [row.to_json() for row in rows],
-        "exclusions": exclusions,
-        "large_primes": large_prime_rejection(),
-    }
+    cap bounds every enumeration of the rows and the wall searches.
+
+    The two halves read nothing of each other, so they are the two jobs
+    of `parallel.run`: the seven rows run in the calling process while
+    one forked child computes the exclusion witnesses and the large-prime
+    check and sends back their JSON dicts. With one usable CPU, no
+    os.fork, or a child that fails, the caller computes that half itself
+    after the rows, as a serial run would, so an error (EnumerationCap
+    from a small cap, say) is raised here, from the rows first. The
+    caller does not keep the child's `_gluing_cache` entries, so a second
+    table glues the exclusion models again, in a child again; and the
+    caller's peak RSS (RUSAGE_SELF, perfbench's `peak_rss_mb`) does not
+    count the child.
+    """
+    def seven_rows():
+        return [minimal_n(name, cap=cap).to_json() for _, name in ROW_SPECS]
+
+    def exclusions_and_large_primes():
+        exclusions = {}
+        for name, n in EXCLUSION_LEVELS.items():
+            verdict = exclusion_witness(name, n, cap=cap)
+            exclusions[name] = {"n": n, "status": verdict.status,
+                                "wall": verdict.wall.to_json()}
+        return exclusions, large_prime_rejection()
+
+    rows, (exclusions, large) = parallel.run(
+        [seven_rows, exclusions_and_large_primes])
+    return {"rows": rows, "exclusions": exclusions, "large_primes": large}

@@ -1,7 +1,9 @@
-"""Session-wide test set-up: one classification table per session."""
+"""Session-wide test set-up: one classification table per session, and
+the `split` fixture of the tests that fork."""
 
 import copy
 import functools
+import os
 
 import pytest
 
@@ -25,3 +27,26 @@ def one_classification_table():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walls, "classification_table", shared)
         yield
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Forks counted, `workers` usable CPUs (2 unless set, whatever the
+    machine has); no child may outlive the test."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def set_workers(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    set_workers(2)
+    yield forks, set_workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -296,6 +296,48 @@ def test_split_census_writes_stdout_once(tmp_path, monkeypatch):
     assert json.loads(serial) == {"census": {"-4": 98280}}
 
 
+# Prints a line into block-buffered stdout, then builds the table, whose
+# exclusions and large-prime check run in a forked child; reports the
+# forks on stderr.
+SPLIT_TABLE = """
+import os, sys
+from k3lat import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+print("before the table")
+code = cli.main(["classify", "table"])
+print(f"forks: {len(forks)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_split_table_writes_stdout_once(split):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SPLIT_TABLE],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env, text=True, timeout=300)
+    split[1](1)
+    code, serial, _ = run_cli(["classify", "table"])
+    assert proc.returncode == 0 and code == 0
+    assert proc.stderr.splitlines()[-1] == "forks: 1"
+    assert proc.stdout == "before the table\n" + serial
+    assert split[0] == []
+
+
+def test_split_table_cap_exits_2_with_one_error(split):
+    # the rows pass the cap in this process while the child is still
+    # working; the child is killed and reaped (the fixture checks)
+    code, out, err = run_cli(["classify", "table", "--cap", "10"])
+    assert code == 2 and out == "" and len(split[0]) == 1
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: enumeration exceeded the safety cap of 10 vectors up to "
+        "sign; rerun with a larger cap to resume"]
+
+
 @pytest.mark.parametrize("argv", [["construct", "A2"],
                                   ["construct", "A2", "--verify"]],
                          ids=["construct", "construct-verify"])

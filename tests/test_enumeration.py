@@ -266,32 +266,10 @@ def test_enumeration_matches_box_scan(data):
 # -- the split walk ----------------------------------------------------------
 # With SPLIT_NODES = 0 every walk without stop_after deals its level
 # n - SPLIT_DEPTH subtrees out from the first one; with SERIAL it never
-# does. The split must return the serial list, element for element.
+# does. The split must return the serial list, element for element. The
+# `split` fixture (conftest) counts forks and sets the usable CPUs.
 
 SERIAL = 1 << 62
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """Forks counted, `workers` usable CPUs (2 unless set, whatever the
-    machine has); no child may outlive the test."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    def set_workers(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    set_workers(2)
-    yield forks, set_workers
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def walk(G, bound, cap=en.DEFAULT_CAP, coords=True, nodes=0):

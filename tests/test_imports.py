@@ -4,10 +4,11 @@ Only `discforms` imports `fractions`: the rest of k3lat computes in
 integers, and discforms uses Fraction only at its public boundary. No
 module reads a private name of another k3lat module: what one module
 needs of another is part of that module's public surface. No module
-imports `multiprocessing`, `concurrent.futures` or `threading`: the one
-parallel path is the forked split of a big Fincke-Pohst walk in
-`enumeration`, and every module-level import adds to the start-up time
-of every command.
+imports `multiprocessing`, `concurrent.futures` or `threading`, and only
+`parallel` calls os.fork, once: the one parallel path is `parallel.run`,
+which forks for the split of a big Fincke-Pohst walk in `enumeration`
+and for the two halves of `walls.classification_table`, and every
+module-level import adds to the start-up time of every command.
 """
 
 import ast
@@ -37,6 +38,25 @@ def test_no_module_imports_a_pool_or_threads():
                    if m.split(".")[0] in ("multiprocessing", "concurrent",
                                           "threading"))
     assert users == []
+
+
+def _fork_calls(path):
+    """Lines of `os.fork(...)` calls and of `from os import fork`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "fork"
+                    and isinstance(f.value, ast.Name) and f.value.id == "os"):
+                yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name == "fork" for alias in node.names)):
+            yield node.lineno
+
+
+def test_only_parallel_forks_once():
+    sites = sorted(f"{path.name}:{line}" for path in SRC.glob("*.py")
+                   for line in _fork_calls(path))
+    assert len(sites) == 1 and sites[0].startswith("parallel.py:")
 
 
 def _private(name):

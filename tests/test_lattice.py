@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3lat import linalg
 from k3lat.gram_data import U, A2, E8, gram_D
@@ -196,3 +197,29 @@ def test_vector_and_isometry_entries_must_be_ints():
         with pytest.raises(ValueError, match="integer"):
             Isometry(A, matrix)
     assert A.vector((1, -1)).coords == [1, -1]
+
+
+@st.composite
+def small_grams(draw):
+    """Symmetric integer Grams of rank 0-4, degenerate ones included."""
+    n = draw(st.integers(0, 4))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    G = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
+        G[i][j] = G[j][i] = cells[k]
+    return G
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grams(), small_grams())
+def test_direct_sum_det_is_the_block_det(A, B):
+    # the sum takes the product of the summands' determinants; a zero
+    # product must still mark it degenerate
+    S = Lattice(A, allow_degenerate=True).direct_sum(
+        Lattice(B, allow_degenerate=True))
+    n, m = len(A), len(B)
+    block = [row + [0] * m for row in A] + [[0] * n + row for row in B]
+    assert S.gram == block
+    assert S.det() == linalg.det(block)
+    assert S.degenerate == (linalg.det(block) == 0 and n + m > 0)

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import tracemalloc
 
@@ -406,3 +407,84 @@ def test_classification_table():
         assert entry["status"] == "obstructed"
         assert entry["wall"]["is_wall"]
     assert table["large_primes"]["rejected"]
+
+
+def test_gluing_builds_each_discriminant_form_once(monkeypatch):
+    # mukai_gluing computes both forms for the anti-isometry search and
+    # glue_overlattice reuses them: two Smith normal forms, not four
+    snfs, data = [], []
+    snf, discriminant_data = linalg.snf, df.discriminant_data
+
+    def counting_snf(G):
+        snfs.append(len(G))
+        return snf(G)
+
+    def counting_data(L):
+        data.append(L.name)
+        return discriminant_data(L)
+
+    monkeypatch.setattr(linalg, "snf", counting_snf)
+    monkeypatch.setattr(df, "discriminant_data", counting_data)
+    _glue_d12_exclusion_pair(monkeypatch)
+    assert data == ["D12+(-2)", "U(2)^4+(-2)^4"] and snfs == [12, 12]
+
+
+# -- the split table ---------------------------------------------------------
+# The seven rows run in this process while one forked child computes the
+# exclusions and the large-prime check; every fallback must give the
+# serial table, key order included. An argument bypasses the session's
+# cached table.
+
+def fresh_table():
+    return walls.classification_table(cap=en.DEFAULT_CAP)
+
+
+@pytest.fixture
+def serial_table(split):
+    forks, set_workers = split
+    set_workers(1)
+    table = json.dumps(fresh_table())
+    set_workers(2)
+    assert forks == []
+    return table
+
+
+def test_split_table_is_serial(split, serial_table):
+    assert json.dumps(fresh_table()) == serial_table
+    assert len(split[0]) == 1
+
+
+def test_split_table_recomputes_a_half_the_fork_refused(split, serial_table,
+                                                        monkeypatch):
+    refused = []
+
+    def refuse():
+        refused.append(1)
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert json.dumps(fresh_table()) == serial_table
+    assert refused == [1]
+
+
+def test_split_table_recomputes_the_half_of_a_failed_child(
+        split, serial_table, monkeypatch):
+    forks, _ = split
+    fork = os.fork
+
+    def failing_fork():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert json.dumps(fresh_table()) == serial_table
+    assert len(forks) == 1
+
+
+def test_split_table_with_no_fork_never_forks(split, serial_table,
+                                              monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert json.dumps(fresh_table()) == serial_table
+    assert split[0] == []
