@@ -1,4 +1,4 @@
-"""The acceptance battery: the paper's results as eleven exact checks.
+"""The acceptance battery: the paper's results as twelve exact checks.
 
 `k3lat verify` and `tests/test_acceptance.py` both run this one list, so
 every expected value is written here once. A check is a function of
@@ -36,6 +36,18 @@ classification-table: the minimal n of each of the seven (p, S) rows of
     the classification, two deformation classes at order 11, the
     exclusion of BW16(-1), S_3exo and D12+(-2) by a wall divisor, and no
     row at orders 13 and 23, whose coinvariant ranks exceed 20.
+leech-pair-criteria: the criteria behind the Co_1 containment. The
+    Conway condition holds for the order-11 isometry of the P^1(Z/23)
+    model (coinvariant rank 20, invariant rank 4) and fails for the
+    model's weight-16 sign change (invariant rank and length 8); Huybrechts'
+    embedding conditions agree with it on that isometry and on the sign
+    changes of weight 8, 12 and 16, hold for S_2.K3 and S_11.K3[2] and
+    fail for BW16(-1). U(2) and E8(-2) have the 2-elementary invariants
+    (2, (1, 1), 2, 0) and (8, (0, 8), 8, 0). S_2.K3 under -1, glued to
+    U^4 + E8(-2), is realizable at n = 2 and a Leech pair; -1 on E8(-2)
+    extends by the identity over E8(-2) + E8(2) with order 2; and the
+    order-11 isometry of N22, restricted to its coinvariant lattice, is
+    a Leech pair.
 property-suite: saturation is idempotent and equals the double
     orthogonal complement; the torsion check holds on six groups; the
     wall predicate gives the same answer on D and -D.
@@ -45,7 +57,7 @@ import functools
 
 from . import catalog, discforms as df, enumeration as en
 from . import isometries as iso
-from . import walls
+from . import linalg, walls
 from .gram_data import NIEMEIER_ROWS
 from .lattice import Lattice
 
@@ -197,6 +209,58 @@ def classification_table(fast):
     return ok, {"rows": {f"p={p} {name}": n for (p, name), n in rows.items()}}
 
 
+def leech_pair_criteria(fast):
+    model = catalog.leech_model()
+    gens = {"order-11": model.multiplication_isometry(2)}
+    for w in (8, 12, 16):
+        gens[f"sign-{w}"] = model.sign_change_isometry(
+            model.codewords_of_weight(w)[0])
+    conway, agree = {}, True
+    for label, g in gens.items():
+        ok, data = walls.conway_condition([g])
+        conway[label] = dict(data, ok=ok)
+        S = iso.coinvariant_lattice([g])
+        agree = (agree and data["equivalent_form"] == ok
+                 and walls.huybrechts_equivalents(Lattice(S.gram)) == (ok, ok))
+    huybrechts = {name: walls.huybrechts_equivalents(catalog.exceptional(name))
+                  for name in ("S_2.K3", "BW16(-1)", "S_11.K3[2]")}
+    two_modular = {name: df.two_modular_invariants(catalog.named(name))
+                   for name in ("U(2)", "E8(-2)")}
+
+    S = catalog.exceptional("S_2.K3")
+    U = catalog.hyperbolic()
+    realized = walls.realizability(S, [iso.minus_identity(S)], 2,
+                                   complement=U + U + U + U
+                                   + catalog.named("E8(-2)"))
+    E, F = catalog.named("E8(-2)"), catalog.named("E8(2)")
+    glued = df.glue_overlattice(E, F, df.GlueMap.full(
+        df.discriminant_form(E), df.discriminant_form(F)))
+    # extend_by_identity builds a checked Isometry, so ext is one
+    ext = iso.extend_by_identity(iso.minus_identity(E), glued)
+    extends = ext.order() == 2 and all(
+        linalg.vec_mat(row, ext.matrix) == row for row in glued.t_sub.coords)
+    g11 = catalog.n22_order11_isometry()
+    S11 = iso.coinvariant_lattice([g11])
+    pair = iso.leech_pair_check(S11, [iso.restrict_isometry(g11, S11)])
+
+    c11, c16 = conway["order-11"], conway["sign-16"]
+    ok = (c11["ok"] and c11["rank_S"] == 20 and c11["rank_T"] == 4
+          and not c16["ok"] and c16["rank_T"] == 8 and c16["length_T"] == 8
+          and agree
+          and huybrechts == {"S_2.K3": (True, True),
+                             "BW16(-1)": (False, False),
+                             "S_11.K3[2]": (True, True)}
+          and two_modular == {"U(2)": (2, (1, 1), 2, 0),
+                              "E8(-2)": (8, (0, 8), 8, 0)}
+          and realized.status == "realizable"
+          and all(realized.leech_pair.values())
+          and extends and all(pair.values()))
+    return ok, {"conway": conway, "huybrechts_agrees": agree,
+                "huybrechts": huybrechts, "two_modular": two_modular,
+                "realizability": realized.status, "extends": extends,
+                "order11_leech_pair": all(pair.values())}
+
+
 def property_suite(fast):
     S = catalog.named("E8(-1)").sublattice([[2, 0, 0, 0, 0, 0, 0, 0],
                                             [0, 2, 4, 0, 0, 0, 0, 0]])
@@ -237,6 +301,7 @@ _CHECKS = [
     ("s-lattice-censuses", s_lattice_censuses, True),
     ("milgram-battery", milgram_battery, True),
     ("classification-table", classification_table, True),
+    ("leech-pair-criteria", leech_pair_criteria, True),
     ("property-suite", property_suite, True),
 ]
 

@@ -3,9 +3,11 @@
 Subcommands: construct, analyze, autos, walls, classify, verify. All
 results go to standard output as JSON; progress notes and verify's
 per-check times go to standard error. verify runs `k3lat.acceptance`,
-the one acceptance battery, which tier-1 runs too. Runs are
-deterministic and single-threaded, so repeated runs produce the same
-bytes.
+the one acceptance battery, which tier-1 runs too. A big Fincke-Pohst
+walk (the Leech census) and the classification table fork children
+through `k3lat.parallel.run` when more than one CPU is usable; their
+results are merged in a fixed order, so repeated runs still write the
+same bytes to standard output.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
 2 malformed input, or an enumeration or group closure that outgrew its
@@ -80,7 +82,7 @@ def _note(msg):
 
 def cmd_construct(args):
     name = args.name
-    if name in ("leech",) or name.lower() == "leech":
+    if name.lower() == "leech":
         L = catalog.leech()
     elif name.startswith("holy:"):
         L = catalog.holy_construction(name.split(":", 1)[1]).leech

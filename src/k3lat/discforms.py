@@ -94,13 +94,6 @@ class FiniteQuadraticForm:
     def elements(self):
         return itertools.product(*(range(d) for d in self.factors))
 
-    def element_order(self, x):
-        o = 1
-        for xi, d in zip(x, self.factors):
-            if xi:
-                o = math.lcm(o, d // math.gcd(xi, d))
-        return o
-
     def _q_num(self, x):
         """e * q(x) as an integer in [0, 2e)."""
         qn = self._qnum
@@ -196,10 +189,6 @@ class FiniteQuadraticForm:
     def from_json(cls, obj):
         q = [[Fraction(num, den) for num, den in row] for row in obj["q"]]
         return cls(obj["factors"], q)
-
-    @classmethod
-    def trivial(cls):
-        return cls([], [])
 
     def __repr__(self):
         return f"<finite quadratic form on {self.factors}>"

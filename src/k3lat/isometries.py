@@ -9,7 +9,7 @@ reduce to exact kernel and transport computations.
 
 from . import enumeration, linalg
 from .discforms import discriminant_data
-from .lattice import Lattice, int_matrix
+from .lattice import int_matrix
 
 GROUP_ORDER_CAP = 10 ** 6
 ISOMETRY_SEARCH_NODE_CAP = 2_000_000
@@ -29,17 +29,6 @@ class Isometry:
         self.lattice = lattice
         self.matrix = matrix
 
-    def apply(self, v):
-        from .lattice import LatticeVector
-        return LatticeVector(self.lattice, linalg.vec_mat(v.coords, self.matrix))
-
-    def inverse(self):
-        X, d = linalg.rowspace_solver(self.matrix)(
-            linalg.identity(self.lattice.rank))
-        if d != 1:
-            raise ValueError("matrix is not invertible over the integers")
-        return Isometry(self.lattice, X, check=False)
-
     def order(self):
         n = self.lattice.rank
         ident = linalg.identity(n)
@@ -51,13 +40,6 @@ class Isometry:
             if k > GROUP_ORDER_CAP:
                 raise RuntimeError("order exceeds cap")
         return k
-
-    def is_identity(self):
-        return self.matrix == linalg.identity(self.lattice.rank)
-
-    def to_json(self):
-        return {"lattice": self.lattice.name or "",
-                "matrix": [row[:] for row in self.matrix]}
 
     def __repr__(self):
         return f"<isometry of {self.lattice!r}>"
@@ -201,23 +183,6 @@ def leech_pair_check(M, group_or_gens):
         "trivial_discriminant_action": trivial,
         "coinvariant_is_whole": coinv,
     }
-
-
-def reflection(L, v):
-    """The reflection x -> x - 2(x,v)/q(v) v, when it is integral."""
-    q = v.norm()
-    if q == 0:
-        raise ValueError("cannot reflect along an isotropic vector")
-    n = L.rank
-    rows = []
-    for i in range(n):
-        e = [int(j == i) for j in range(n)]
-        pair = 2 * linalg.dot(e, v.coords, L.gram)
-        if pair % q:
-            raise ValueError(f"reflection along {v.coords} is not integral "
-                             f"(2(e_{i},v) = {pair} not divisible by q(v) = {q})")
-        rows.append([e[j] - (pair // q) * v.coords[j] for j in range(n)])
-    return Isometry(L, rows)
 
 
 def extend_by_identity(isometry, gluing):

@@ -2,8 +2,8 @@
 
 A Lattice is a free Z-module with a symmetric integer bilinear form given
 on a fixed basis. A sublattice remembers its ambient lattice and the
-coordinate matrix of its basis inside it; saturation, orthogonal
-complements and divisibility are computed exactly from those data.
+coordinate matrix of its basis inside it; saturation and orthogonal
+complements are computed exactly from those data.
 """
 
 import math
@@ -83,9 +83,6 @@ class Lattice:
             return True
         plus, minus = self.signature()
         return plus == 0 or minus == 0
-
-    def is_unimodular(self):
-        return abs(self._det) == 1
 
     # -- constructions ------------------------------------------------------
 
@@ -190,9 +187,6 @@ class LatticeVector:
         self.lattice = lattice
         self.coords = coords
 
-    def is_zero(self):
-        return not any(self.coords)
-
     def norm(self):
         return linalg.dot(self.coords, self.coords, self.lattice.gram)
 
@@ -201,23 +195,9 @@ class LatticeVector:
             raise ValueError("vectors live in different lattices")
         return linalg.dot(self.coords, other.coords, self.lattice.gram)
 
-    def divisibility(self):
-        """Positive generator of the pairing ideal (v, L)."""
-        if self.is_zero():
-            raise ValueError("divisibility of the zero vector")
-        pairings = linalg.mat_vec(self.lattice.gram, self.coords)
-        return math.gcd(*pairings) if len(pairings) > 1 else abs(pairings[0])
-
     def is_primitive(self):
         return math.gcd(*self.coords) == 1 if len(self.coords) > 1 \
             else abs(self.coords[0]) == 1
-
-    def to_ambient(self):
-        """The same vector as an element of the ambient lattice."""
-        if self.lattice.ambient is None:
-            raise ValueError("vector's lattice has no ambient")
-        return LatticeVector(self.lattice.ambient,
-                             linalg.vec_mat(self.coords, self.lattice.coords))
 
     def __neg__(self):
         return LatticeVector(self.lattice, [-a for a in self.coords])

@@ -45,10 +45,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def copy_mat(M):
     return [row[:] for row in M]
 

@@ -398,11 +398,15 @@ def conway_condition(group_or_gens):
 
 
 def huybrechts_equivalents(M):
-    """The four equivalent embedding conditions for a negative definite M.
+    """Conditions 1 and 2 of the four equivalent embedding conditions for
+    a negative definite M of rank at most 20, as (c1, c2): M embeds
+    primitively into the Leech lattice (c1), and into the Mukai lattice
+    (c2).
 
-    Conditions 1 (into the Leech lattice) and 2 (into the Mukai lattice)
-    are evaluated through the existence criterion; 3 and 4 are reported
-    as equal per the equivalence. Asserts 1 == 2.
+    Both are decided by the existence criterion, on top of
+    rk(M) + l(A_M) <= 23. The equivalence says they agree, so
+    AssertionError is raised if they do not. Conditions 3 and 4 are not
+    computed.
     """
     if M.rank > 20:
         raise ValueError("condition set applies to rank at most 20")
@@ -415,26 +419,7 @@ def huybrechts_equivalents(M):
     c2 = strict and df.nikulin_embedding_exists(M, (4, 20)).status == "yes"
     if c1 != c2:
         raise AssertionError("conditions 1 and 2 must agree")
-    return (c1, c2, c1, c1)
-
-
-def wall_in_s_obstruction(M, n, generators):
-    """The coset-generator obstruction: do the stated norm bounds hold?
-
-    Applies only when l(A_M) + rk(M) = 24; returns "inapplicable" then
-    True/False for the bound |t_i^2| <= div(t_i)^2 (n+3)/2 on a generator
-    family whose classes span the discriminant group.
-    """
-    form_data = df.discriminant_data(M)
-    form = form_data.form
-    if form.length + M.rank != 24:
-        return "inapplicable"
-    classes = [form_data.class_coords(t.coords, t.divisibility())
-               for t in generators]
-    if df.subgroup_order(classes, form.factors) != form.order():
-        raise ValueError("generator classes do not span the discriminant group")
-    return all(2 * abs(t.norm()) <= t.divisibility() ** 2 * (n + 3)
-               for t in generators)
+    return c1, c2
 
 
 _gluing_cache = {}

@@ -9,6 +9,11 @@ imports `multiprocessing`, `concurrent.futures` or `threading`, and only
 which forks for the split of a big Fincke-Pohst walk in `enumeration`
 and for the two halves of `walls.classification_table`, and every
 module-level import adds to the start-up time of every command.
+
+Every public function and class of k3lat is loaded somewhere in
+`src/k3lat` outside its own body, and every public method is loaded
+there as an attribute: code that only tests reach is deleted, or put on
+a checked path such as the acceptance battery.
 """
 
 import ast
@@ -86,3 +91,49 @@ def test_no_module_reads_another_modules_private_names():
     found = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
                    for name in _private_reads(path))
     assert found == []
+
+
+# Reached only from perfbench, the benchmark harness, which changes to the
+# library leave as it is: its workloads compare discriminant forms with
+# forms_isomorphic, and its self-test builds identity_isometry.
+BENCHMARK_ONLY = {"discforms.forms_isomorphic", "isometries.identity_isometry"}
+
+
+def _public_definitions(path):
+    """(qualified name, node, is a method) of the module's public
+    functions and classes and of the public methods of its public
+    classes."""
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield f"{path.stem}.{node.name}", node, False
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if (isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_")):
+                        yield f"{path.stem}.{node.name}.{sub.name}", sub, True
+
+
+def _loads(path):
+    """(line, name, is an attribute) of every name and attribute load."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node.id, False
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.lineno, node.attr, True
+
+
+def test_every_public_name_has_a_caller_in_src():
+    loads = [(path.name, line, name, attribute)
+             for path in SRC.glob("*.py")
+             for line, name, attribute in _loads(path)]
+    unreached = sorted(
+        qualified for path in SRC.glob("*.py")
+        for qualified, node, method in _public_definitions(path)
+        if qualified not in BENCHMARK_ONLY and not any(
+            name == node.name and (attribute or not method)
+            and not (where == path.name
+                     and node.lineno <= line <= node.end_lineno)
+            for where, line, name, attribute in loads))
+    assert unreached == []

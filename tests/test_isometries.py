@@ -1,6 +1,6 @@
 import pytest
 
-from k3lat import catalog, discforms as df, enumeration as en
+from k3lat import catalog, discforms as df
 from k3lat import isometries as iso
 from k3lat import linalg
 from k3lat.gram_data import E8, U
@@ -146,38 +146,6 @@ def test_discriminant_action_nontrivial():
     assert act != "trivial"  # -1 is not 1 mod 6 on Z/6
 
 
-def test_reflection_on_minus_two():
-    L = Lattice([[-2]])
-    r = iso.reflection(L, L.vector([1]))
-    assert r.matrix == [[-1]]
-
-
-def test_reflection_in_l2():
-    L = catalog.l_n(2)
-    v = L.vector([0] * 6 + [1, 0] + [0] * 14 + [0])  # a root in E8(-1)
-    assert v.norm() == -2
-    r = iso.reflection(L, v)
-    assert r.order() == 2
-    assert r.apply(v).coords == [-a for a in v.coords]
-
-
-def test_reflection_along_last_factor():
-    n = 3
-    L = catalog.l_n(n)
-    v = L.vector([0] * 22 + [1])
-    assert v.norm() == 2 - 2 * n
-    r = iso.reflection(L, v)
-    assert r.apply(v).coords == [-a for a in v.coords]
-    e = L.vector([1] + [0] * 22)
-    assert r.apply(e).coords == e.coords
-
-
-def test_reflection_rejects_nonintegral():
-    L = Lattice([[-4]]) + Lattice([[-2]])
-    with pytest.raises(ValueError, match="not integral"):
-        iso.reflection(L, L.vector([1, 1]))  # norm -6 does not divide pairings
-
-
 def test_leech_pair_check_e8_minus_2():
     swap = catalog.e8_cube_swap_isometry()
     S = iso.coinvariant_lattice([swap])
@@ -202,7 +170,7 @@ def test_leech_pair_minus_identity_on_leech():
 def test_glue_translation_identity():
     frame = catalog.holy_construction("N20")
     g = frame.glue_translation([0] * 6)
-    assert g.is_identity()
+    assert g.matrix == linalg.identity(24)
 
 
 def test_glue_translation_rejects_nonword():
@@ -244,7 +212,7 @@ def test_extend_by_identity_trivial():
     T = Lattice([[2]], name="T")
     g = df.glue_overlattice(S, T, df.GlueMap([[1]], [[1]]))
     ext = iso.extend_by_identity(iso.identity_isometry(S), g)
-    assert ext.is_identity()
+    assert ext.matrix == linalg.identity(2)
 
 
 def test_extend_by_identity_rejects_nontrivial_action():
@@ -254,22 +222,6 @@ def test_extend_by_identity_rejects_nontrivial_action():
     glued = df.glue_overlattice(S, T, gm)
     with pytest.raises(ValueError, match="discriminant"):
         iso.extend_by_identity(iso.minus_identity(S), glued)
-
-
-def test_extend_by_identity_minus_on_e8_minus_2():
-    S = Lattice(E8).rescale(-2)
-    S.name = "E8(-2)"
-    T = Lattice(E8).rescale(2)
-    T.name = "E8(2)"
-    gm = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
-    glued = df.glue_overlattice(S, T, gm)
-    ext = iso.extend_by_identity(iso.minus_identity(S), glued)
-    L = glued.lattice
-    assert iso.is_isometry(L, ext.matrix)
-    assert ext.order() == 2
-    # fixes the T part pointwise
-    for row in glued.t_sub.coords:
-        assert linalg.vec_mat(row, ext.matrix) == row
 
 
 def test_sign_change_involution_ranks():

@@ -135,17 +135,6 @@ def test_complement_rank_additivity():
     assert S.rank + S.orthogonal_complement().rank == L.rank
 
 
-def test_divisibility():
-    assert LU().vector([1, 0]).divisibility() == 1
-    assert LU().rescale(2).vector([1, 1]).divisibility() == 2
-    # generator of the (2-2n) factor inside L_n pairs only with itself
-    n = 4
-    L = LU() + Lattice([[2 - 2 * n]])
-    assert L.vector([0, 0, 1]).divisibility() == 2 * n - 2
-    with pytest.raises(ValueError):
-        LU().vector([0, 0]).divisibility()
-
-
 def test_vector_arithmetic():
     L = LU()
     v = L.vector([1, 2])
@@ -154,13 +143,6 @@ def test_vector_arithmetic():
     assert (v - w).coords == [1, 1]
     assert (-v).norm() == v.norm() == 4
     assert v.dot(w) == 1
-
-
-def test_vector_to_ambient():
-    L = LU() + LU()
-    S = L.sublattice([[1, 1, 0, 0], [0, 0, 1, 1]])
-    v = S.vector([1, 1]).to_ambient()
-    assert v.coords == [1, 1, 1, 1]
 
 
 def test_json_roundtrip():
