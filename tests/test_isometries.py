@@ -224,6 +224,22 @@ def test_extend_by_identity_rejects_nontrivial_action():
         iso.extend_by_identity(iso.minus_identity(S), glued)
 
 
+def test_extend_by_identity_minus_on_e8_minus_2():
+    S = Lattice(E8).rescale(-2)
+    S.name = "E8(-2)"
+    T = Lattice(E8).rescale(2)
+    T.name = "E8(2)"
+    gm = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
+    glued = df.glue_overlattice(S, T, gm)
+    ext = iso.extend_by_identity(iso.minus_identity(S), glued)
+    L = glued.lattice
+    assert iso.is_isometry(L, ext.matrix)
+    assert ext.order() == 2
+    # fixes the T part pointwise
+    for row in glued.t_sub.coords:
+        assert linalg.vec_mat(row, ext.matrix) == row
+
+
 def test_sign_change_involution_ranks():
     model = catalog.leech_model()
     octad = model.codewords_of_weight(8)[0]

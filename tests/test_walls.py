@@ -191,6 +191,17 @@ def test_numerical_wall_requires_definite():
         walls.numerical_wall_in(S, ctx)
 
 
+def test_realizability_e8_minus_2():
+    S = catalog.exceptional("S_2.K3")
+    E = catalog.root_lattice("E", 8, -2)
+    U = catalog.hyperbolic()
+    T = U + U + U + U + E
+    g = iso.minus_identity(S)
+    verdict = walls.realizability(S, [g], 2, complement=T)
+    assert verdict.status == "realizable"
+    assert all(verdict.leech_pair.values())
+
+
 def test_realizability_indefinite_fails():
     S = catalog.hyperbolic()
     verdict = walls.realizability(S, [iso.minus_identity(S)], 2)
@@ -202,6 +213,25 @@ def test_realizability_without_complement_inconclusive():
     S = catalog.exceptional("S_2.K3")
     verdict = walls.realizability(S, [iso.minus_identity(S)], 2)
     assert verdict.status == "inconclusive"
+
+
+def test_conway_condition_order_11():
+    model = catalog.leech_model()
+    g = model.multiplication_isometry(2)
+    ok, data = walls.conway_condition([g])
+    assert ok
+    assert data["rank_S"] == 20 and data["rank_T"] == 4
+    assert data["equivalent_form"] == ok
+
+
+def test_conway_condition_bw16_involution():
+    model = catalog.leech_model()
+    sixteen = model.codewords_of_weight(16)[0]
+    g = model.sign_change_isometry(sixteen)
+    ok, data = walls.conway_condition([g])
+    assert not ok
+    assert data["rank_T"] == 8 and data["length_T"] == 8
+    assert data["equivalent_form"] == ok
 
 
 def test_conway_condition_trivial_group():
@@ -217,6 +247,20 @@ def test_huybrechts_equivalents():
         walls.huybrechts_equivalents(catalog.leech())
     with pytest.raises(ValueError, match="negative definite"):
         walls.huybrechts_equivalents(catalog.hyperbolic())
+
+
+def test_huybrechts_matches_conway_on_pairs():
+    model = catalog.leech_model()
+    cases = [
+        model.multiplication_isometry(2),
+        model.sign_change_isometry(model.codewords_of_weight(8)[0]),
+        model.sign_change_isometry(model.codewords_of_weight(16)[0]),
+        model.sign_change_isometry(model.codewords_of_weight(12)[0]),
+    ]
+    for g in cases:
+        ok, _ = walls.conway_condition([g])
+        S = iso.coinvariant_lattice([g])
+        assert walls.huybrechts_equivalents(Lattice(S.gram)) == (ok, ok)
 
 
 def test_d12_exclusion_grams():
