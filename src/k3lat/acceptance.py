@@ -125,7 +125,7 @@ def order5_class_census(fast):
 def order11_coinvariant(fast):
     T = iso.invariant_lattice([catalog.n22_order11_isometry()])
     S = T.orthogonal_complement()
-    embed = df.nikulin_embedding_exists(Lattice(S.gram), (4, 20))
+    embed = df.nikulin_embedding_exists(S, (4, 20))
     ok = (T.rank == 4 and S.rank == 20 and abs(S.det()) == 121
           and all(F.det() == 121 for F in catalog.det121_forms())
           and embed.status == "yes"
@@ -142,8 +142,7 @@ def prime_order_ranks(fast):
     n10 = catalog.holy_construction("N10")
     g13 = n10.glue_translation(next(w for w in n10.code if any(w)))
     S8 = iso.coinvariant_lattice([catalog.e8_cube_swap_isometry()])
-    e82 = iso.find_isometry(Lattice(S8.gram),
-                            catalog.root_lattice("E", 8, -2)) is not None
+    e82 = iso.find_isometry(S8, catalog.root_lattice("E", 8, -2)) is not None
     got = {
         "2": sorted([rank(model.sign_change_isometry(
             model.codewords_of_weight(w)[0])) for w in (8, 12, 16)]
@@ -221,7 +220,7 @@ def leech_pair_criteria(fast):
         conway[label] = dict(data, ok=ok)
         S = iso.coinvariant_lattice([g])
         agree = (agree and data["equivalent_form"] == ok
-                 and walls.huybrechts_equivalents(Lattice(S.gram)) == (ok, ok))
+                 and walls.huybrechts_equivalents(S) == (ok, ok))
     huybrechts = {name: walls.huybrechts_equivalents(catalog.exceptional(name))
                   for name in ("S_2.K3", "BW16(-1)", "S_11.K3[2]")}
     two_modular = {name: df.two_modular_invariants(catalog.named(name))

@@ -5,6 +5,14 @@ Root lattices, the hyperbolic plane, the K3^[n] and Mukai lattices, the
 codes, the holy construction, and the exceptional sublattices of the
 Leech lattice. Everything is built from explicit integer coordinates and
 validated against its documented invariants; results are cached.
+
+The Leech model, the Niemeier models and the holy frames are each a
+`CoordinateModel`: basis rows in an ambient coordinate space and the
+lattice they span. Every explicit isometry of the paper's groups (Golay
+sign changes, the order-11 and order-23 permutations of P^1(Z/23), the
+glue translations of the frames, the copy permutations of N22 and
+E8(-1)^3) is one `CoordinateModel.isometry` call, a signed coordinate
+permutation mapped onto the basis rows.
 """
 
 import functools
@@ -46,6 +54,46 @@ def lattice_from_span(rows, scale_sq, name=None):
     if not lat.is_even():
         raise ValueError("span is not an even lattice")
     return basis, lat
+
+
+class CoordinateModel:
+    """A lattice on integer basis rows of an ambient coordinate space.
+
+    basis[i] holds the coordinates of the lattice's i-th basis vector.
+    The explicit isometries of the catalog are signed permutations of the
+    coordinates, mapped onto the basis rows by `isometry`.
+    """
+
+    def __init__(self, basis, lattice):
+        self.basis = basis
+        self.lattice = lattice
+
+    @functools.cached_property
+    def solver(self):
+        """linalg.rowspace_solver(basis), built on first use."""
+        return linalg.rowspace_solver(self.basis)
+
+    def vector(self, coords):
+        """The lattice vector with the given ambient coordinates."""
+        sol = self.solver([list(coords)])
+        if sol is None or sol[1] != 1:
+            raise ValueError(f"coordinates are not in the "
+                             f"{self.lattice.name} lattice")
+        return self.lattice.vector(sol[0][0])
+
+    def isometry(self, perm, signs=None):
+        """The isometry sending coordinate i to perm[i], times signs[i] if
+        given; ValueError if the map does not preserve the lattice."""
+        images = []
+        for row in self.basis:
+            image = [0] * len(row)
+            for i, a in enumerate(row):
+                image[perm[i]] = a if signs is None else signs[i] * a
+            images.append(image)
+        sol = self.solver(images)
+        if sol is None or sol[1] != 1:
+            raise ValueError("ambient map does not preserve the lattice")
+        return isometries.Isometry(self.lattice, sol[0])
 
 
 # -- elementary named lattices ------------------------------------------------
@@ -93,7 +141,7 @@ def mukai():
 
 # -- the 24-coordinate Leech model --------------------------------------------
 
-class LeechModel:
+class LeechModel(CoordinateModel):
     """The Leech lattice on coordinates indexed by P^1(Z/23).
 
     Coordinates 0..22 are the residues, coordinate 23 is infinity. Basis
@@ -123,18 +171,11 @@ class LeechModel:
                     row[i] = 4
                     row[j] = sj
                     spanning.append(row)
-        self.basis, self.lattice = lattice_from_span(
-            spanning, self.SCALE_SQ, name="Leech")
+        super().__init__(*lattice_from_span(spanning, self.SCALE_SQ,
+                                            name="Leech"))
         if self.lattice.rank != 24 or self.lattice.det() != 1:
             raise AssertionError("Leech model failed its invariants")
         self._golay = None
-        self._solver = None
-
-    @property
-    def solver(self):
-        if self._solver is None:
-            self._solver = linalg.rowspace_solver(self.basis)
-        return self._solver
 
     def golay_code(self):
         """All 4096 Golay codewords as 24-bit masks (bit i = coordinate i)."""
@@ -168,29 +209,16 @@ class LeechModel:
     def codewords_of_weight(self, w):
         return [c for c in self.golay_code() if c.bit_count() == w]
 
-    def vector(self, scaled_coords):
-        """The lattice vector with the given sqrt(8)-scaled coordinates."""
-        sol = self.solver([list(scaled_coords)])
-        if sol is None or sol[1] != 1:
-            raise ValueError("coordinates are not in the Leech lattice")
-        return self.lattice.vector(sol[0][0])
-
     def permutation_isometry(self, perm):
         """Isometry from a coordinate permutation i -> perm[i]."""
-        A = [[0] * 24 for _ in range(24)]
-        for i in range(24):
-            A[i][perm[i]] = 1
-        return isometries.isometry_from_ambient_map(self.lattice, self.basis,
-                                                    A, solver=self.solver)
+        return self.isometry(perm)
 
     def sign_change_isometry(self, mask):
         """Isometry negating the coordinates in a Golay codeword mask."""
         if mask not in set(self.golay_code()):
             raise ValueError("sign changes must be supported on a codeword")
-        A = [[(-1 if (mask >> i) & 1 else 1) * int(i == j) for j in range(24)]
-             for i in range(24)]
-        return isometries.isometry_from_ambient_map(self.lattice, self.basis,
-                                                    A, solver=self.solver)
+        return self.isometry(range(24),
+                             [-1 if mask >> i & 1 else 1 for i in range(24)])
 
     def translation_isometry(self):
         """x -> x + 1 on the residue coordinates, fixing infinity; order 23."""
@@ -259,10 +287,11 @@ def _simple_root_rows(n, m, scale):
 
 
 def niemeier_model(name):
-    """(coordinate basis, lattice) of a supported Niemeier row.
+    """The CoordinateModel of a supported Niemeier row.
 
     For the pure A-type rows the basis rows are coordinates in the scaled
-    R^((n+1)m) model; for N3 = E8^3 the basis is abstract (identity).
+    R^((n+1)m) model; for N3 = E8^3 the basis is the identity, so the
+    coordinates are those of E8(-1)^3 itself.
     """
     def build():
         if name not in NIEMEIER_ROWS:
@@ -273,7 +302,7 @@ def niemeier_model(name):
             E = root_lattice("E", 8, -1)
             L = E + E + E
             L.name = name
-            return linalg.identity(24), L
+            return CoordinateModel(linalg.identity(24), L)
         size = n + 1
         rows = _simple_root_rows(n, m, size)
         if seed is not None:
@@ -282,21 +311,22 @@ def niemeier_model(name):
                 for letter in w:
                     row += _glue_rep(n, letter % size)
                 rows.append(row)
-        basis, L = lattice_from_span(rows, size * size, name=name)
-        if L.rank != 24 or L.det() != 1:
+        model = CoordinateModel(*lattice_from_span(rows, size * size,
+                                                   name=name))
+        if model.lattice.rank != 24 or model.lattice.det() != 1:
             raise AssertionError(f"{name} failed its invariants")
-        return basis, L
+        return model
     return _cached(("niemeier", name), build)
 
 
 def niemeier(name):
     """A supported Niemeier lattice (negative definite, rank 24)."""
-    return niemeier_model(name)[1]
+    return niemeier_model(name).lattice
 
 
 # -- the holy construction -----------------------------------------------------
 
-class HolyFrame:
+class HolyFrame(CoordinateModel):
     """Frame data of the holy construction over a pure A_n^m diagram.
 
     f-vectors are the extended roots of every copy, h-vectors the glue
@@ -312,6 +342,8 @@ class HolyFrame:
     coefficients sum to 0 mod n + 1, and (n + 1) h_0 = -sum_i (f_i - h_0)
     over the extended roots f_0, ..., f_n of one copy. So the cocycle
     lies in both spans, and every h_w - h_0 is a sum of the generators'.
+
+    The model's lattice is the Leech lattice, also read as `leech`.
     """
 
     def __init__(self, name):
@@ -340,13 +372,13 @@ class HolyFrame:
                 h += g0[-letter:] + g0[:-letter]
             glue.append([a - b for a, b in zip(h, h0)])
         diff = [[a - b for a, b in zip(row, h0)] for row in roots]
-        self.basis, self.leech = lattice_from_span(
-            diff + glue, scale * scale, name=f"Leech[{name}]")
+        super().__init__(*lattice_from_span(diff + glue, scale * scale,
+                                            name=f"Leech[{name}]"))
+        self.leech = self.lattice
         if self.leech.rank != 24 or self.leech.det() != 1:
             raise AssertionError("holy construction gave a wrong lattice")
         self.hole_basis, self.hole = lattice_from_span(
             roots + glue, scale * scale, name=f"{name}[hole]")
-        self._solver = None
 
     @property
     def code(self):
@@ -357,14 +389,17 @@ class HolyFrame:
     def code_set(self):
         return set(self.code)
 
-    @property
-    def solver(self):
-        if self._solver is None:
-            self._solver = linalg.rowspace_solver(self.basis)
-        return self._solver
-
     def glue_translation(self, word):
-        return isometries.glue_translation_isometry(self, word)
+        """The isometry induced by a glue-code word: on each A_n copy the
+        cyclic rotation of the coordinates by the word's letter there. It
+        sends the frame vector h_w to h_{w+t}."""
+        size = self.n + 1
+        word = tuple(int(a) % size for a in word)
+        if word not in self.code_set:
+            raise ValueError(f"word {word} is not in the glue code")
+        return self.isometry([j * size + (k + t) % size
+                              for j, t in enumerate(word)
+                              for k in range(size)])
 
     def words_of_weight(self, w):
         return [c for c in self.code if sum(1 for a in c if a) == w]
@@ -546,37 +581,19 @@ def pos_2_5_3_10():
 
 def n22_order11_isometry():
     """Order-11 isometry of N22: fix the first A2 copy, rotate the rest."""
-    basis, N = niemeier_model("N22")
-    A = [[0] * 36 for _ in range(36)]
-    for k in range(3):
-        A[k][k] = 1
-    for j in range(1, 12):
-        target = j + 1 if j < 11 else 1
-        for k in range(3):
-            A[3 * j + k][3 * target + k] = 1
-    return isometries.isometry_from_ambient_map(N, basis, A)
+    return niemeier_model("N22").isometry(
+        [i if i < 3 else 3 * (i // 3 % 11 + 1) + i % 3 for i in range(36)])
 
 
 def e8_cube_swap_isometry():
     """Swap the first two copies of E8(-1)^3; coinvariant is E8(-2)."""
-    N3 = niemeier("N3")
-    P = [[0] * 24 for _ in range(24)]
-    for i in range(8):
-        P[i][8 + i] = 1
-        P[8 + i][i] = 1
-        P[16 + i][16 + i] = 1
-    return isometries.Isometry(N3, P)
+    return niemeier_model("N3").isometry(
+        [(i + 8) % 16 if i < 16 else i for i in range(24)])
 
 
 def e8_cube_cycle_isometry():
     """Cyclically permute the copies of E8(-1)^3; coinvariant is S_3exo."""
-    N3 = niemeier("N3")
-    P = [[0] * 24 for _ in range(24)]
-    for i in range(8):
-        P[i][8 + i] = 1
-        P[8 + i][16 + i] = 1
-        P[16 + i][i] = 1
-    return isometries.Isometry(N3, P)
+    return niemeier_model("N3").isometry([(i + 8) % 24 for i in range(24)])
 
 
 # -- name dispatch ---------------------------------------------------------------

@@ -185,11 +185,6 @@ class FiniteQuadraticForm:
                        for f in (Fraction(a, e) for a in row)]
                       for row in self._qnum]}
 
-    @classmethod
-    def from_json(cls, obj):
-        q = [[Fraction(num, den) for num, den in row] for row in obj["q"]]
-        return cls(obj["factors"], q)
-
     def __repr__(self):
         return f"<finite quadratic form on {self.factors}>"
 

@@ -162,9 +162,13 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     out, first = _prefix(tree, limit, split)
     if first is None:
         return out
-    shares = _shares(tree, limit - len(out), split, first,
-                     parallel.workers())
-    if shares is None or len(out) + sum(len(s) for s, _ in shares) > cap:
+    # a share that passes the cap raises EnumerationCap, in the caller or
+    # in a child whose job parallel.run then reruns in the caller
+    workers = parallel.workers()
+    shares = parallel.run([functools.partial(_share, tree, limit - len(out),
+                                             split, first, k, workers)
+                           for k in range(workers)])
+    if len(out) + sum(len(s) for s, _ in shares) > cap:
         raise EnumerationCap(cap)
     # share k's c-th subtree is subtree first + k + c * len(shares); merge
     # back to front, cutting each subtree off the end of its share, so the
@@ -299,23 +303,6 @@ def _share(tree, limit, split, first, k, workers):
     leaves = _walk(tree, limit, split, deal)
     marks.append(len(leaves))
     return leaves, marks
-
-
-def _capped_share(tree, limit, split, first, k, workers):
-    """Share k, or None where it passed the cap."""
-    try:
-        return _share(tree, limit, split, first, k, workers)
-    except EnumerationCap:
-        return None
-
-
-def _shares(tree, limit, split, first, workers):
-    """The `workers` shares of the subtrees from `first` on, run as the
-    jobs of parallel.run; None when a share passes `limit`."""
-    shares = parallel.run([functools.partial(_capped_share, tree, limit,
-                                             split, first, k, workers)
-                           for k in range(workers)])
-    return None if any(share is None for share in shares) else shares
 
 
 def _canonical_sign(coords):

@@ -2,9 +2,11 @@
 
 An isometry is an integer matrix P acting on basis coordinates by
 v -> v P (row convention), so P G P^t = G. Groups are stored by full
-element enumeration; invariant and coinvariant sublattices, discriminant
-actions and the frame-based isometries of the holy construction all
-reduce to exact kernel and transport computations.
+element enumeration; invariant and coinvariant sublattices and
+discriminant actions reduce to exact kernel and transport computations.
+The explicit isometries of the Leech and Niemeier models (sign changes,
+coordinate permutations, glue translations) are built in `catalog`, as
+signed coordinate permutations of a `catalog.CoordinateModel`.
 """
 
 from . import enumeration, linalg
@@ -214,23 +216,6 @@ def extend_by_identity(isometry, gluing):
     return Isometry(L, [[a // d for a in row] for row in P])
 
 
-def isometry_from_ambient_map(lattice, basis, ambient_map, solver=None):
-    """Isometry of a coordinate-model lattice from a map of the ambient.
-
-    basis holds the lattice's basis as integer coordinate rows; ambient_map
-    is a matrix acting on coordinates by x -> x A. The restriction must be
-    integral on the lattice, else ValueError. solver, when given, is
-    linalg.rowspace_solver(basis), reused across calls.
-    """
-    images = linalg.mat_mul(basis, ambient_map)
-    if solver is None:
-        solver = linalg.rowspace_solver(basis)
-    sol = solver(images)
-    if sol is None or sol[1] != 1:
-        raise ValueError("ambient map does not preserve the lattice")
-    return Isometry(lattice, sol[0])
-
-
 def restrict_isometry(isometry, sub):
     """Restrict an isometry to a stable sublattice (as its own lattice)."""
     if sub.ambient is not isometry.lattice:
@@ -240,25 +225,6 @@ def restrict_isometry(isometry, sub):
     if sol is None or sol[1] != 1:
         raise ValueError("sublattice is not stable under the isometry")
     return Isometry(sub, sol[0])
-
-
-def glue_translation_isometry(frame, word):
-    """The holy-construction isometry induced by a glue-code word.
-
-    Acts on each A_n copy by the cyclic coordinate rotation matching the
-    word's letter there; sends the frame vector h_w to h_{w+t}.
-    """
-    word = tuple(int(a) % (frame.n + 1) for a in word)
-    if word not in frame.code_set:
-        raise ValueError(f"word {word} is not in the glue code")
-    size = frame.n + 1
-    dim = size * frame.m
-    A = [[0] * dim for _ in range(dim)]
-    for j, t in enumerate(word):
-        for k in range(size):
-            A[j * size + k][j * size + (k + t) % size] = 1
-    return isometry_from_ambient_map(frame.leech, frame.basis, A,
-                                     solver=frame.solver)
 
 
 def find_isometry(L1, L2):

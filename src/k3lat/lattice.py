@@ -190,11 +190,6 @@ class LatticeVector:
     def norm(self):
         return linalg.dot(self.coords, self.coords, self.lattice.gram)
 
-    def dot(self, other):
-        if other.lattice is not self.lattice:
-            raise ValueError("vectors live in different lattices")
-        return linalg.dot(self.coords, other.coords, self.lattice.gram)
-
     def is_primitive(self):
         return math.gcd(*self.coords) == 1 if len(self.coords) > 1 \
             else abs(self.coords[0]) == 1

@@ -339,30 +339,29 @@ def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None,
 
     cap bounds every enumeration of the check (EnumerationCap beyond it).
     """
-    T_emb = glued.t_sub
-    T_abs = Lattice(T_emb.gram)
+    T = glued.t_sub
     if n == 1:
-        if en.has_roots(Lattice(glued.s_sub.gram), cap=cap):
+        if en.has_roots(glued.s_sub, cap=cap):
             return RealizabilityVerdict(
                 "obstructed", reason="coinvariant contains -2 classes")
         return RealizabilityVerdict("realizable", reason="root-free at n = 1")
     if v_in_T is not None:
         vs = [list(v_in_T)]
-    elif T_abs.is_definite():
-        first = en.primitive_represents(T_abs, 2 * n - 2, cap=cap)
+    elif T.is_definite():
+        first = en.primitive_represents(T, 2 * n - 2, cap=cap)
         if first is None:
             return RealizabilityVerdict(
                 "inconclusive",
                 reason=f"complement does not represent {2 * n - 2}")
         if all_vectors:
-            vecs = en.short_vectors(T_abs, 2 * n - 2, up_to_sign=True,
+            vecs = en.short_vectors(T, 2 * n - 2, up_to_sign=True,
                                     cap=cap)
             vs = [v.coords for v in vecs
                   if v.norm() == 2 * n - 2 and v.is_primitive()]
         else:
             vs = [first.coords]
     else:
-        v = _isotropic_pair_vector(T_abs, 2 * n - 2)
+        v = _isotropic_pair_vector(T, 2 * n - 2)
         if v is None:
             return RealizabilityVerdict(
                 "inconclusive",
@@ -370,7 +369,7 @@ def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None,
         vs = [v]
     last_wall = None
     for v_t in vs:
-        v_amb = linalg.vec_mat(v_t, T_emb.coords)
+        v_amb = linalg.vec_mat(v_t, T.coords)
         ctx = wall_context(n, mukai=glued.lattice, v=v_amb)
         wall = numerical_wall_in(glued.s_sub, ctx, cap=cap)
         if wall is None:
@@ -389,8 +388,8 @@ def conway_condition(group_or_gens):
     T = iso.invariant_lattice(group_or_gens)
     S = T.orthogonal_complement()
     # T and S lie in the even Leech lattice, so their forms are defined
-    lT = df.discriminant_form(Lattice(T.gram)).length if T.rank else 0
-    lS = df.discriminant_form(Lattice(S.gram)).length if S.rank else 0
+    lT = df.discriminant_form(T).length if T.rank else 0
+    lS = df.discriminant_form(S).length if S.rank else 0
     ok = S.rank <= 20 and T.rank > lT
     equivalent = S.rank + lS <= 23
     return ok, {"rank_S": S.rank, "rank_T": T.rank, "length_T": lT,
@@ -413,10 +412,14 @@ def huybrechts_equivalents(M):
     plus, _ = M.signature()
     if plus:
         raise ValueError("M must be negative definite")
-    # conditions 1 and 2 both need rk(M) + l(A_M) <= 23
-    strict = 24 - M.rank > df.discriminant_form(M).length
-    c1 = strict and df.nikulin_embedding_exists(M, (0, 24)).status == "yes"
-    c2 = strict and df.nikulin_embedding_exists(M, (4, 20)).status == "yes"
+    # conditions 1 and 2 both need rk(M) + l(A_M) <= 23; M embeds iff a
+    # complement of the remaining signature with the form -q_M exists
+    q = df.discriminant_form(M).neg()
+    strict = 24 - M.rank > q.length
+    c1 = strict and df.nikulin_lattice_exists(
+        (0, 24 - M.rank), q).status == "yes"
+    c2 = strict and df.nikulin_lattice_exists(
+        (4, 20 - M.rank), q).status == "yes"
     if c1 != c2:
         raise AssertionError("conditions 1 and 2 must agree")
     return c1, c2
@@ -543,7 +546,7 @@ def _mukai_complements(row_name):
         T = A2 + A2.rescale(3)
         T.name = "A2+A2(3)"
         F = catalog.s_lattice_2936_in_leech().orthogonal_complement(name="F")
-        return [(Lattice(F.gram, name="F"), T)]
+        return [(F, T)]
     if row_name == "S_5exo":
         return [(catalog.exceptional("S_5exo"), catalog.pos_2_5_3_10())]
     if row_name == "S_11.K3[2]":

@@ -1,8 +1,10 @@
 import functools
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import ambient_reference
 import holy_reference
 from k3lat import catalog, discforms as df, enumeration as en
 from k3lat import isometries as iso
@@ -145,6 +147,104 @@ def test_holy_frame_feeds_hnf_only_the_generators(monkeypatch):
 def test_holy_rejects_e8_row():
     with pytest.raises(ValueError, match="pure A-type"):
         catalog.holy_construction("N3")
+
+
+# -- coordinate-model isometries against the dense ambient route ---------------
+
+QUADRATIC_RESIDUES = sorted({i * i % 23 for i in range(1, 23)})
+GLUE_FRAMES = ("N22", "N20", "N17", "N10")
+
+
+@functools.cache
+def _reference_solver(model):
+    return linalg.rowspace_solver(model.basis)
+
+
+def _dense(model, perm, signs=None):
+    """The matrix the dense route builds for i -> perm[i] (times signs)."""
+    return ambient_reference.isometry_from_ambient_map(
+        model.lattice, model.basis,
+        ambient_reference.ambient_matrix(perm, signs),
+        solver=_reference_solver(model)).matrix
+
+
+def _residue_perm(k, shift=0):
+    return [(k * i + shift) % 23 for i in range(23)] + [23]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4095), st.sampled_from(QUADRATIC_RESIDUES),
+       st.integers(0, 22))
+def test_leech_isometries_match_the_dense_route(i, k, shift):
+    model = catalog.leech_model()
+    mask = model.golay_code()[i]
+    signs = [-1 if mask >> j & 1 else 1 for j in range(24)]
+    assert (model.sign_change_isometry(mask).matrix
+            == _dense(model, range(24), signs))
+    assert (model.multiplication_isometry(k).matrix
+            == _dense(model, _residue_perm(k)))
+    assert (model.permutation_isometry(_residue_perm(1, shift)).matrix
+            == _dense(model, _residue_perm(1, shift)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GLUE_FRAMES), st.integers(0, 4095))
+def test_glue_translations_match_the_dense_route(name, i):
+    frame = catalog.holy_construction(name)
+    word = frame.code[i % len(frame.code)]
+    size = frame.n + 1
+    perm = [j * size + (k + t) % size
+            for j, t in enumerate(word) for k in range(size)]
+    assert frame.glue_translation(word).matrix == _dense(frame, perm)
+
+
+def test_copy_permutations_match_the_dense_route():
+    n22, n3 = catalog.niemeier_model("N22"), catalog.niemeier_model("N3")
+    rotate = list(range(3)) + [3 * (j % 11 + 1) + k
+                               for j in range(1, 12) for k in range(3)]
+    assert catalog.n22_order11_isometry().matrix == _dense(n22, rotate)
+    swap = list(range(8, 16)) + list(range(8)) + list(range(16, 24))
+    assert catalog.e8_cube_swap_isometry().matrix == _dense(n3, swap)
+    cycle = list(range(8, 24)) + list(range(8))
+    assert catalog.e8_cube_cycle_isometry().matrix == _dense(n3, cycle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2 ** 24 - 2))
+def test_sign_change_off_the_code_is_refused(mask):
+    model = catalog.leech_model()
+    assume(mask not in set(model.golay_code()))
+    with pytest.raises(ValueError,
+                       match="^sign changes must be supported on a codeword$"):
+        model.sign_change_isometry(mask)
+    # the map itself leaves the lattice, on both routes
+    signs = [-1 if mask >> j & 1 else 1 for j in range(24)]
+    message = "^ambient map does not preserve the lattice$"
+    with pytest.raises(ValueError, match=message):
+        model.isometry(range(24), signs)
+    with pytest.raises(ValueError, match=message):
+        _dense(model, range(24), signs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GLUE_FRAMES), st.data())
+def test_glue_translation_off_the_code_is_refused(name, data):
+    frame = catalog.holy_construction(name)
+    size = frame.n + 1
+    word = tuple(data.draw(st.lists(st.integers(0, size - 1),
+                                    min_size=frame.m, max_size=frame.m)))
+    assume(word not in frame.code_set)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"word {word} is not in the glue code")):
+        frame.glue_translation(word)
+
+
+def test_coordinate_model_vector():
+    model = catalog.leech_model()
+    v = model.vector([4, 4] + [0] * 22)
+    assert v.lattice is model.lattice and v.norm() == -4
+    with pytest.raises(ValueError, match="not in the Leech lattice"):
+        model.vector([4] + [0] * 23)
 
 
 def test_exceptional_bw16():

@@ -20,6 +20,13 @@ def L(gram, k=1, name=None):
     return base.rescale(k) if k != 1 else base
 
 
+def _form(obj):
+    """The form that FiniteQuadraticForm.to_json wrote as obj."""
+    return df.FiniteQuadraticForm(
+        obj["factors"], [[Fraction(num, den) for num, den in row]
+                         for row in obj["q"]])
+
+
 def test_unimodular_trivial_group():
     for lat in (L(U), Lattice([])):
         q = df.discriminant_form(lat)
@@ -368,7 +375,7 @@ def test_embedding_milgram_consistency():
         if v.status != "yes":
             continue
         mp, mm = v.witness["complement_signature"]
-        q = df.FiniteQuadraticForm.from_json(v.witness["complement_form"])
+        q = _form(v.witness["complement_form"])
         assert df.milgram_signature(q) == (mp - mm) % 8
 
 
@@ -443,7 +450,7 @@ def test_class_coords_rejects_non_dual_vectors():
 
 
 def _check_integer_form(M):
-    """q, class_coords and the JSON round trip against the Gram itself."""
+    """q and class_coords against the Gram itself."""
     data = df.discriminant_data(M)
     form, factors = data.form, data.form.factors
     k = form.length
@@ -466,8 +473,6 @@ def _check_integer_form(M):
         for j in range(i):
             assert form.b_value(unit, units[j]) == \
                 linalg.dot(dual(unit), dual(units[j]), M.gram) % 1
-    obj = form.to_json()
-    assert df.FiniteQuadraticForm.from_json(obj).to_json() == obj
 
 
 @st.composite
@@ -529,7 +534,7 @@ def test_walk_matches_pinned_and_trivial_forms():
                         .with_name("discriminant_forms.json").read_text())
     assert len(golden) == 26
     for obj in golden.values():
-        _check_walk(df.FiniteQuadraticForm.from_json(obj))
+        _check_walk(_form(obj))
     _check_walk(df.FiniteQuadraticForm([], []))
 
 

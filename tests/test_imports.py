@@ -13,7 +13,10 @@ module-level import adds to the start-up time of every command.
 Every public function and class of k3lat is loaded somewhere in
 `src/k3lat` outside its own body, and every public method is loaded
 there as an attribute: code that only tests reach is deleted, or put on
-a checked path such as the acceptance battery.
+a checked path such as the acceptance battery. An attribute load whose
+receiver is a k3lat module alias (`linalg.dot`) counts only for that
+module's names, and one whose receiver is a k3lat class name
+(`Lattice.from_json`) only for that class's methods.
 """
 
 import ast
@@ -68,20 +71,25 @@ def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
+def _module_aliases(tree):
+    """{alias: module} of `from . import x [as alias]` in a module."""
+    return {alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module is None for alias in node.names}
+
+
 def _private_reads(path):
     """`alias._name` reads through a k3lat module alias bound by
     `from . import x [as alias]`, and `from .x import _name` imports."""
     tree = ast.parse(path.read_text())
-    aliases = {}
+    aliases = _module_aliases(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                if node.module is None:
-                    aliases[alias.asname or alias.name] = alias.name
-                elif _private(alias.name):
-                    yield f"{node.module}.{alias.name}"
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and _private(node.attr)
+        if (isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module is not None):
+            yield from (f"{node.module}.{alias.name}"
+                        for alias in node.names if _private(alias.name))
+        elif (isinstance(node, ast.Attribute) and _private(node.attr)
                 and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
             yield f"{aliases[node.value.id]}.{node.attr}"
@@ -114,26 +122,50 @@ def _public_definitions(path):
                         yield f"{path.stem}.{node.name}.{sub.name}", sub, True
 
 
-def _loads(path):
-    """(line, name, is an attribute) of every name and attribute load."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def _loads(path, classes):
+    """(line, name, receiver) of every name and attribute load. A load
+    x.attr through a k3lat module alias has receiver "module", one
+    through a k3lat class name "module.Class"; any other attribute load
+    has receiver "" and a bare name None."""
+    tree = ast.parse(path.read_text())
+    aliases = _module_aliases(tree)
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.lineno, node.id, False
+            yield node.lineno, node.id, None
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)):
-            yield node.lineno, node.attr, True
+            receiver = ""
+            if isinstance(node.value, ast.Name):
+                receiver = (aliases.get(node.value.id)
+                            or classes.get(node.value.id, ""))
+            yield node.lineno, node.attr, receiver
+
+
+def _reaches(qualified, method, receiver):
+    """Whether a load with this receiver can reach the definition: a
+    module alias reaches only that module's names, a class name only that
+    class's methods, and a bare name no method."""
+    owner = qualified.rsplit(".", 1)[0]
+    if receiver is None:
+        return not method
+    return receiver == "" or receiver == owner
 
 
 def test_every_public_name_has_a_caller_in_src():
-    loads = [(path.name, line, name, attribute)
+    definitions = [(path.name, qualified, node, method)
+                   for path in SRC.glob("*.py")
+                   for qualified, node, method in _public_definitions(path)]
+    classes = {node.name: qualified for _, qualified, node, method
+               in definitions
+               if isinstance(node, ast.ClassDef)}
+    loads = [(path.name, line, name, receiver)
              for path in SRC.glob("*.py")
-             for line, name, attribute in _loads(path)]
+             for line, name, receiver in _loads(path, classes)]
     unreached = sorted(
-        qualified for path in SRC.glob("*.py")
-        for qualified, node, method in _public_definitions(path)
+        qualified for where_defined, qualified, node, method in definitions
         if qualified not in BENCHMARK_ONLY and not any(
-            name == node.name and (attribute or not method)
-            and not (where == path.name
+            name == node.name and _reaches(qualified, method, receiver)
+            and not (where == where_defined
                      and node.lineno <= line <= node.end_lineno)
-            for where, line, name, attribute in loads))
+            for where, line, name, receiver in loads))
     assert unreached == []

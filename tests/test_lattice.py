@@ -142,7 +142,6 @@ def test_vector_arithmetic():
     assert (v + w).coords == [1, 3]
     assert (v - w).coords == [1, 1]
     assert (-v).norm() == v.norm() == 4
-    assert v.dot(w) == 1
 
 
 def test_json_roundtrip():

@@ -249,6 +249,20 @@ def test_huybrechts_equivalents():
         walls.huybrechts_equivalents(catalog.hyperbolic())
 
 
+def test_huybrechts_builds_the_form_of_m_once(monkeypatch):
+    # both conditions read the one form -q_M: one SNF per call
+    M = catalog.exceptional("S_11.K3[2]")
+    snfs, snf = [], linalg.snf
+
+    def counting_snf(G):
+        snfs.append(len(G))
+        return snf(G)
+
+    monkeypatch.setattr(linalg, "snf", counting_snf)
+    assert walls.huybrechts_equivalents(M) == (True, True)
+    assert snfs == [20]
+
+
 def test_huybrechts_matches_conway_on_pairs():
     model = catalog.leech_model()
     cases = [
