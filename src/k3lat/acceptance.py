@@ -142,7 +142,7 @@ def prime_order_ranks(fast):
     n10 = catalog.holy_construction("N10")
     g13 = n10.glue_translation(next(w for w in n10.code if any(w)))
     S8 = iso.coinvariant_lattice([catalog.e8_cube_swap_isometry()])
-    e82 = iso.find_isometry(S8, catalog.root_lattice("E", 8, -2)) is not None
+    e82 = bool(iso.find_isometry(S8, catalog.root_lattice("E", 8, -2)))
     got = {
         "2": sorted([rank(model.sign_change_isometry(
             model.codewords_of_weight(w)[0])) for w in (8, 12, 16)]
@@ -233,7 +233,7 @@ def leech_pair_criteria(fast):
                                    + catalog.named("E8(-2)"))
     E, F = catalog.named("E8(-2)"), catalog.named("E8(2)")
     glued = df.glue_overlattice(E, F, df.GlueMap.full(
-        df.discriminant_form(E), df.discriminant_form(F)))
+        df.discriminant_form(E), df.discriminant_form(F)).witness["glue"])
     # extend_by_identity builds a checked Isometry, so ext is one
     ext = iso.extend_by_identity(iso.minus_identity(E), glued)
     extends = ext.order() == 2 and all(

@@ -206,6 +206,10 @@ class LeechModel(CoordinateModel):
                 raise AssertionError("Golay weight distribution is wrong")
         return self._golay
 
+    @functools.cached_property
+    def code_set(self):
+        return set(self.golay_code())
+
     def codewords_of_weight(self, w):
         return [c for c in self.golay_code() if c.bit_count() == w]
 
@@ -215,7 +219,7 @@ class LeechModel(CoordinateModel):
 
     def sign_change_isometry(self, mask):
         """Isometry negating the coordinates in a Golay codeword mask."""
-        if mask not in set(self.golay_code()):
+        if mask not in self.code_set:
             raise ValueError("sign changes must be supported on a codeword")
         return self.isometry(range(24),
                              [-1 if mask >> i & 1 else 1 for i in range(24)])

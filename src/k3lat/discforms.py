@@ -2,7 +2,7 @@
 
 Covers the finite quadratic form of an even lattice with integer class
 coordinates of its dual vectors, the exact Milgram signature via Gauss
-sums in cyclotomic integer rings, brute-force (anti-)isometry of forms,
+sums in cyclotomic integer rings, the anti-isometry search of forms,
 the simplified existence/embedding/uniqueness criteria for even
 lattices (rank below length is no: A_L is a quotient of Z^rank),
 2-elementary invariants, subgroups spanned by generators, and
@@ -18,6 +18,11 @@ map is well defined iff |H| = |pi_S H| and injective iff |H| = |pi_T H|,
 and subgroup_order reads each order off one small Hermite normal form.
 The anti-isometry search likewise tests a candidate image against each
 chosen one by a single dot product with that image's row of b.
+
+Both searches of k3lat, this one and isometries.find_isometry, run on
+one node-capped engine, backtrack, and answer with a Verdict: "yes" with
+the images found, "no" only once every branch is closed, and
+"inconclusive" when a cap stops the search, never "no".
 """
 
 import collections
@@ -430,116 +435,6 @@ def subgroup_order(gens, factors):
     return math.prod(factors) // math.prod(H[i][i] for i in range(k))
 
 
-def _find_generator_images(q1, q2, sign):
-    """Images in q2 of q1's generators under a (sign=+1) isometry or
-    (sign=-1) anti-isometry; None if none exists, or raises on cap."""
-    if q1.factors != q2.factors:
-        return None
-    if q1.is_trivial():
-        return []
-    k = q1.length
-    e = q1.exponent  # the shared exponent: the factors agree
-    qn = q1._qnum
-    targets_q = [sign * qn[i][i] % (2 * e) for i in range(k)]
-    targets_b = [[sign * qn[i][j] % e for j in range(i)] for i in range(k)]
-    by_profile = {}
-    for x, (v, o) in zip(q2.elements(), q2._walk()):
-        by_profile.setdefault((o, v), []).append(x)
-    p = q1.factors[0]
-    elementary = all(d == p for d in q1.factors) and _is_prime(p)
-    nodes = 0
-    chosen = []
-    pairings = []  # per chosen y, the row e b(-, y) mod e
-    echelon = []  # F_p row echelon of the chosen images, when elementary
-
-    def reduces_to_zero(y):
-        row = list(y)
-        for piv, base in echelon:
-            if row[piv]:
-                c = row[piv] * pow(base[piv], -1, p) % p
-                row = [(a - c * b) % p for a, b in zip(row, base)]
-        return not any(row), row
-
-    def dfs(i):
-        nonlocal nodes
-        if i == k:
-            if elementary:
-                return True  # independent images of a basis generate
-            return subgroup_order(chosen, q2.factors) == q2.order()
-        cands = by_profile.get((q1.factors[i], targets_q[i]), [])
-        for y in cands:
-            nodes += 1
-            if nodes > _SEARCH_NODE_CAP:
-                raise RuntimeError("search budget exceeded")
-            if not all(sum(map(mul, y, w)) % e == t
-                       for w, t in zip(pairings, targets_b[i])):
-                continue
-            if elementary:
-                dependent, reduced = reduces_to_zero(y)
-                if dependent:
-                    continue
-                piv = next(idx for idx, a in enumerate(reduced) if a)
-                echelon.append((piv, reduced))
-            chosen.append(y)
-            pairings.append([sum(map(mul, row, y)) % e for row in q2._qnum])
-            if dfs(i + 1):
-                return True
-            chosen.pop()
-            pairings.pop()
-            if elementary:
-                echelon.pop()
-        return False
-
-    try:
-        found = dfs(0)
-    finally:
-        del dfs  # a self-referencing closure: free by_profile now, not at gc
-    return [list(y) for y in chosen] if found else None
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def forms_isomorphic(q1, q2):
-    """True/False, or None when the search is inconclusive.
-
-    Prefiltered by invariant factors and the multiset of q-values; then a
-    generator-image backtracking search. The Milgram signature is no
-    filter: the Gauss sum is a function of that multiset.
-    """
-    if q1.factors != q2.factors:
-        return False
-    if q1.order() > ISOMORPHISM_ORDER_CAP:
-        return None
-    if q1.value_multiset() != q2.value_multiset():
-        return False
-    try:
-        images = _find_generator_images(q1, q2, +1)
-    except RuntimeError:
-        return None
-    return images is not None
-
-
-def find_anti_isometry(q1, q2):
-    """A full anti-isometry gamma: q1 -> q2 as generator images, or None."""
-    if q1.factors != q2.factors or q1.order() > ISOMORPHISM_ORDER_CAP:
-        return None
-    try:
-        return _find_generator_images(q1, q2, -1)
-    except RuntimeError:
-        return None
-
-
-# -- Nikulin criteria ---------------------------------------------------------
-
 @dataclass
 class Verdict:
     status: str  # "yes" | "no" | "inconclusive" (or "unique" for uniqueness)
@@ -549,6 +444,112 @@ class Verdict:
     def __bool__(self):
         return self.status in ("yes", "unique")
 
+
+def backtrack(levels, extend, complete, cap):
+    """Depth-first search for one candidate per level, within cap nodes.
+
+    levels[i] lists the candidates of level i in the order they are
+    tried. extend(records, c) sees the records pushed for the levels
+    before c's and returns the record to push for c, or None to reject
+    it; complete(images) decides a full choice. Every candidate tried is
+    one node. The Verdict is "yes" with witness {"images": the chosen
+    candidates as lists, "nodes": n}, "no" once every branch is closed,
+    and "inconclusive" at node cap + 1: a spent budget is no proof.
+    """
+    levels = [*levels, ()]  # an empty level below the last one
+    images, records, nodes = [], [], 0
+    untried = [iter(levels[0])]
+    found = len(levels) == 1 and complete(images)
+    while untried and not found:
+        for c in untried[-1]:
+            nodes += 1
+            if nodes > cap:
+                reason = f"search stopped at its cap of {cap} nodes"
+                return Verdict("inconclusive", reason, {"nodes": nodes})
+            record = extend(records, c)
+            if record is not None:
+                images.append(c)
+                records.append(record)
+                untried.append(iter(levels[len(records)]))
+                found = len(untried) == len(levels) and complete(images)
+                break
+        else:
+            untried.pop()
+            if records:
+                images.pop()
+                records.pop()
+    if found:
+        return Verdict("yes", witness={"images": [list(c) for c in images],
+                                       "nodes": nodes})
+    return Verdict("no", witness={"nodes": nodes}, reason=(
+        f"every branch closed after {nodes} nodes, within the cap of {cap}"))
+
+
+def forms_isomorphic(q1, q2):
+    """True/False, or None when the search is inconclusive.
+
+    Prefiltered by the multiset of q-values; then an isometry q1 -> q2,
+    an anti-isometry q1 -> -q2, is searched. The Milgram signature is no
+    filter: the Gauss sum is a function of that multiset.
+    """
+    if (q1.factors == q2.factors and q1.order() <= ISOMORPHISM_ORDER_CAP
+            and q1.value_multiset() != q2.value_multiset()):
+        return False
+    return {"yes": True, "no": False}.get(
+        find_anti_isometry(q1, q2.neg()).status)
+
+
+def find_anti_isometry(q1, q2):
+    """An anti-isometry gamma: q1 -> q2, q2(gamma x) = -q1(x), as a Verdict.
+
+    Backtracks over the images of q1's generators among the elements of q2
+    of the same order and opposite q-value, each paired with the images
+    before it as by -b1 (and, over F_p, independent of them). "yes" holds
+    the images in witness["images"], "no" proves that none exists, and
+    "inconclusive" means ISOMORPHISM_ORDER_CAP or the node cap stopped it.
+    """
+    if q1.factors != q2.factors:
+        return Verdict("no", witness={"nodes": 0}, reason=(
+            f"invariant factors {q1.factors} and {q2.factors} differ"))
+    if q1.order() > ISOMORPHISM_ORDER_CAP:
+        return Verdict("inconclusive", witness={"nodes": 0}, reason=(
+            f"group order {q1.order()} exceeds ISOMORPHISM_ORDER_CAP = "
+            f"{ISOMORPHISM_ORDER_CAP}"))
+    e = q1.exponent  # the shared exponent: the factors agree
+    qn = q1._qnum
+    by_profile = {}
+    for x, (v, o) in zip(q2.elements(), q2._walk()):
+        by_profile.setdefault((o, v), []).append(x)
+    levels = [by_profile.get((d, -qn[i][i] % (2 * e)), [])
+              for i, d in enumerate(q1.factors)]
+    targets_b = [[-a % e for a in row[:i]] for i, row in enumerate(qn)]
+    elementary = (all(d == e for d in q1.factors)  # (Z/e)^k, e prime
+                  and all(e % d for d in range(2, math.isqrt(e) + 1)))
+
+    def extend(records, y):
+        # a record is (the row e b(-, y) mod e, y's F_p echelon entry)
+        if not all(sum(map(mul, y, w)) % e == t
+                   for (w, _), t in zip(records, targets_b[len(records)])):
+            return None
+        entry = None
+        if elementary:  # reduce y over F_e against the chosen images
+            row = list(y)
+            for _, (piv, base) in records:
+                if row[piv]:
+                    c = row[piv] * pow(base[piv], -1, e) % e
+                    row = [(a - c * b) % e for a, b in zip(row, base)]
+            if not any(row):
+                return None
+            entry = next(i for i, a in enumerate(row) if a), row
+        return [sum(map(mul, r, y)) % e for r in q2._qnum], entry
+
+    def generates(images):  # independent images of a basis always do
+        return elementary or subgroup_order(images, q2.factors) == q2.order()
+
+    return backtrack(levels, extend, generates, _SEARCH_NODE_CAP)
+
+
+# -- Nikulin criteria ---------------------------------------------------------
 
 def nikulin_lattice_exists(sig, form):
     """Existence of an even lattice with the given signature and form.
@@ -622,12 +623,17 @@ class GlueMap:
 
     @classmethod
     def full(cls, qS, qT):
-        """The glue map of a full anti-isometry A_S -> A_T, if one exists."""
-        images = find_anti_isometry(qS, qT)
-        if images is None:
-            return None
-        k = qS.length
-        return cls([[int(i == j) for j in range(k)] for i in range(k)], images)
+        """The glue map of a full anti-isometry A_S -> A_T.
+
+        Returns find_anti_isometry's Verdict: on "yes" its witness also
+        holds the GlueMap under "glue"; "no" proves that no full
+        anti-isometry exists; "inconclusive" means a cap stopped the search.
+        """
+        found = find_anti_isometry(qS, qT)
+        if found:
+            found.witness["glue"] = cls(linalg.identity(qS.length),
+                                        found.witness["images"])
+        return found
 
 
 @dataclass

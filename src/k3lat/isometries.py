@@ -10,7 +10,7 @@ signed coordinate permutations of a `catalog.CoordinateModel`.
 """
 
 from . import enumeration, linalg
-from .discforms import discriminant_data
+from .discforms import Verdict, backtrack, discriminant_data
 from .lattice import int_matrix
 
 GROUP_ORDER_CAP = 10 ** 6
@@ -40,7 +40,8 @@ class Isometry:
             P = linalg.mat_mul(P, self.matrix)
             k += 1
             if k > GROUP_ORDER_CAP:
-                raise RuntimeError("order exceeds cap")
+                raise GroupOrderCap(f"order not reached within the cap of "
+                                    f"{GROUP_ORDER_CAP}")
         return k
 
     def __repr__(self):
@@ -230,48 +231,23 @@ def restrict_isometry(isometry, sub):
 def find_isometry(L1, L2):
     """Search for an isometry between definite lattices of equal rank.
 
-    Backtracks over images of the basis among short vectors; returns the
-    transformation matrix (rows: images of L1's basis in L2's basis) or
-    None. Meant for small ranks.
+    Backtracks over images of L1's basis among the vectors of L2 of the
+    same norms. Returns a Verdict: "yes" with the matrix (rows: images of
+    L1's basis in L2's basis) in witness["images"], "no" when none exists,
+    "inconclusive" past ISOMETRY_SEARCH_NODE_CAP nodes. For small ranks.
     """
     if L1.rank != L2.rank or L1.det() != L2.det():
-        return None
-    n = L1.rank
-    norms_needed = [L1.gram[i][i] for i in range(n)]
-    bound = max(abs(q) for q in norms_needed)
-    cands = {}
-    vecs = enumeration.short_vectors(L2, bound)
-    for q in set(norms_needed):
-        cands[q] = [v.coords for v in vecs if v.norm() == q]
-    chosen = []
-    nodes = 0
+        return Verdict("no", witness={"nodes": 0},
+                       reason="ranks or determinants differ")
+    norms = [L1.gram[i][i] for i in range(L1.rank)]
+    vecs = enumeration.short_vectors(L2, max(abs(q) for q in norms))
+    cands = {q: [v.coords for v in vecs if v.norm() == q] for q in set(norms)}
 
-    def pairing_ok(x):
+    def extend(chosen, x):
         i = len(chosen)
-        return all(linalg.dot(x, chosen[j], L2.gram) == L1.gram[i][j]
-                   for j in range(i))
+        return x if all(linalg.dot(x, y, L2.gram) == L1.gram[i][j]
+                        for j, y in enumerate(chosen)) else None
 
-    def dfs():
-        nonlocal nodes
-        i = len(chosen)
-        if i == n:
-            return True
-        for x in cands[L1.gram[i][i]]:
-            nodes += 1
-            if nodes > ISOMETRY_SEARCH_NODE_CAP:
-                raise RuntimeError("isometry search budget exceeded")
-            if pairing_ok(x):
-                chosen.append(x)
-                if dfs():
-                    return True
-                chosen.pop()
-        return False
-
-    try:
-        found = dfs()
-    except RuntimeError:
-        return None
-    if not found:
-        return None
     # T G2 T^t = G1 with det G1 = det G2 != 0 forces det(T)^2 = 1
-    return [row[:] for row in chosen]
+    return backtrack([cands[q] for q in norms], extend, lambda images: True,
+                     ISOMETRY_SEARCH_NODE_CAP)

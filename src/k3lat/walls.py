@@ -293,26 +293,36 @@ def realizability(S, group_or_gens, n, complement=None):
         return RealizabilityVerdict(
             "inconclusive", reason="no Mukai complement supplied",
             leech_pair=pair)
-    glued = mukai_gluing(S, complement)
-    verdict = wall_verdict_in_model(glued, n)
+    found = mukai_gluing(S, complement)
+    if not found:
+        return RealizabilityVerdict("inconclusive", reason=found.reason,
+                                    leech_pair=pair)
+    verdict = wall_verdict_in_model(found.witness["gluing"], n)
     verdict.leech_pair = pair
     return verdict
 
 
 def mukai_gluing(S, T):
-    """Glue S to T along a full anti-isometry into a Mukai-lattice model."""
+    """Glue S to T along a full anti-isometry into a Mukai-lattice model.
+
+    Returns the anti-isometry search's Verdict (GlueMap.full), whose
+    witness on "yes" also holds the Gluing under "gluing". Raises
+    ValueError when the search proves that no anti-isometry exists.
+    """
     if S.rank + T.rank != 24:
         raise ValueError("complement rank must bring the total to 24")
-    qS = df.discriminant_form(S)
-    qT = df.discriminant_form(T)
-    gm = df.GlueMap.full(qS, qT)
-    if gm is None:
-        raise ValueError("no anti-isometry between the discriminant forms")
-    glued = df.glue_overlattice(S, T, gm, name="L_M")
+    found = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
+    if found.status == "no":
+        raise ValueError(f"no anti-isometry between the discriminant forms: "
+                         f"{found.reason}")
+    if not found:
+        return found
+    glued = df.glue_overlattice(S, T, found.witness["glue"], name="L_M")
     L = glued.lattice
     if abs(L.det()) != 1 or L.signature() != (4, 20) or not L.is_even():
         raise AssertionError("gluing did not produce a Mukai-lattice model")
-    return glued
+    found.witness["gluing"] = glued
+    return found
 
 
 def _isotropic_pair_vector(T, target):
@@ -432,7 +442,10 @@ def _cached_gluing(S, T):
     """mukai_gluing(S, T), computed once per (S.name, T.name)."""
     key = (S.name, T.name)
     if key not in _gluing_cache:
-        _gluing_cache[key] = mukai_gluing(S, T)
+        found = mukai_gluing(S, T)
+        if not found:
+            raise AssertionError(f"no Mukai model for {key}: {found.reason}")
+        _gluing_cache[key] = found.witness["gluing"]
     return _gluing_cache[key]
 
 

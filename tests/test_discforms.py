@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from k3lat import catalog, discforms as df
-from k3lat import linalg
-from k3lat.gram_data import A2, E8, U
+from k3lat import isometries as iso
+from k3lat import linalg, walls
+from k3lat.gram_data import A2, E8, S_LATTICE_2_9_3_6, U
 from k3lat.lattice import Lattice
 
 import glue_reference
+import search_reference
 
 
 def L(gram, k=1, name=None):
@@ -127,8 +129,9 @@ def test_forms_isomorphic_sign_symmetry():
 def test_anti_isometry_found():
     qA = df.discriminant_form(L(A2))
     qAm = df.discriminant_form(L(A2, -1))
-    images = df.find_anti_isometry(qA, qAm)
-    assert images is not None
+    found = df.find_anti_isometry(qA, qAm)
+    assert found.status == "yes"
+    images = found.witness["images"]
     # verify: q flips sign on every subgroup element
     for c in range(3):
         x = (c,)
@@ -186,9 +189,9 @@ def test_glue_rank_two_unimodular():
 def test_glue_e8_pair():
     S = L(E8, -2)
     T = L(E8, 2)
-    gm = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
-    assert gm is not None
-    g = df.glue_overlattice(S, T, gm)
+    found = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
+    assert found.status == "yes"
+    g = df.glue_overlattice(S, T, found.witness["glue"])
     assert g.lattice.rank == 16
     assert abs(g.lattice.det()) == 1
     assert g.lattice.signature() == (8, 8)
@@ -288,8 +291,8 @@ def glue_cases(draw):
     assume(not qS.is_trivial() and not qT.is_trivial())
     if draw(st.booleans()):
         full = df.GlueMap.full(qS, qT)
-        if full is not None:
-            return S, T, full
+        if full:
+            return S, T, full.witness["glue"]
     k = qS.length
     if draw(st.booleans()):
         domain = [[int(i == j) for j in range(k)] for i in range(k)]
@@ -390,18 +393,106 @@ def _unimodular(n, seed):
     return P
 
 
-# Seeds whose isomorphism search ends within the node budget: on some
-# others (D12+(-2), seed 4) forms_isomorphic answers None.
-@pytest.mark.parametrize("name, seed", [("D12+(-2)", 1), ("D12+(-2)", 2),
-                                        ("BW16(-1)", 1), ("BW16(-1)", 2),
-                                        ("BW16(-1)", 3)])
-def test_discriminant_form_invariant_under_base_change(name, seed):
+def _base_changed_forms(name, seed):
+    """The forms of a catalog lattice and of its base change by seed."""
     L0 = catalog.named(name)
     P = _unimodular(L0.rank, seed)
     M = Lattice(linalg.mat_mul(linalg.mat_mul(P, L0.gram), linalg.transpose(P)))
-    q0, q = df.discriminant_form(L0), df.discriminant_form(M)
+    return df.discriminant_form(L0), df.discriminant_form(M)
+
+
+# Seeds whose isomorphism search ends within the node budget. On others
+# (D12+(-2) under seeds 4 and 6) it runs out, and the answer is
+# inconclusive: see test_spent_search_budget_is_inconclusive.
+BASE_CHANGES = [("D12+(-2)", 1), ("D12+(-2)", 2),
+                ("BW16(-1)", 1), ("BW16(-1)", 2), ("BW16(-1)", 3)]
+
+
+@pytest.mark.parametrize("name, seed", BASE_CHANGES)
+def test_discriminant_form_invariant_under_base_change(name, seed):
+    q0, q = _base_changed_forms(name, seed)
     assert q.factors == q0.factors
     assert df.forms_isomorphic(q, q0) is True
+
+
+def test_spent_search_budget_is_inconclusive():
+    q0, q = _base_changed_forms("D12+(-2)", 6)
+    found = df.find_anti_isometry(q, q0.neg())
+    assert found.status == "inconclusive" and "500000" in found.reason
+    assert found.witness == {"nodes": df._SEARCH_NODE_CAP + 1}
+    assert df.forms_isomorphic(q, q0) is None
+
+
+def test_order_cap_is_inconclusive():
+    # <2>^14: a group of order 16 384, past ISOMORPHISM_ORDER_CAP
+    q = df.discriminant_form(Lattice([[2 * (i == j) for j in range(14)]
+                                      for i in range(14)]))
+    assert q.order() == 16384
+    found = df.find_anti_isometry(q, q.neg())
+    assert found.status == "inconclusive"
+    assert "ISOMORPHISM_ORDER_CAP" in found.reason
+
+
+def _table_pair(name, i, monkeypatch):
+    """(S, T) of a Mukai gluing of the classification table: complement i
+    of a row, or the exclusion model of name when i is None."""
+    if i is not None:
+        return walls._mukai_complements(name)[i]
+    pairs = []
+    monkeypatch.setattr(walls, "_cached_gluing",
+                        lambda S, T: pairs.append((S, T)))
+    walls._exclusion_model(name)
+    return pairs[0]
+
+
+def _searches(kind, case, monkeypatch):
+    """(the frozen search's answer, the engine's Verdict) of one case."""
+    if kind == "table":
+        qS, qT = (df.discriminant_form(X)
+                  for X in _table_pair(*case, monkeypatch))
+        return (search_reference.find_generator_images(qS, qT, -1),
+                df.find_anti_isometry(qS, qT))
+    if kind == "base-change":
+        name, seed, sign = case
+        q0, q = _base_changed_forms(name, seed)
+        return (search_reference.find_generator_images(q, q0, sign),
+                df.find_anti_isometry(q, q0.neg() if sign > 0 else q0))
+    L1, L2 = case()
+    return search_reference.find_isometry(L1, L2), iso.find_isometry(L1, L2)
+
+
+SEARCH_CASES = (
+    [pytest.param("table", (name, None), id=name)
+     for name in ("BW16(-1)", "D12+(-2)", "S_3exo")]
+    + [pytest.param("table", ("W(-1)", 0), id="W(-1)"),
+       pytest.param("table", ("S_5exo", 0), id="S_5exo")]
+    + [pytest.param("table", ("S_11.K3[2]", i), id=f"S_11.K3[2]-{i}")
+       for i in range(3)]
+    + [pytest.param("base-change", (name, seed, sign),
+                    id=f"{name}-seed{seed}-{'anti' if sign < 0 else 'iso'}")
+       for name, seed in BASE_CHANGES for sign in (1, -1)]
+    + [pytest.param("lattices", lambda: (
+            Lattice(iso.coinvariant_lattice(
+                [catalog.e8_cube_swap_isometry()]).gram),
+            Lattice(E8).rescale(-2)), id="S8-E8(-2)"),
+       pytest.param("lattices", lambda: (
+            Lattice(catalog.s_lattice_2936_in_leech().gram),
+            Lattice(S_LATTICE_2_9_3_6)), id="2936"),
+       pytest.param("lattices", lambda: (Lattice([[2]]), Lattice([[4]])),
+                    id="det-2-4"),
+       pytest.param("lattices", lambda: (Lattice([[8, 0], [0, 8]]),
+                                         Lattice([[8, 4], [4, 10]])),
+                    id="det-64")])
+
+
+@pytest.mark.parametrize("kind, case", SEARCH_CASES)
+def test_searches_match_their_frozen_copies(kind, case, monkeypatch):
+    # same answer, same images and same node count: the engine tries the
+    # candidates in the same order
+    (status, images, nodes), found = _searches(kind, case, monkeypatch)
+    assert found.status == status
+    assert found.witness["nodes"] == nodes
+    assert found.witness.get("images") == images
 
 
 def test_form_needs_integral_scaled_entries():

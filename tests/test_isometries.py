@@ -219,7 +219,7 @@ def test_extend_by_identity_rejects_nontrivial_action():
     S = Lattice([[-6]], name="S")
     T = Lattice([[6]], name="T")
     gm = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
-    glued = df.glue_overlattice(S, T, gm)
+    glued = df.glue_overlattice(S, T, gm.witness["glue"])
     with pytest.raises(ValueError, match="discriminant"):
         iso.extend_by_identity(iso.minus_identity(S), glued)
 
@@ -230,7 +230,7 @@ def test_extend_by_identity_minus_on_e8_minus_2():
     T = Lattice(E8).rescale(2)
     T.name = "E8(2)"
     gm = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
-    glued = df.glue_overlattice(S, T, gm)
+    glued = df.glue_overlattice(S, T, gm.witness["glue"])
     ext = iso.extend_by_identity(iso.minus_identity(S), glued)
     L = glued.lattice
     assert iso.is_isometry(L, ext.matrix)
@@ -259,8 +259,9 @@ def test_find_isometry_identifies_e8_minus_2():
     S = iso.coinvariant_lattice([swap])
     sub = Lattice(S.gram)
     target = Lattice(E8).rescale(-2)
-    T = iso.find_isometry(sub, target)
-    assert T is not None
+    found = iso.find_isometry(sub, target)
+    assert found.status == "yes"
+    T = found.witness["images"]
     assert linalg.mat_mul(linalg.mat_mul(T, target.gram),
                           linalg.transpose(T)) == sub.gram
 
@@ -268,4 +269,10 @@ def test_find_isometry_identifies_e8_minus_2():
 def test_find_isometry_rejects_unequal():
     A = Lattice([[2]])
     B = Lattice([[4]])
-    assert iso.find_isometry(A, B) is None
+    assert iso.find_isometry(A, B).status == "no"
+
+
+def test_isometry_order_cap(monkeypatch):
+    monkeypatch.setattr(iso, "GROUP_ORDER_CAP", 1)
+    with pytest.raises(iso.GroupOrderCap, match="cap of 1"):
+        iso.minus_identity(Lattice(E8)).order()

@@ -136,7 +136,7 @@ def test_numerical_wall_absent_for_e8_minus_2_model():
     U = catalog.hyperbolic()
     T = U + U + U + U + E
     T.name = "U^4+E8(-2)"
-    glued = walls.mukai_gluing(S, T)
+    glued = walls.mukai_gluing(S, T).witness["gluing"]
     verdict = walls.wall_verdict_in_model(glued, 2)
     assert verdict.status == "realizable"
 
@@ -207,6 +207,23 @@ def test_realizability_indefinite_fails():
     verdict = walls.realizability(S, [iso.minus_identity(S)], 2)
     assert verdict.status == "obstructed"
     assert "negative definite" in verdict.reason
+
+
+def test_gluing_raises_only_on_a_proven_no(monkeypatch):
+    S = catalog.exceptional("S_2.K3")
+    U = catalog.hyperbolic()
+    with pytest.raises(ValueError, match="invariant factors"):
+        walls.mukai_gluing(S, U + U + U + U + U + U + U + U)
+    # a spent search budget reads inconclusive, in realizability too
+    monkeypatch.setattr(df, "_SEARCH_NODE_CAP", 2)
+    verdict = walls.realizability(S, [iso.minus_identity(S)], 2,
+                                  complement=U + U + U + U
+                                  + catalog.named("E8(-2)"))
+    assert verdict.status == "inconclusive"
+    assert verdict.reason == "search stopped at its cap of 2 nodes"
+    monkeypatch.setattr(walls, "_gluing_cache", {})
+    with pytest.raises(AssertionError, match="cap of 2 nodes"):
+        walls._exclusion_model("BW16(-1)")
 
 
 def test_realizability_without_complement_inconclusive():
