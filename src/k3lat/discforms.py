@@ -1,14 +1,14 @@
 """Discriminant groups with their Q/2Z-valued quadratic forms, in integers.
 
 Covers the finite quadratic form of an even lattice with integer class
-coordinates of its dual vectors, the exact Milgram signature via Gauss
-sums in cyclotomic integer rings, the anti-isometry search of forms,
-the simplified existence/embedding/uniqueness criteria for even
-lattices (rank below length is no: A_L is a quotient of Z^rank),
-2-elementary invariants, subgroups spanned by generators, and
-overlattice gluing. Forms are stored and searched as integer numerators
-over the group's exponent; Fraction appears only in a form's rational
-constructor input, in the q_value/b_value results and in the JSON records.
+coordinates of its dual vectors, the exact Milgram signature, the
+anti-isometry search of forms, the simplified existence/embedding/
+uniqueness criteria for even lattices (rank below length is no: A_L is a
+quotient of Z^rank), 2-elementary invariants, subgroups spanned by
+generators, and overlattice gluing. Forms are stored and searched as
+integer numerators over the group's exponent; Fraction appears only in a
+form's rational constructor input, in the q_value/b_value results and in
+the JSON records.
 
 Gluing never lists a group. An overlattice of S + T is an isotropic
 subgroup H of A_S + A_T, the graph of the glue map (Nikulin 1979,
@@ -18,6 +18,12 @@ map is well defined iff |H| = |pi_S H| and injective iff |H| = |pi_T H|,
 and subgroup_order reads each order off one small Hermite normal form.
 The anti-isometry search likewise tests a candidate image against each
 chosen one by a single dot product with that image's row of b.
+
+Gauss sums multiply over orthogonal summands, so the Milgram signature
+is summed one block at a time: the p-parts, split into the components of
+their generators under b != 0. A block sums in Z[zeta_N] for a power N
+of p, where Phi_N(x) = sum_{j<p} x^(j N/p) makes the zero test one line;
+for odd p, N is the block's exponent e_b, as e_b q is even there.
 
 Both searches of k3lat, this one and isometries.find_isometry, run on
 one node-capped engine, backtrack, and answer with a Verdict: "yes" with
@@ -30,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg
 from .lattice import Lattice
@@ -48,8 +54,8 @@ class FiniteQuadraticForm:
     stored on the generators as the symmetric integer matrix e*q, its
     diagonal read mod 2e and its off-diagonal mod e, so two forms on the
     same factors compare as plain ints. The constructor takes int factors
-    and rational entries and raises ValueError unless e*q is integral, as
-    it is for every well-defined form.
+    and rational entries and raises ValueError unless e*q is integral and
+    q is well defined: d_i b(g_i, g_j) = 0 mod 1 and q(d_i g_i) = 0 mod 2.
     """
 
     def __init__(self, factors, q_matrix):
@@ -67,7 +73,12 @@ class FiniteQuadraticForm:
             raise ValueError("q matrix must be symmetric")
         if any(a.denominator != 1 for row in scaled for a in row):
             raise ValueError(f"e*q must be integral for the exponent e = {e}")
-        self._store(factors, [[int(a) for a in row] for row in scaled])
+        num = [[int(a) for a in row] for row in scaled]
+        if any(d * a % e or i == j and d * d * a % (2 * e)
+               for i, (d, row) in enumerate(zip(factors, num))
+               for j, a in enumerate(row)):
+            raise ValueError("q is not well defined on the invariant factors")
+        self._store(factors, num)
 
     def _store(self, factors, num):
         """Set q = num / e, reducing the diagonal mod 2e and the rest mod e."""
@@ -176,13 +187,6 @@ class FiniteQuadraticForm:
         return FiniteQuadraticForm._from_numerators(
             self.factors, [[-a for a in row] for row in self._qnum])
 
-    def value_multiset(self):
-        """Counts of the numerators e * q(x) over the group."""
-        counts = {}
-        for v, _ in self._walk():
-            counts[v] = counts.get(v, 0) + 1
-        return counts
-
     def to_json(self):
         e = self.exponent
         return {"factors": self.factors[:],
@@ -268,133 +272,104 @@ def discriminant_form(L):
     return discriminant_data(L).form
 
 
-# -- exact Gauss sums in Z[zeta_N] ------------------------------------------
+# -- Milgram signature, one orthogonal block at a time ---------------------
 
-def _cyclotomic_poly(n, _cache={}):
-    """Coefficient list of the n-th cyclotomic polynomial (exact)."""
-    if n in _cache:
-        return _cache[n]
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = _cyclotomic_poly(d)
-            poly = _poly_divide_exact(poly, phi_d)
-    _cache[n] = poly
-    return poly
-
-
-def _poly_divide_exact(num, den):
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("inexact polynomial division")
-        c //= den[-1]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _poly_mod_cyclotomic(coeffs, n):
-    """Reduce an exponent-vector of Z[x]/(x^n - 1) modulo Phi_n; [] iff zero."""
-    phi = _cyclotomic_poly(n)
-    deg = len(phi) - 1
-    rem = coeffs[:]
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(deg + 1):
-                rem[i - deg + j] -= c * phi[j]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
-
-
-def _poly_mul_mod_xn(a, b, n):
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % n] += ai * bj
-    return out
-
-
-def milgram_signature(form):
-    """Signature mod 8 of a finite quadratic form, by exact Gauss sum.
-
-    Computes sum_x exp(pi i q(x)) in a cyclotomic integer ring and matches
-    it against sqrt(|A|) zeta_8^s for s = 0..7. No floating point.
+def _primary_parts(form):
+    """Yield (p, q_p) for each prime p | e, p^k || e: the p-part on the
+    h_i = (f_i / p_i) g_i, p_i = gcd(f_i, p^k) > 1, over the exponent p^k.
+    q and b of an element of order m lie in (1/m)Z, so e q(h_i) and
+    e b(h_i, h_j) rescale to p^k by an exact //, for a well-defined q.
     """
-    if form.is_trivial():
-        return 0
-    size = form.order()
+    f, qn, e = form.factors, form._qnum, form.exponent
+    rest, p = e, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p:
+            p += 1
+            continue
+        pk = 1
+        while rest % p == 0:
+            rest, pk = rest // p, pk * p
+        part = [(i, d // math.gcd(d, pk)) for i, d in enumerate(f)
+                if d % p == 0]
+        yield p, FiniteQuadraticForm._from_numerators(
+            [f[i] // c for i, c in part],
+            [[qn[i][j] * c * cj // (e // pk) for j, cj in part]
+             for i, c in part])
+
+
+def _block_signature(p, part, block):
+    """Residue s of the summand of the p-part on the generators in block.
+
+    Its Gauss sum is sqrt(p^a) zeta_8^s, |block| = p^a. For p = 2 that is
+    2^(a//2) (zeta_8 + zeta_8^-1 if a is odd) zeta_8^s, s = 0..7. For odd
+    p it is +-p^(a//2), times sum_t (t/p) zeta_p^t = sqrt(p), or i sqrt(p)
+    for p = 3 mod 4, if a is odd; so s is 0 or 4, or 2 or 6 in that case.
+    """
+    factors = [part.factors[i] for i in block]
+    size = math.prod(factors)
     if size > MILGRAM_ORDER_CAP:
-        raise ValueError(
-            f"group order {size} exceeds the Milgram cap {MILGRAM_ORDER_CAP}; "
-            f"the Gauss sum visits every element")
-    den = form.exponent
-    # squarefree part s of |A| decides which sqrt factors we need
-    m, s = 1, size
-    d = 2
-    while d * d <= s:
-        while s % (d * d) == 0:
-            s //= d * d
-            m *= d
-        d += 1
-    odd_primes = []
-    rest = s if s % 2 else s // 2
-    p = 3
-    while p * p <= rest:
-        if rest % p == 0:
-            odd_primes.append(p)
-            rest //= p
-        else:
-            p += 2
-    if rest > 1:
-        odd_primes.append(rest)
-    N = math.lcm(2 * den, 8, *odd_primes)
-    # Gauss sum as an exponent vector over zeta_N
+        raise ValueError(f"orthogonal block of order {size} exceeds the "
+                         f"Milgram cap {MILGRAM_ORDER_CAP}")
+    eb = factors[-1]
+    sub = FiniteQuadraticForm._from_numerators(factors, [
+        [part._qnum[i][j] // (part.exponent // eb) for j in block]
+        for i in block])
+    counts = collections.Counter(map(itemgetter(0), sub._walk()))
+    if p > 2 and any(v % 2 for v in counts):
+        raise AssertionError("e q is odd on an element of odd order")
+    N = max(2 * eb, 8) if p == 2 else eb
     S = [0] * N
-    scale = N // (2 * den)
-    for v, _ in form._walk():
-        S[v * scale] += 1
-    # sqrt(|A|) = m * prod sqrt(p) over primes p | s, via quadratic Gauss sums
-    root = [0] * N
-    root[0] = m
-    if s % 2 == 0:
-        step = N // 8
-        factor = [0] * N
-        factor[step] = 1
-        factor[-step] = 1  # zeta_8 + zeta_8^-1 = sqrt(2)
-        root = _poly_mul_mod_xn(root, factor, N)
-    for p in odd_primes:
-        g = [0] * N
-        for a in range(1, p):
-            ls = pow(a, (p - 1) // 2, p)
-            g[a * (N // p)] += 1 if ls == 1 else -1
-        if p % 4 == 3:  # g = i sqrt(p); divide by i = zeta_8^2
-            shift = [0] * N
-            shift[-(N // 4)] = 1
-            g = _poly_mul_mod_xn(g, shift, N)
-        root = _poly_mul_mod_xn(root, g, N)
-    for sigma in range(8):
-        target = _poly_mul_mod_xn(root, _unit_vector(N, sigma * N // 8), N)
-        diff = [a - b for a, b in zip(S, target)]
-        if not _poly_mod_cyclotomic(diff, N):
-            return sigma
+    for v, c in counts.items():
+        S[v * N // (2 * eb)] += c
+    a = next(a for a in itertools.count() if p ** a == size)
+    root, g = [0] * N, p ** (a // 2)
+    if p == 2:
+        for k in (1, -1) if a % 2 else (0,):
+            root[k * N // 8] = g
+        tries = [(s, root[-(s * N // 8):] + root[:-(s * N // 8)])
+                 for s in range(8)]
+    else:  # the Legendre symbol (t/p) is t^((p-1)/2) mod p
+        for t in range(1, p) if a % 2 else (0,):
+            root[t * N // p] = -g if pow(t, (p - 1) // 2, p) == p - 1 else g
+        s = 2 if a % 2 and p % 4 == 3 else 0
+        tries = [(s, root), (s + 4, [-c for c in root])]
+    step = N // p
+    for s, target in tries:
+        diff = [x - y for x, y in zip(S, target)]
+        if all(len(set(diff[r::step])) == 1 for r in range(step)):
+            return s
     raise AssertionError("Gauss sum did not match any eighth root of unity")
 
 
-def _unit_vector(n, k):
-    v = [0] * n
-    v[k % n] = 1
-    return v
+def milgram_signature(form):
+    """Signature mod 8 of a finite quadratic form, by exact Gauss sums.
+
+    sum_x exp(pi i q(x)) = sqrt(|A|) zeta_8^s, and Gauss sums multiply
+    over orthogonal summands, so s is the sum mod 8 of the residues of
+    the blocks: the p-parts, each split into the connected components of
+    its generators under b(h_i, h_j) != 0. A block of exponent e_b, a
+    power of p, sums in Z[zeta_N] for a power N of p, where a vector c mod
+    x^N - 1 is 0 iff c[r + j N/p] does not depend on j, since Phi_N(x) =
+    sum_{j<p} x^(j N/p). For odd p, N = e_b will do: an element x of odd
+    order m has q(x) in (1/m)Z and m^2 q(x) = q(m x) = 0 mod 2, so q(x) is
+    in (2/m)Z and e_b q(x) is even. No floating point; MILGRAM_ORDER_CAP
+    bounds the order of each block.
+    """
+    sigma = 0
+    for p, part in _primary_parts(form):
+        unseen = set(range(part.length))
+        while unseen:
+            block, stack = [], [unseen.pop()]
+            while stack:
+                i = stack.pop()
+                block.append(i)
+                linked = {j for j in unseen if part._qnum[i][j]}
+                unseen -= linked
+                stack.extend(linked)
+            sigma += _block_signature(p, part, sorted(block))
+    return sigma % 8
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -486,15 +461,8 @@ def backtrack(levels, extend, complete, cap):
 
 
 def forms_isomorphic(q1, q2):
-    """True/False, or None when the search is inconclusive.
-
-    Prefiltered by the multiset of q-values; then an isometry q1 -> q2,
-    an anti-isometry q1 -> -q2, is searched. The Milgram signature is no
-    filter: the Gauss sum is a function of that multiset.
-    """
-    if (q1.factors == q2.factors and q1.order() <= ISOMORPHISM_ORDER_CAP
-            and q1.value_multiset() != q2.value_multiset()):
-        return False
+    """True/False, or None when the search is inconclusive: an isometry
+    q1 -> q2 is an anti-isometry q1 -> -q2."""
     return {"yes": True, "no": False}.get(
         find_anti_isometry(q1, q2.neg()).status)
 
@@ -507,6 +475,8 @@ def find_anti_isometry(q1, q2):
     before it as by -b1 (and, over F_p, independent of them). "yes" holds
     the images in witness["images"], "no" proves that none exists, and
     "inconclusive" means ISOMORPHISM_ORDER_CAP or the node cap stopped it.
+    It says "no" before any node when q1 and -q2 differ in their counts
+    of elements by order and q-value, as an anti-isometry keeps those.
     """
     if q1.factors != q2.factors:
         return Verdict("no", witness={"nodes": 0}, reason=(
@@ -517,10 +487,15 @@ def find_anti_isometry(q1, q2):
             f"{ISOMORPHISM_ORDER_CAP}"))
     e = q1.exponent  # the shared exponent: the factors agree
     qn = q1._qnum
-    by_profile = {}
-    for x, (v, o) in zip(q2.elements(), q2._walk()):
-        by_profile.setdefault((o, v), []).append(x)
-    levels = [by_profile.get((d, -qn[i][i] % (2 * e)), [])
+    by_profile = collections.defaultdict(list)  # (e q, order) -> elements
+    for x, key in zip(q2.elements(), q2._walk()):
+        by_profile[key].append(x)
+    if collections.Counter(q1._walk()) != {
+            (-v % (2 * e), o): len(xs) for (v, o), xs in by_profile.items()}:
+        return Verdict("no", witness={"nodes": 0}, reason=(
+            "q1 and -q2 have different counts of elements by order and "
+            "q-value"))
+    levels = [by_profile.get((-qn[i][i] % (2 * e), d), [])
               for i, d in enumerate(q1.factors)]
     targets_b = [[-a % e for a in row[:i]] for i, row in enumerate(qn)]
     elementary = (all(d == e for d in q1.factors)  # (Z/e)^k, e prime
@@ -606,8 +581,10 @@ def two_modular_invariants(L):
     form = discriminant_form(L)
     if any(d != 2 for d in form.factors):
         raise ValueError("discriminant group is not 2-elementary")
-    # Delta = 1 iff some q value is not integral, i.e. e q(x) = 0 mod e fails
-    delta = int(any(v % form.exponent for v, _ in form._walk()))
+    # Delta = 1 iff some q(x) is not integral. 2b is integral and x_i^2 =
+    # x_i mod 2, so q(x) = sum_i x_i q(g_i) mod 1: the generators decide
+    delta = int(any(row[i] % form.exponent
+                    for i, row in enumerate(form._qnum)))
     return L.rank, L.signature(), form.length, delta
 
 

@@ -71,19 +71,12 @@ def minus_identity(L):
 
 
 class IsometryGroup:
-    """A finite group of isometries, stored by explicit elements."""
+    """A finite group of isometries, stored by its generators and order."""
 
-    def __init__(self, lattice, generators, elements):
+    def __init__(self, lattice, generators, order):
         self.lattice = lattice
         self.generators = generators
-        self.elements = elements
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+        self.order = order
 
 
 def group_closure(generators, cap=GROUP_ORDER_CAP):
@@ -109,9 +102,7 @@ def group_closure(generators, cap=GROUP_ORDER_CAP):
                                         f"the cap of {cap} elements")
                 seen.add(nxt)
                 queue.append(nxt)
-    elements = [Isometry(L, [list(row) for row in m], check=False)
-                for m in sorted(seen)]
-    return IsometryGroup(L, generators, elements)
+    return IsometryGroup(L, generators, len(seen))
 
 
 def _matrices(group_or_gens):

@@ -60,6 +60,16 @@ def test_analyze_census(tmp_path):
     assert obj["census"] == {"2": 3}
 
 
+def test_analyze_milgram_of_many_small_blocks(tmp_path):
+    # <2>^21 has order 2^21, past the Milgram cap, in 21 blocks of order 2
+    path = tmp_path / "a1-21.json"
+    path.write_text(json.dumps({"gram": [[2 * (i == j) for j in range(21)]
+                                         for i in range(21)]}))
+    code, out, _ = run_cli(["analyze", "--input", str(path), "--milgram"])
+    assert code == 0
+    assert json.loads(out) == {"milgram": 5}
+
+
 def test_analyze_missing_file_exits_2():
     code, _, err = run_cli(["analyze", "--input", "/nonexistent.json",
                             "--signature"])

@@ -2,10 +2,11 @@ import json
 import math
 import pathlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3lat import catalog, discforms as df
 from k3lat import isometries as iso
@@ -14,6 +15,7 @@ from k3lat.gram_data import A2, E8, S_LATTICE_2_9_3_6, U
 from k3lat.lattice import Lattice
 
 import glue_reference
+import milgram_reference
 import search_reference
 
 
@@ -103,10 +105,31 @@ def test_milgram_matches_lattice_signature():
 
 
 def test_milgram_cap():
+    # <2>^21 is 21 orthogonal blocks of order 2, each far below the cap
     q = df.FiniteQuadraticForm([2] * 21, [[Fraction(1, 2) if i == j else 0
                                            for j in range(21)] for i in range(21)])
+    assert df.milgram_signature(q) == 21 % 8
+    # one connected block of order 2^21: q(g_i) = b(g_i, g_i+1) = 1/2 is
+    # nondegenerate, as the tridiagonal F_2 determinant is 1 for 21 = 0 mod 3
+    q = df.FiniteQuadraticForm([2] * 21, [[Fraction(1, 2) if abs(i - j) <= 1
+                                           else 0 for j in range(21)]
+                                          for i in range(21)])
     with pytest.raises(ValueError, match="Milgram cap 1000000"):
         df.milgram_signature(q)
+
+
+def _pinned_forms():
+    golden = json.loads(pathlib.Path(__file__)
+                        .with_name("discriminant_forms.json").read_text())
+    return [pytest.param(obj, id=name) for name, obj in golden.items()]
+
+
+@pytest.mark.parametrize("obj", _pinned_forms())
+def test_milgram_matches_the_frozen_gauss_sum_on_pinned_forms(obj):
+    q = _form(obj)
+    for form in (q, q.neg()):
+        assert df.milgram_signature(form) == \
+            milgram_reference.milgram_signature(form)
 
 
 def test_forms_isomorphic_reflexive():
@@ -173,6 +196,28 @@ def test_two_modular_invariants():
     # the values on U(2) and E8(-2) are checked by the acceptance battery
     with pytest.raises(ValueError):
         df.two_modular_invariants(L(A2, -1))
+
+
+def _u4_minus_2_8():
+    lat = catalog.hyperbolic()
+    for _ in range(3):
+        lat = lat + catalog.hyperbolic()
+    for _ in range(8):
+        lat = lat + Lattice([[-2]])
+    return lat
+
+
+@pytest.mark.parametrize("lat, delta", [
+    (lambda: catalog.named("U(2)"), 0), (lambda: catalog.named("E8(-2)"), 0),
+    (lambda: catalog.named("BW16(-1)"), 0), (lambda: Lattice([[-2]]), 1),
+    (lambda: catalog.named("D12+(-2)"), 1), (_u4_minus_2_8, 1)],
+    ids=["U(2)", "E8(-2)", "BW16(-1)", "<-2>", "D12+(-2)", "U^4+<-2>^8"])
+def test_two_modular_delta_matches_the_group_walk(lat, delta):
+    lat = lat()
+    form = df.discriminant_form(lat)
+    walked = int(any(v % form.exponent for v, _ in form._walk()))
+    assert walked == delta
+    assert df.two_modular_invariants(lat)[3] == delta
 
 
 def test_glue_rank_two_unimodular():
@@ -433,6 +478,20 @@ def test_order_cap_is_inconclusive():
     assert "ISOMORPHISM_ORDER_CAP" in found.reason
 
 
+def test_anti_isometry_refused_by_counts():
+    # delta 0 against delta 1: -q of S_2.K3 takes only integral values on
+    # elements of order 2, q of U^4 + <-2>^8 does not
+    S, T = catalog.exceptional("S_2.K3"), _u4_minus_2_8()
+    qS, qT = df.discriminant_form(S), df.discriminant_form(T)
+    start = time.perf_counter()
+    found = df.find_anti_isometry(qS, qT)
+    assert time.perf_counter() - start < 0.1
+    assert found.status == "no" and found.witness == {"nodes": 0}
+    assert "counts" in found.reason
+    with pytest.raises(ValueError, match="no anti-isometry"):
+        walls.mukai_gluing(S, T)
+
+
 def _table_pair(name, i, monkeypatch):
     """(S, T) of a Mukai gluing of the classification table: complement i
     of a row, or the exclusion model of name when i is None."""
@@ -502,6 +561,16 @@ def test_form_needs_integral_scaled_entries():
     q = df.FiniteQuadraticForm([4], [[Fraction(-1, 4)]])
     assert q.exponent == 4 and q.q_value((1,)) == Fraction(7, 4)
     assert q.neg().q_value((1,)) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("factors, q", [
+    ([2, 4], [[Fraction(3, 4), 0], [0, Fraction(1, 4)]]),  # q(2 g_1) = 3
+    ([3], [[Fraction(1, 3)]]),  # q(3 g_1) = 3
+    ([2, 4], [[0, Fraction(1, 4)], [Fraction(1, 4), 0]])])  # b(2 g_1, g_2)
+def test_form_refuses_q_not_well_defined(factors, q):
+    # e q is integral in each, yet q(x + d_i g_i) != q(x) for some x
+    with pytest.raises(ValueError, match="not well defined"):
+        df.FiniteQuadraticForm(factors, q)
 
 
 @pytest.mark.parametrize("factor", [2.7, "3", True])
@@ -655,3 +724,38 @@ def test_walk_matches_elementwise_values(form):
 @given(even_grams())
 def test_walk_matches_elementwise_values_of_lattices(gram):
     _check_walk(df.discriminant_form(Lattice(gram)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_grams())
+def test_milgram_matches_the_frozen_gauss_sum(gram):
+    # the frozen sum works in Z[zeta_N], N = lcm(2e, 8, ...): slow past e = 60
+    q = df.discriminant_form(Lattice(gram))
+    assume(q.exponent <= 60)
+    for form in (q, q.neg()):
+        assert df.milgram_signature(form) == \
+            milgram_reference.milgram_signature(form)
+
+
+@st.composite
+def milgram_grams(draw):
+    """Even nondegenerate Grams of rank <= 6 with entries in [-12, 12] and
+    |det| <= 10^5, so that no block comes near the Milgram cap."""
+    n = draw(st.integers(1, 6))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = 2 * draw(st.integers(-6, 6))
+        for j in range(i):
+            G[i][j] = G[j][i] = draw(st.integers(-12, 12))
+    assume(0 < abs(linalg.det(G)) <= 10 ** 5)
+    return G
+
+
+@settings(max_examples=300, deadline=None)
+@given(milgram_grams())
+@example([[2, 1], [1, 1000]])  # A = Z/1999, 12-14 s for the frozen sum
+def test_milgram_formula(gram):
+    # Milgram: the signature of an even lattice is sigma(q_L) mod 8
+    L = Lattice(gram)
+    plus, minus = L.signature()
+    assert df.milgram_signature(df.discriminant_form(L)) == (plus - minus) % 8

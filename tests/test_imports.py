@@ -10,6 +10,10 @@ which forks for the split of a big Fincke-Pohst walk in `enumeration`
 and for the two halves of `walls.classification_table`, and every
 module-level import adds to the start-up time of every command.
 
+No decision path uses floating point: `src/k3lat` holds no float
+literal, no true division and no call of `float`, `round` or of the
+float functions of `math` (sqrt, log*, exp, floor, ceil).
+
 Every public function and class of k3lat is loaded somewhere in
 `src/k3lat` outside its own body, and every public method is loaded
 there as an attribute: code that only tests reach is deleted, or put on
@@ -169,3 +173,32 @@ def test_every_public_name_has_a_caller_in_src():
                      and node.lineno <= line <= node.end_lineno)
             for where, line, name, receiver in loads))
     assert unreached == []
+
+
+_FLOAT_MATH = {"sqrt", "exp", "floor", "ceil"}
+
+
+def _float_uses(path):
+    """(line, what) of each float literal, true division, and call of
+    float, round, math.sqrt, math.log*, math.exp, math.floor or
+    math.ceil."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, f"float literal {node.value!r}"
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.Div)):
+            yield node.lineno, "true division"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in ("float", "round"):
+                yield node.lineno, f"{f.id}()"
+            elif (isinstance(f, ast.Attribute)
+                  and isinstance(f.value, ast.Name) and f.value.id == "math"
+                  and (f.attr in _FLOAT_MATH or f.attr.startswith("log"))):
+                yield node.lineno, f"math.{f.attr}()"
+
+
+def test_no_floating_point_in_src():
+    found = sorted(f"{path.name}:{line}: {what}" for path in SRC.glob("*.py")
+                   for line, what in _float_uses(path))
+    assert found == []

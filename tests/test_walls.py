@@ -150,8 +150,9 @@ def _glue_d12_exclusion_pair(monkeypatch):
 
 
 def test_gluing_never_lists_the_discriminant_group(monkeypatch):
-    # the anti-isometry search walks A_T once for its candidate table;
-    # gluing itself lists no subgroup and walks neither group
+    # the anti-isometry search walks A_T once for its candidate table and
+    # A_S once for the counts it compares with that table; gluing itself
+    # lists no subgroup and walks neither group
     lists, walks = [], []
     subgroup, walk = df.subgroup, df.FiniteQuadraticForm._walk
 
@@ -168,7 +169,7 @@ def test_gluing_never_lists_the_discriminant_group(monkeypatch):
     monkeypatch.setattr(df.FiniteQuadraticForm, "_walk", counting_walk)
     glued = _glue_d12_exclusion_pair(monkeypatch)
     assert glued.index == 4096
-    assert lists == [] and len(walks) == 1
+    assert lists == [] and len(walks) == 2 and walks[0] is not walks[1]
 
 
 def test_gluing_memory_peak(monkeypatch):
