@@ -272,12 +272,6 @@ def glue_code(name):
     return _cached(("glue_code", name), build)
 
 
-def _glue_rep(n, i):
-    """Dual coset representative [i] of A_n, scaled by n + 1."""
-    size = n + 1
-    return [i] * (size - i) + [i - size] * i
-
-
 def _simple_root_rows(n, m, scale):
     rows = []
     size = n + 1
@@ -293,30 +287,21 @@ def _simple_root_rows(n, m, scale):
 def niemeier_model(name):
     """The CoordinateModel of a supported Niemeier row.
 
-    For the pure A-type rows the basis rows are coordinates in the scaled
-    R^((n+1)m) model; for N3 = E8^3 the basis is the identity, so the
-    coordinates are those of E8(-1)^3 itself.
+    For the pure A-type rows it is the hole of the row's holy frame, on
+    the frame's coordinates; for N3 = E8^3 the basis is the identity, so
+    the coordinates are those of E8(-1)^3 itself.
     """
     def build():
         if name not in NIEMEIER_ROWS:
             raise ValueError(f"unsupported Niemeier name {name}; supported: "
                              + ", ".join(sorted(NIEMEIER_ROWS)))
-        n, m, _, seed, mode = NIEMEIER_ROWS[name]
-        if n == "E8":
+        if NIEMEIER_ROWS[name][0] == "E8":
             E = root_lattice("E", 8, -1)
             L = E + E + E
             L.name = name
             return CoordinateModel(linalg.identity(24), L)
-        size = n + 1
-        rows = _simple_root_rows(n, m, size)
-        if seed is not None:
-            for w in _generator_words(seed, mode):
-                row = []
-                for letter in w:
-                    row += _glue_rep(n, letter % size)
-                rows.append(row)
-        model = CoordinateModel(*lattice_from_span(rows, size * size,
-                                                   name=name))
+        frame = holy_construction(name)
+        model = CoordinateModel(frame.hole_basis, frame.hole)
         if model.lattice.rank != 24 or model.lattice.det() != 1:
             raise AssertionError(f"{name} failed its invariants")
         return model
@@ -382,7 +367,7 @@ class HolyFrame(CoordinateModel):
         if self.leech.rank != 24 or self.leech.det() != 1:
             raise AssertionError("holy construction gave a wrong lattice")
         self.hole_basis, self.hole = lattice_from_span(
-            roots + glue, scale * scale, name=f"{name}[hole]")
+            roots + glue, scale * scale, name=name)
 
     @property
     def code(self):

@@ -213,7 +213,7 @@ def cmd_classify(args):
         if args.p is None:
             raise InputError("classify prime needs --p")
         rows = [walls.minimal_n(name, cap=args.cap)
-                for q, name in walls.ROW_SPECS if q == args.p]
+                for name, (q, _, _) in walls.ROWS.items() if q == args.p]
         if not rows:
             raise InputError(f"no classification rows for p = {args.p}")
         _emit([row.to_json() for row in rows], args)

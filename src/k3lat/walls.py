@@ -5,6 +5,10 @@ square 2n-2; divisors live in v-perp. The wall predicate evaluates the
 two numerical clauses on the saturated rank-2 lattice spanned by v and
 the divisor; the search for numerical walls inside a coinvariant lattice
 is complete, so an "absent" answer is a proof of absence.
+
+The classification glues each lattice of `ROWS` and `EXCLUSIONS` to a
+complement T into a Mukai-lattice model, then tests Mukai vectors of
+square 2n-2 in T, chosen by `wall_verdict_in_model` alone.
 """
 
 import math
@@ -326,27 +330,41 @@ def mukai_gluing(S, T):
 
 
 def _isotropic_pair_vector(T, target):
-    """A primitive vector of the given square from a hyperbolic-type block."""
+    """The Mukai vector chosen in an indefinite complement T: a primitive
+    vector of square target from a hyperbolic-type pair, or None.
+
+    For isotropic basis vectors e_i, e_j with (e_i, e_j) = c != 0 it is
+    e_i + x e_j, of square 2cx. When no x reaches the target, it adds one
+    basis vector e_k orthogonal to both, with e_k^2 = d != 0: the vector
+    e_i + x e_j + e_k has square 2cx + d.
+    """
     G = T.gram
-    for i in range(T.rank):
-        if G[i][i]:
-            continue
-        for j in range(T.rank):
-            if j == i or G[j][j]:
+    isotropic = [i for i in range(T.rank) if not G[i][i]]
+    for i in isotropic:
+        for j in isotropic:
+            c = G[i][j]  # 0 for j = i
+            if not c:
                 continue
-            c = G[i][j]
-            if c and target % (2 * c) == 0:
-                v = [0] * T.rank
-                v[i] = 1
-                v[j] = target // (2 * c)
-                return v
+            for k in [None] + [k for k in range(T.rank) if G[k][k]
+                               and not G[i][k] and not G[j][k]]:
+                d = 0 if k is None else G[k][k]
+                if (target - d) % (2 * c) == 0:
+                    v = [int(m in (i, k)) for m in range(T.rank)]
+                    v[j] = (target - d) // (2 * c)
+                    return v
     return None
 
 
-def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None,
-                          cap=en.DEFAULT_CAP):
+def wall_verdict_in_model(glued, n, all_vectors=False, cap=en.DEFAULT_CAP):
     """Wall check for the S factor of a glued Mukai model at level n.
 
+    The Mukai vector v of square 2n - 2 lies in the complement T: in a
+    definite T it is the first primitive vector of that square, or with
+    all_vectors every one of them up to sign; in an indefinite T it is
+    the one vector `_isotropic_pair_vector` chooses. "realizable" means
+    some tested v gives no numerical wall. "obstructed" says that every
+    embedding produces a wall only when every primitive v of a definite T
+    was tested; otherwise its reason says the one vector tested gives one.
     cap bounds every enumeration of the check (EnumerationCap beyond it).
     """
     T = glued.t_sub
@@ -355,9 +373,8 @@ def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None,
             return RealizabilityVerdict(
                 "obstructed", reason="coinvariant contains -2 classes")
         return RealizabilityVerdict("realizable", reason="root-free at n = 1")
-    if v_in_T is not None:
-        vs = [list(v_in_T)]
-    elif T.is_definite():
+    reason = "the one Mukai vector tested gives a numerical wall"
+    if T.is_definite():
         first = en.primitive_represents(T, 2 * n - 2, cap=cap)
         if first is None:
             return RealizabilityVerdict(
@@ -368,6 +385,7 @@ def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None,
                                     cap=cap)
             vs = [v.coords for v in vecs
                   if v.norm() == 2 * n - 2 and v.is_primitive()]
+            reason = "every embedding produces a numerical wall"
         else:
             vs = [first.coords]
     else:
@@ -386,9 +404,7 @@ def wall_verdict_in_model(glued, n, all_vectors=False, v_in_T=None,
             return RealizabilityVerdict(
                 "realizable", reason=f"no numerical wall divisor at n = {n}")
         last_wall = wall
-    return RealizabilityVerdict(
-        "obstructed", reason="every embedding produces a numerical wall",
-        wall=last_wall)
+    return RealizabilityVerdict("obstructed", reason=reason, wall=last_wall)
 
 
 # -- group-level criteria --------------------------------------------------------
@@ -435,6 +451,8 @@ def huybrechts_equivalents(M):
     return c1, c2
 
 
+# -- classification ---------------------------------------------------------------
+
 _gluing_cache = {}
 
 
@@ -449,68 +467,56 @@ def _cached_gluing(S, T):
     return _gluing_cache[key]
 
 
+# coinvariant lattice -> (p, a function giving its Mukai (S, T) pairs, or
+# None where the K3 route decides, the asserted deformation source or "")
+ROWS = {
+    "S_2.K3": (2, None, ""),
+    "S_3.K3": (3, None, ""),
+    "W(-1)": (3, lambda: [(
+        catalog.s_lattice_2936_in_leech().orthogonal_complement(name="F"),
+        catalog.root_lattice("A", 2) + catalog.root_lattice("A", 2, 3))],
+        "asserted (order-3 deformation argument)"),
+    "S_5.K3": (5, None, ""),
+    "S_5exo": (5, lambda: [(catalog.exceptional("S_5exo"),
+                            catalog.pos_2_5_3_10())], ""),
+    "S_7.K3": (7, None, ""),
+    "S_11.K3[2]": (11, lambda: [(catalog.exceptional("S_11.K3[2]"), T)
+                                for T in catalog.det121_forms()], ""),
+}
+
+# excluded lattice -> (the level n of its wall witness, k and m of its
+# complement U(k)^4 + <-2>^m)
+EXCLUSIONS = {"BW16(-1)": (3, 2, 0), "S_3exo": (4, 3, 0),
+              "D12+(-2)": (2, 2, 4)}
+
+
 def _exclusion_model(name):
-    """Glued Mukai models for the three excluded lattices."""
-    U = catalog.hyperbolic()
-    if name == "BW16(-1)":
-        S = catalog.exceptional("BW16(-1)")
-        T = U.rescale(2) + U.rescale(2) + U.rescale(2) + U.rescale(2)
-        T.name = "U(2)^4"
-    elif name == "D12+(-2)":
-        S = catalog.exceptional("D12+(-2)")
-        T = U.rescale(2) + U.rescale(2) + U.rescale(2) + U.rescale(2)
-        for _ in range(4):
-            T = T + Lattice([[-2]])
-        T.name = "U(2)^4+(-2)^4"
-    elif name == "S_3exo":
-        S = catalog.exceptional("S_3exo")
-        T = U.rescale(3) + U.rescale(3) + U.rescale(3) + U.rescale(3)
-        T.name = "U(3)^4"
-    else:
+    """The glued Mukai model of an excluded lattice, whose complement is
+    U(k)^4 + <-2>^m."""
+    if name not in EXCLUSIONS:
         raise ValueError(f"no exclusion model for {name}")
-    return _cached_gluing(S, T)
-
-
-def _exclusion_vector(name, n):
-    """A primitive v of square 2n-2 in the exclusion complement, in the
-    complement's own coordinates, or None when the norm is not taken."""
-    target = 2 * n - 2
-    if name == "BW16(-1)":
-        if target % 4:
-            return None  # U(2)^4 only takes norms divisible by 4
-        return [1, target // 4] + [0] * 6
-    if name == "S_3exo":
-        if target % 6:
-            return None  # U(3)^4 only takes norms divisible by 6
-        return [1, target // 6] + [0] * 6
-    if name == "D12+(-2)":
-        if target % 4 == 0:
-            return [1, target // 4] + [0] * 10
-        return [1, (target + 2) // 4] + [0] * 6 + [1, 0, 0, 0]
-    raise ValueError(name)
+    _, k, m = EXCLUSIONS[name]
+    U = catalog.hyperbolic().rescale(k)
+    T = sum([Lattice([[-2]])] * m, U + U + U + U)
+    T.name = f"U({k})^4" + (f"+(-2)^{m}" if m else "")
+    return _cached_gluing(catalog.exceptional(name), T)
 
 
 def exclusion_witness(name, n, cap=en.DEFAULT_CAP):
-    """A concrete wall witness for an excluded lattice at level n.
+    """The wall verdict of an excluded lattice at level n, in its model.
 
-    Returns an obstructed verdict with the witness WallReport, or an
-    inconclusive one when no primitive embedding into L_n exists at all.
+    The Mukai vector is the one `_isotropic_pair_vector` chooses in the
+    complement U(k)^4 + <-2>^m, so an obstructed verdict carries the
+    witness WallReport and says that one vector was tested. Inconclusive
+    when the complement holds no such vector of square 2n - 2.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    v_t = _exclusion_vector(name, n)
-    if v_t is None:
-        return RealizabilityVerdict(
-            "inconclusive",
-            reason=f"complement of {name} does not represent {2 * n - 2}")
-    verdict = wall_verdict_in_model(_exclusion_model(name), n, v_in_T=v_t,
-                                    cap=cap)
-    if verdict.status != "obstructed":
+    verdict = wall_verdict_in_model(_exclusion_model(name), n, cap=cap)
+    if verdict.status == "realizable":
         raise AssertionError(f"{name} unexpectedly wall-free at n = {n}")
     return verdict
 
-
-# -- classification ---------------------------------------------------------------
 
 @dataclass
 class ClassificationRow:
@@ -541,75 +547,49 @@ def _k3_route(S, cap=en.DEFAULT_CAP):
     return True, "complement exists and the image is root-free"
 
 
-ROW_SPECS = [  # (p, catalog name of the coinvariant lattice)
-    (2, "S_2.K3"),
-    (3, "S_3.K3"),
-    (3, "W(-1)"),
-    (5, "S_5.K3"),
-    (5, "S_5exo"),
-    (7, "S_7.K3"),
-    (11, "S_11.K3[2]"),
-]
-
-
-def _mukai_complements(row_name):
-    """Candidate Mukai complements (and the lattice to wall-check)."""
-    if row_name == "W(-1)":
-        A2 = catalog.root_lattice("A", 2)
-        T = A2 + A2.rescale(3)
-        T.name = "A2+A2(3)"
-        F = catalog.s_lattice_2936_in_leech().orthogonal_complement(name="F")
-        return [(F, T)]
-    if row_name == "S_5exo":
-        return [(catalog.exceptional("S_5exo"), catalog.pos_2_5_3_10())]
-    if row_name == "S_11.K3[2]":
-        S = catalog.exceptional("S_11.K3[2]")
-        return [(S, T) for T in catalog.det121_forms()]
-    raise ValueError(f"no Mukai complement data for {row_name}")
-
-
 N_MAX = 12  # the highest level the classification searches
 
 
 def minimal_n(row_name, cap=en.DEFAULT_CAP):
     """The classification row for a catalog coinvariant lattice; cap
     bounds every enumeration on the way."""
-    spec = next((row for row in ROW_SPECS if row[1] == row_name), None)
-    if spec is None:
+    if row_name not in ROWS:
         raise ValueError(f"{row_name} is not in the classification catalog; "
-                         f"rows: " + ", ".join(r[1] for r in ROW_SPECS))
-    p, name = spec
-    S = catalog.exceptional(name)
+                         f"rows: " + ", ".join(ROWS))
+    p, mukai_pairs, asserted = ROWS[row_name]
+    S = catalog.exceptional(row_name)
     ok, reason = _k3_route(S, cap=cap)
     if ok:
-        row = ClassificationRow(prime=p, lattice=name, minimal_n=1,
+        row = ClassificationRow(prime=p, lattice=row_name, minimal_n=1,
                                 witness={"route": "K3", "reason": reason})
-        _deformation_count(row, S)
+        _deformation_count(row, S, asserted)
         return row
-    pairs = _mukai_complements(name)
+    if mukai_pairs is None:
+        raise AssertionError(f"K3 route fails on {row_name}: {reason}")
+    pairs = mukai_pairs()
     for n in range(2, N_MAX + 1):
         embeddings = 0
         witness = None
         for S_row, T in pairs:
             glued = _cached_gluing(S_row, T)
-            check_all = (n - 1) % p == 0
-            verdict = wall_verdict_in_model(glued, n, all_vectors=check_all,
-                                            cap=cap)
+            verdict = wall_verdict_in_model(
+                glued, n, all_vectors=(n - 1) % p == 0, cap=cap)
             if verdict.status == "realizable":
                 embeddings += 1
                 if witness is None:
                     witness = {"route": "mukai", "complement": T.name,
                                "n": n, "reason": verdict.reason}
         if embeddings:
-            row = ClassificationRow(prime=p, lattice=name, minimal_n=n,
+            row = ClassificationRow(prime=p, lattice=row_name, minimal_n=n,
                                     witness=witness)
-            _deformation_count(row, S, embeddings=embeddings)
+            _deformation_count(row, S, asserted, embeddings=embeddings)
             return row
     raise RuntimeError(f"no embedding found for {row_name} with n <= {N_MAX}")
 
 
-def _deformation_count(row, S, embeddings=None):
-    """Deformation classes from lattice data, where the paper derives them."""
+def _deformation_count(row, S, asserted, embeddings=None):
+    """Deformation classes from lattice data where the paper derives
+    them, else one class under the row's asserted source, if any."""
     form = df.discriminant_form(S)
     unique = df.nikulin_unique((3, 20 - S.rank), form.neg())
     if unique.status == "unique":
@@ -618,9 +598,9 @@ def _deformation_count(row, S, embeddings=None):
     elif embeddings is not None and embeddings > 1:
         row.deformation_classes = embeddings
         row.deformation_source = "genus representation count"
-    elif row.lattice == "W(-1)":
+    elif asserted:
         row.deformation_classes = 1
-        row.deformation_source = "asserted (order-3 deformation argument)"
+        row.deformation_source = asserted
 
 
 def large_prime_rejection():
@@ -635,12 +615,10 @@ def large_prime_rejection():
             "rejected": rank13 > 20 and rank23 > 20}
 
 
-EXCLUSION_LEVELS = {"BW16(-1)": 3, "S_3exo": 4, "D12+(-2)": 2}
-
-
 def classification_table(cap=en.DEFAULT_CAP):
-    """All seven rows plus the three exclusions and the large-prime check;
-    cap bounds every enumeration of the rows and the wall searches.
+    """The seven `ROWS` plus the three `EXCLUSIONS` at their levels and
+    the large-prime check; cap bounds every enumeration of the rows and
+    the wall searches.
 
     The two halves read nothing of each other, so they are the two jobs
     of `parallel.run`: the seven rows run in the calling process while
@@ -655,11 +633,11 @@ def classification_table(cap=en.DEFAULT_CAP):
     count the child.
     """
     def seven_rows():
-        return [minimal_n(name, cap=cap).to_json() for _, name in ROW_SPECS]
+        return [minimal_n(name, cap=cap).to_json() for name in ROWS]
 
     def exclusions_and_large_primes():
         exclusions = {}
-        for name, n in EXCLUSION_LEVELS.items():
+        for name, (n, _, _) in EXCLUSIONS.items():
             verdict = exclusion_witness(name, n, cap=cap)
             exclusions[name] = {"n": n, "status": verdict.status,
                                 "wall": verdict.wall.to_json()}

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ambient_reference
 import holy_reference
+import niemeier_reference
 from k3lat import catalog, discforms as df, enumeration as en
 from k3lat import isometries as iso
 from k3lat import linalg
@@ -97,6 +98,16 @@ def test_holy_frame_matches_all_codeword_build(name):
     assert frame.leech.gram == ref.leech.gram
     assert frame.hole_basis == ref.hole_basis
     assert frame.hole.gram == ref.hole.gram
+
+
+@pytest.mark.parametrize("name", HOLY_ROWS)
+def test_niemeier_model_is_the_hole_of_the_holy_frame(name):
+    # the former A-type build: same Gram and name, its basis rows doubled
+    basis, ref = niemeier_reference.niemeier_model(name)
+    model = catalog.niemeier_model(name)
+    assert model.lattice.gram == ref.gram
+    assert model.lattice.name == ref.name == name
+    assert model.basis == [[2 * a for a in row] for row in basis]
 
 
 @functools.cache

@@ -245,6 +245,15 @@ def test_classify_prime_2():
     assert rows[0]["lattice"] == "S_2.K3"
 
 
+@pytest.mark.parametrize("p", [3, 5, 11])
+def test_classify_prime_prints_the_golden_rows(p):
+    golden = pathlib.Path(__file__).with_name("classification_table.json")
+    rows = [r for r in json.loads(golden.read_text())["rows"] if r["p"] == p]
+    code, out, _ = run_cli(["classify", "prime", "--p", str(p)])
+    assert code == 0
+    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
 def test_classify_unknown_prime():
     code, _, err = run_cli(["classify", "prime", "--p", "19"])
     assert code == 2

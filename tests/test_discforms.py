@@ -496,7 +496,7 @@ def _table_pair(name, i, monkeypatch):
     """(S, T) of a Mukai gluing of the classification table: complement i
     of a row, or the exclusion model of name when i is None."""
     if i is not None:
-        return walls._mukai_complements(name)[i]
+        return walls.ROWS[name][1]()[i]
     pairs = []
     monkeypatch.setattr(walls, "_cached_gluing",
                         lambda S, T: pairs.append((S, T)))

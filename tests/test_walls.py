@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import pathlib
 import tracemalloc
 
 import pytest
 
+import exclusion_reference
 from k3lat import catalog, discforms as df, enumeration as en
 from k3lat import isometries as iso
 from k3lat import linalg, walls
@@ -306,7 +308,7 @@ def test_d12_exclusion_grams():
 
 
 def test_exclusion_witnesses_pass_wall_predicate():
-    for name, n in walls.EXCLUSION_LEVELS.items():
+    for name, (n, _, _) in walls.EXCLUSIONS.items():
         verdict = walls.exclusion_witness(name, n)
         assert verdict.status == "obstructed"
         assert verdict.wall.is_wall
@@ -317,6 +319,53 @@ def test_bw16_needs_odd_n():
     assert verdict.status == "inconclusive"
     verdict = walls.exclusion_witness("S_3exo", 3)  # n != 1 mod 3
     assert verdict.status == "inconclusive"
+
+
+@pytest.mark.parametrize("name", sorted(walls.EXCLUSIONS))
+def test_chooser_gives_the_frozen_exclusion_vectors(name):
+    T = walls._exclusion_model(name).t_sub
+    for n in range(2, 13):
+        v = walls._isotropic_pair_vector(T, 2 * n - 2)
+        assert v == exclusion_reference.exclusion_vector(name, n), n
+        if v is not None:
+            assert linalg.dot(v, v, T.gram) == 2 * n - 2
+            assert math.gcd(*v) == 1
+
+
+def test_chooser_skips_diagonal_entries_that_meet_the_pair():
+    # e_0, e_1 span U(2), which takes no square 2 mod 4; e_2 meets e_1
+    # and e_3 meets e_0, so only e_4 may complete e_0 + x e_1
+    T = Lattice([[0, 2, 0, 1, 0],
+                 [2, 0, 1, 0, 0],
+                 [0, 1, -2, 0, 0],
+                 [1, 0, 0, -2, 0],
+                 [0, 0, 0, 0, -2]])
+    for target, v in [(2, [1, 1, 0, 0, 1]), (4, [1, 1, 0, 0, 0]),
+                      (6, [1, 2, 0, 0, 1])]:
+        assert walls._isotropic_pair_vector(T, target) == v
+        assert linalg.dot(v, v, T.gram) == target
+    # with no isotropic pair there is nothing to choose
+    assert walls._isotropic_pair_vector(Lattice([[2, 1], [1, 2]]), 2) is None
+
+
+def test_obstructed_reason_says_which_vectors_were_tested():
+    # W(-1) with A2 + A2(3) is obstructed at n = 4: the first primitive
+    # v of square 6 gives a wall, and so does every other one
+    S, T = walls.ROWS["W(-1)"][1]()[0]
+    glued = walls._cached_gluing(S, T)
+    one = walls.wall_verdict_in_model(glued, 4)
+    every = walls.wall_verdict_in_model(glued, 4, all_vectors=True)
+    assert one.status == every.status == "obstructed"
+    assert one.reason == "the one Mukai vector tested gives a numerical wall"
+    assert every.reason == "every embedding produces a numerical wall"
+    # an indefinite complement gives one chosen vector, all_vectors or not
+    glued = walls._exclusion_model("D12+(-2)")
+    for all_vectors in (False, True):
+        verdict = walls.wall_verdict_in_model(glued, 2,
+                                              all_vectors=all_vectors)
+        assert verdict.status == "obstructed"
+        assert verdict.reason == one.reason
+    assert walls.exclusion_witness("D12+(-2)", 2).reason == one.reason
 
 
 def test_minimal_n_rows():
