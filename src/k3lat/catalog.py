@@ -593,8 +593,8 @@ _NAME_RE = re.compile(r"^([A-Za-z_0-9^ .\[\]+]+?)(?:\((-?\d+)\))?$")
 def named(name):
     """Catalog lookup by name, with an optional (k) rescale suffix.
 
-    Supports U, A<n>, D<n>, E6/E7/E8, L_<n>, K3, L_M/mukai, leech, the
-    Niemeier rows N3..N23 and the exceptional catalog.
+    Supports U, A<n>, D<n> with n >= 3, E6/E7/E8, L_<n>, K3, L_M/mukai,
+    leech, the Niemeier rows N3..N23 and the exceptional catalog.
     """
     raw = name.strip()
     if raw in _EXCEPTIONAL:

@@ -3,11 +3,11 @@
 Subcommands: construct, analyze, autos, walls, classify, verify. All
 results go to standard output as JSON; progress notes and verify's
 per-check times go to standard error. verify runs `k3lat.acceptance`,
-the one acceptance battery, which tier-1 runs too. A big Fincke-Pohst
-walk (the Leech census) and the classification table fork children
-through `k3lat.parallel.run` when more than one CPU is usable; their
-results are merged in a fixed order, so repeated runs still write the
-same bytes to standard output.
+the one acceptance battery, which tier-1 runs too. A big norm-only
+Fincke-Pohst walk (the Leech census) and the classification table fork
+children through `k3lat.parallel.run` when more than one CPU is usable;
+a split walk feeds only counts, and the table's halves are joined in a
+fixed order, so standard output does not depend on the number of CPUs.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
 2 malformed input, or an enumeration or group closure that outgrew its
@@ -21,7 +21,7 @@ import time
 
 from . import acceptance, catalog, discforms as df, enumeration as en
 from . import isometries as iso
-from . import walls
+from . import linalg, walls
 from .lattice import Lattice, int_matrix
 
 
@@ -188,14 +188,12 @@ def cmd_walls(args):
         except ValueError:
             raise InputError("divisor must be a comma-separated integer list")
         if len(coords) == ctx.perp.rank:
-            D = ctx.perp.vector(coords)
-        elif len(coords) == ctx.mukai.rank:
-            D = ctx.mukai.vector(coords)
-        else:
+            coords = linalg.vec_mat(coords, ctx.perp.coords)
+        elif len(coords) != ctx.mukai.rank:
             raise InputError(
                 f"divisor needs {ctx.perp.rank} (L_n) or {ctx.mukai.rank} "
                 f"(Mukai) coordinates")
-        report = walls.is_wall_divisor(ctx, D)
+        report = walls.is_wall_divisor(ctx, coords)
         out = report.to_json()
     else:
         raise InputError("pass --divisor coords or --lattice file")

@@ -20,10 +20,10 @@ converts only the vector it returns. This is exact: norms do not depend on
 the basis, the unimodular T preserves gcds, and T maps +-pairs to +-pairs.
 `short_vectors` converts every vector and picks its sign in the input basis.
 
-A big walk uses every usable CPU (Dagdelen-Schneider, Euro-Par 2010).
-Each walk without stop_after runs serially until it has visited
-SPLIT_NODES nodes; the subtrees of level s = n - SPLIT_DEPTH that it
-reaches from then on are numbered in walk order and dealt round-robin,
+A big norm-only walk without stop_after uses every usable CPU
+(Dagdelen-Schneider, Euro-Par 2010). It runs serially until it has
+visited SPLIT_NODES nodes; the subtrees of level s = n - SPLIT_DEPTH that
+it reaches from then on are numbered in walk order and dealt round-robin,
 subtree first + i to share i mod w of w workers. The trigger counts work
 done because the top levels cannot tell a big tree from a small one; of
 the benchmark's trees only the Leech census reaches it. The shares are
@@ -31,11 +31,12 @@ jobs of `parallel.run`: share 0 is walked by the calling process, which
 keeps the prefix found before the split, and each other share by one
 forked child, which walks the top levels again, descends only into its
 own subtrees and sends their leaves back marshalled; where the fork
-fails or the child fails, the caller walks that share itself. The
-parent merges the shares in subtree order, so the result is the serial
-list, element for element, and it raises EnumerationCap exactly when the
-serial walk would: a share stops at the leaves the prefix left under the
-cap, and the merged length is checked.
+fails or the child fails, the caller walks that share itself. The shares
+are appended to the prefix in any order: a split returns the serial
+leaves as a multiset, which is all `norm_census` and `has_roots` read,
+and raises EnumerationCap exactly when the serial walk would (a share
+stops at the leaves the prefix left under the cap, and the joined length
+is checked). Walks that return coordinates or stop early never split.
 """
 
 import functools
@@ -67,12 +68,13 @@ DEFAULT_CAP = 10_000_000
 # it, enough to balance a few workers.
 SPLIT_DEPTH = 5
 
-# Work done before a walk is dealt out, in nodes (about 0.1 s). The top of
+# Work done before a walk is dealt out, in nodes (about 0.2 s; a serial
+# Leech census takes 3.1 s, CPython 3.11 on a 2-core host). The top of
 # the tree cannot tell a big tree from a small one: at depths 3/4/5/6, E8
-# at norm <= 8 (11 ms) has 91/313/1 043/2 782 nodes and the Leech census
-# at norm <= 4 (2.4 s) 91/361/1 212/3 300. Below this count a fork would
-# cost more than it saves; the largest tree of the benchmark other than
-# the Leech census, a rank-24 root check of 23 ms, stays below it.
+# at norm <= 8 has 91/313/1 043/2 782 nodes and the Leech census at
+# norm <= 4 91/361/1 212/3 300. Below this count a fork would cost more
+# than it saves; the largest tree of the benchmark other than the Leech
+# census, a rank-24 root check, stays below it.
 SPLIT_NODES = 1 << 17
 
 
@@ -112,8 +114,8 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     pair has its highest-index nonzero coordinate positive. Leaves come
     with x_0 fastest and each coordinate increasing; the first stop_after
     leaves are returned, and more than cap leaves raise EnumerationCap.
-    With coords=False each leaf is its norm alone, in the same order and
-    with the same cuts; only the leaf emission differs.
+    With coords=False each leaf is its norm alone, with the same cuts and,
+    unless the walk is split (below), in the same order.
 
     Budgets. With (d, lam) = linalg.integral_gram_schmidt(G), x's
     coordinate along the j-th Gram-Schmidt vector is u_j / d[j+1], where
@@ -139,9 +141,9 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     needs neither x_0 nor the prefix tuple: its norm is
     bound - E_0 = bound - (F[0] - u_0^2) / d[1], with u_0 stepping by d[1].
 
-    A walk with stop_after None is split at level n - SPLIT_DEPTH once it
-    has visited SPLIT_NODES nodes (see the module docstring); the result
-    is the serial one, element for element.
+    A norm-only walk with stop_after None is split once it has visited
+    SPLIT_NODES nodes (see the module docstring) and returns the serial
+    leaves as a multiset; every other walk is serial.
     """
     n = len(G)
     if bound <= 0:
@@ -158,30 +160,24 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
         return out
     tree = (d, [[lam[i][l] for i in range(n)] for l in range(n)], bound,
             cap, stop_after, coords)
-    split = n - SPLIT_DEPTH if stop_after is None else 0
+    if coords or stop_after is not None:
+        return _walk(tree, limit)
+    split = n - SPLIT_DEPTH
     out, first = _prefix(tree, limit, split)
     if first is None:
         return out
     # a share that passes the cap raises EnumerationCap, in the caller or
-    # in a child whose job parallel.run then reruns in the caller
+    # in a child whose job parallel.run then reruns in the caller; each
+    # share is freed as it is joined
     workers = parallel.workers()
     shares = parallel.run([functools.partial(_share, tree, limit - len(out),
                                              split, first, k, workers)
                            for k in range(workers)])
-    if len(out) + sum(len(s) for s, _ in shares) > cap:
+    while shares:
+        out += shares.pop()
+    if len(out) > cap:
         raise EnumerationCap(cap)
-    # share k's c-th subtree is subtree first + k + c * len(shares); merge
-    # back to front, cutting each subtree off the end of its share, so the
-    # shares shrink as the reversed result grows, then reverse in place
-    merged = []
-    for c in range(len(shares[0][1]) - 2, -1, -1):
-        for leaves, marks in reversed(shares):
-            if c + 1 < len(marks):
-                merged += reversed(leaves[marks[c]:])
-                del leaves[marks[c]:]
-    merged += reversed(out)
-    merged.reverse()
-    return merged
+    return out
 
 
 def _walk(tree, limit, split=0, deal=None):
@@ -189,9 +185,9 @@ def _walk(tree, limit, split=0, deal=None):
     cut as `_enumerate_reduced` states at `limit` leaves.
 
     A level-`split` node with a nonempty child range descends only if
-    deal(nodes, leaves) is true, given the nodes visited and the leaves
-    found so far; split <= 1 never asks, and a node that does not descend
-    is walked as one with an empty range.
+    deal(nodes) is true, given the nodes visited so far; split <= 1 never
+    asks, and a node that does not descend is walked as one with an empty
+    range.
     """
     d, lamc, bound, cap, stop_after, coords = tree
     n = len(lamc)
@@ -253,7 +249,7 @@ def _walk(tree, limit, split=0, deal=None):
         else:
             if za and lo < 0:
                 lo = 0
-            if lo <= hi and (j != split or deal(nodes, len(out))):
+            if lo <= hi and (j != split or deal(nodes)):
                 j -= 1
                 F[j] = f
                 x[j] = xj = lo
@@ -276,7 +272,7 @@ def _prefix(tree, limit, split):
     in walk order; first is None when the walk ended before."""
     seen, first = 0, None
 
-    def deal(nodes, leaves):
+    def deal(nodes):
         nonlocal seen, first
         if first is None and nodes >= SPLIT_NODES:
             first = seen
@@ -287,22 +283,17 @@ def _prefix(tree, limit, split):
 
 
 def _share(tree, limit, split, first, k, workers):
-    """(leaves, marks) of share k: level-`split` subtrees first + k,
-    first + k + workers, ..., subtree c being leaves[marks[c]:marks[c + 1]].
-    """
-    seen, marks = -first, []
+    """The leaves of share k: level-`split` subtrees first + k,
+    first + k + workers, ..., in walk order."""
+    seen = -first
 
-    def deal(nodes, leaves):
+    def deal(nodes):
         nonlocal seen
         take = seen >= 0 and seen % workers == k
         seen += 1
-        if take:
-            marks.append(leaves)
         return take
 
-    leaves = _walk(tree, limit, split, deal)
-    marks.append(len(leaves))
-    return leaves, marks
+    return _walk(tree, limit, split, deal)
 
 
 def _canonical_sign(coords):

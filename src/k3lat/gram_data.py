@@ -14,6 +14,8 @@ def gram_A(n):
 
 def gram_D(n):
     """D_n (n >= 3): fork at the last node."""
+    if n < 3:
+        raise ValueError("D_n only for n >= 3")
     G = gram_A(n)
     G[n - 1][n - 2] = G[n - 2][n - 1] = 0
     G[n - 1][n - 3] = G[n - 3][n - 1] = -1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import catalog, discforms as df, enumeration as en
 from . import isometries as iso
 from . import linalg, parallel
-from .lattice import Lattice, LatticeVector
+from .lattice import Lattice
 
 
 @dataclass
@@ -85,21 +85,10 @@ class WallReport:
         }
 
 
-def _ambient_coords(ctx, D):
-    if isinstance(D, LatticeVector):
-        if D.lattice is ctx.perp:
-            return linalg.vec_mat(D.coords, ctx.perp.coords)
-        if D.lattice is ctx.mukai:
-            return list(D.coords)
-        if D.lattice.ambient is ctx.mukai:
-            return linalg.vec_mat(D.coords, D.lattice.coords)
-        raise ValueError("divisor lives in an unrelated lattice")
-    return list(D)
-
-
-def is_wall_divisor(ctx, D):
-    """Evaluate the wall clauses on the saturated span of v and D."""
-    d = _ambient_coords(ctx, D)
+def is_wall_divisor(ctx, d):
+    """Evaluate the wall clauses on the saturated span of v and the
+    divisor d, given by its coordinates in the Mukai model."""
+    d = list(d)
     if not any(d):
         raise ValueError("divisor must be nonzero")
     G = ctx.mukai.gram
@@ -211,7 +200,7 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
                 if found is not None:
                     norms[tuple(found[0])] = found[1]
     for t in sorted(norms, key=lambda t: (abs(norms[t]), t)):
-        report = is_wall_divisor(ctx, list(t))
+        report = is_wall_divisor(ctx, t)
         if report.divisor_norm != norms[t]:
             raise AssertionError("closed-form divisor norm disagrees with "
                                  "the wall predicate")

@@ -41,6 +41,20 @@ def test_construct_unknown_exits_2():
     assert "catalog" in err
 
 
+@pytest.mark.parametrize("name", ["D0", "D1", "D2"])
+def test_construct_small_d_exits_2(name):
+    code, out, err = run_cli(["construct", name, "--verify"])
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "error: D_n only for n >= 3"]
+
+
+def test_construct_d3():
+    code, out, _ = run_cli(["construct", "D3", "--verify"])
+    assert code == 0
+    assert json.loads(out)["checks"]["det"] == 4
+
+
 def test_analyze_signature(tmp_path):
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"name": "u", "gram": [[0, 1], [1, 0]]}))
@@ -182,6 +196,15 @@ def test_walls_check_divisor():
     assert code == 0
     obj = json.loads(out)
     assert obj["is_wall"] is True and obj["clause"] == "root"
+
+
+def test_walls_check_divisor_in_l_n_or_mukai_coordinates():
+    # L_n's basis row 7 is the Mukai basis vector 8
+    ln = ",".join(["0"] * 7 + ["1"] + ["0"] * 15)
+    mukai = ",".join(["0"] * 8 + ["1"] + ["0"] * 15)
+    outs = [run_cli(["walls", "check", "--n", "2", "--divisor", coords])
+            for coords in (ln, mukai)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_walls_check_bad_divisor():

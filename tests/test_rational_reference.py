@@ -8,7 +8,8 @@ d_j (bound - ||pi_j(x)||^2) computed in `Fraction`, with every division
 exact. `enumeration._enumerate_reduced` must return the leaves of the
 eager loop in `eager_reference` in the same order, so every enumeration
 downstream is unchanged, and its norm-only leaves must be those leaves'
-norms, with the same cuts. LLL's output is also checked against the
+norms, with the same cuts: in the same order where the walk is serial,
+and as a multiset where it is split across processes. LLL's output is also checked against the
 definition of a reduced basis.
 """
 
@@ -234,28 +235,39 @@ def norm_leaves(G, bound, cap, stop_after):
        stop_after=st.sampled_from([None, 1, 2, 7]),
        cap=st.sampled_from([0, 1, 5, 6, en.DEFAULT_CAP]))
 def test_norm_leaves_are_pair_norms(max_rank, data, bound, stop_after, cap):
+    # a split norm-only walk keeps only the multiset; some trees drawn here
+    # (an unreduced rank-8 basis at norm 16) are big enough to split
     G = data.draw(definite_grams(max_rank=max_rank))
     W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
-    for M in (W, linalg.lll_reduce(W)[0]):
-        pairs = leaves(en._enumerate_reduced, M, bound, cap, stop_after)
-        if pairs is not en.EnumerationCap:
-            pairs = [q for q, _ in pairs]
-        assert norm_leaves(M, bound, cap, stop_after) == pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "SPLIT_NODES", 1 << 62)
+        for M in (W, linalg.lll_reduce(W)[0]):
+            pairs = leaves(en._enumerate_reduced, M, bound, cap, stop_after)
+            if pairs is not en.EnumerationCap:
+                pairs = [q for q, _ in pairs]
+            assert norm_leaves(M, bound, cap, stop_after) == pairs
 
 
 @settings(max_examples=60, deadline=None)
 @given(definite_grams(max_rank=10, min_rank=6), st.integers(1, 10),
        st.sampled_from([0, 5, 50, en.DEFAULT_CAP]))
 def test_split_walk_matches_eager_loop(G, bound, cap):
-    # every walk of rank 7 and up is dealt out from its first subtree
-    # between this process and a forked child
+    # every norm-only walk of rank 7 and up is dealt out from its first
+    # subtree between this process and a forked child, and returns the
+    # eager loop's norms in some order
     W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(en, "SPLIT_NODES", 0)
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         mp.setattr(os, "cpu_count", lambda: 2)
         for M in (W, linalg.lll_reduce(W)[0]):
-            assert leaves(en._enumerate_reduced, M, bound, cap, None) == \
-                leaves(eager_reference.enumerate_reduced, M, bound, cap, None)
+            found = norm_leaves(M, bound, cap, None)
+            if found is not en.EnumerationCap:
+                found.sort()
+            eager = leaves(eager_reference.enumerate_reduced, M, bound, cap,
+                           None)
+            if eager is not en.EnumerationCap:
+                eager = sorted(q for q, _ in eager)
+            assert found == eager
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
