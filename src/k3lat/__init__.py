@@ -1,6 +1,6 @@
 """Exact lattice computations: constructions, discriminant forms, isometries
 and wall-divisor classification for the Leech/Niemeier/Mukai family."""
 
-from .lattice import Lattice, LatticeVector
+from .lattice import Lattice
 
-__all__ = ["Lattice", "LatticeVector"]
+__all__ = ["Lattice"]

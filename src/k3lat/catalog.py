@@ -74,12 +74,12 @@ class CoordinateModel:
         return linalg.rowspace_solver(self.basis)
 
     def vector(self, coords):
-        """The lattice vector with the given ambient coordinates."""
+        """Lattice coordinates of the vector with these ambient coordinates."""
         sol = self.solver([list(coords)])
         if sol is None or sol[1] != 1:
             raise ValueError(f"coordinates are not in the "
                              f"{self.lattice.name} lattice")
-        return self.lattice.vector(sol[0][0])
+        return sol[0][0]
 
     def isometry(self, perm, signs=None):
         """The isometry sending coordinate i to perm[i], times signs[i] if
@@ -547,9 +547,7 @@ def s_lattice_2936_in_leech():
             vec([(T1, headm), (T3, headp)]),
             vec([(T1, headp), (T2, headm)]),
         ]
-        members = [model.vector(v) for v in vectors]
-        span_rows = [v.coords for v in members]
-        basis = linalg.hnf(span_rows)
+        basis = linalg.hnf([model.vector(v) for v in vectors])
         S = model.lattice.sublattice(basis).saturation(name="2^9 3^6")
         if S.rank != 4:
             raise AssertionError("printed vectors do not span rank 4")

@@ -45,7 +45,7 @@ def _load_lattice(path):
     if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError(f"{path}: missing field 'gram'")
     try:
-        return Lattice.from_json({"gram": obj["gram"], "name": obj.get("name")})
+        return Lattice.from_json(obj)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
 
@@ -314,10 +314,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, en.EnumerationCap, iso.GroupOrderCap) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (InputError, en.EnumerationCap, iso.GroupOrderCap, ValueError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

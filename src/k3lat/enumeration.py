@@ -18,7 +18,8 @@ are norms alone, one small int per +-pair (the norm-4 Leech census holds
 `primitive_represents` tests the gcd in reduced coordinates and
 converts only the vector it returns. This is exact: norms do not depend on
 the basis, the unimodular T preserves gcds, and T maps +-pairs to +-pairs.
-`short_vectors` converts every vector and picks its sign in the input basis.
+`short_vectors` converts every vector, picks its sign in the input basis
+and returns it with the norm the tree computed.
 
 A big norm-only walk without stop_after uses every usable CPU
 (Dagdelen-Schneider, Euro-Par 2010). It runs serially until it has
@@ -45,7 +46,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg, parallel
-from .lattice import LatticeVector
 
 
 class EnumerationCap(RuntimeError):
@@ -306,7 +306,8 @@ def _canonical_sign(coords):
 
 
 def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
-    """All nonzero v with |q(v)| <= bound, canonically ordered.
+    """(q(v), v) for all nonzero v with |q(v)| <= bound, ordered by |q(v)|
+    and then by the coordinate list v; q carries the lattice's sign.
 
     With up_to_sign one representative per {v, -v} is returned (its first
     nonzero coordinate positive); otherwise both signs appear.
@@ -317,7 +318,7 @@ def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
     if not up_to_sign:
         found = found + [(q, [-a for a in v]) for q, v in found]
     found.sort(key=lambda t: (abs(t[0]), t[1]))
-    return [LatticeVector(L, v) for _, v in found]
+    return found
 
 
 def min_norm(L, cap=DEFAULT_CAP):
@@ -340,7 +341,8 @@ def has_roots(L, cap=DEFAULT_CAP):
 
 
 def primitive_represents(L, m, cap=DEFAULT_CAP):
-    """A primitive vector of norm m, or None.
+    """The coordinates of a primitive vector of norm m, first nonzero
+    entry positive, or None.
 
     Only definite lattices are searched, so absence is conclusive.
     """
@@ -351,7 +353,7 @@ def primitive_represents(L, m, cap=DEFAULT_CAP):
         return None
     for q, y in _enumerate_reduced(G2, abs(m), cap):
         if q == abs(m) and math.gcd(*y) == 1:
-            return LatticeVector(L, _canonical_sign(linalg.mat_vec(T, y)))
+            return _canonical_sign(linalg.mat_vec(T, y))
     return None
 
 

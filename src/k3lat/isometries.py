@@ -109,6 +109,8 @@ def _matrices(group_or_gens):
     if isinstance(group_or_gens, IsometryGroup):
         return group_or_gens.lattice, [g.matrix for g in group_or_gens.generators]
     gens = list(group_or_gens)
+    if not gens:
+        raise ValueError("need at least one generator")
     return gens[0].lattice, [g.matrix for g in gens]
 
 
@@ -116,8 +118,6 @@ def invariant_lattice(group_or_gens, name=None):
     """T_G: the saturated sublattice fixed by every generator."""
     L, mats = _matrices(group_or_gens)
     n = L.rank
-    if not mats:
-        return L.sublattice(linalg.identity(n), name=name)
     stacked = [[] for _ in range(n)]
     for P in mats:
         for i in range(n):
@@ -232,7 +232,7 @@ def find_isometry(L1, L2):
                        reason="ranks or determinants differ")
     norms = [L1.gram[i][i] for i in range(L1.rank)]
     vecs = enumeration.short_vectors(L2, max(abs(q) for q in norms))
-    cands = {q: [v.coords for v in vecs if v.norm() == q] for q in set(norms)}
+    cands = {q: [v for p, v in vecs if p == q] for q in set(norms)}
 
     def extend(chosen, x):
         i = len(chosen)

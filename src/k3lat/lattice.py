@@ -1,12 +1,11 @@
 """Lattices as integer Gram matrices, with sublattice coordinates.
 
 A Lattice is a free Z-module with a symmetric integer bilinear form given
-on a fixed basis. A sublattice remembers its ambient lattice and the
+on a fixed basis; a vector is the list of its coordinates in that basis.
+A sublattice (`Lattice.sublattice`) remembers its ambient lattice and the
 coordinate matrix of its basis inside it; saturation and orthogonal
 complements are computed exactly from those data.
 """
-
-import math
 
 from . import linalg
 
@@ -29,20 +28,11 @@ def int_matrix(rows, width=None, what="matrix"):
 class Lattice:
     """Integer Gram matrix, optionally sitting inside an ambient lattice."""
 
-    def __init__(self, gram, name=None, ambient=None, coords=None,
-                 allow_degenerate=False):
+    def __init__(self, gram, name=None, allow_degenerate=False):
         gram = int_matrix(gram, what="Gram")
         if not linalg.is_symmetric(gram):
             raise ValueError("Gram matrix must be symmetric")
-        if (ambient is None) != (coords is None):
-            raise ValueError("ambient and coords must be supplied together")
-        if coords is not None:
-            coords = int_matrix(coords, ambient.rank, "coordinates")
-            if len(coords) != len(gram):
-                raise ValueError("coordinate rows must match the rank")
-            if ambient._gram_of(coords) != gram:
-                raise ValueError("Gram does not match coordinates in ambient")
-        self._store(gram, name, ambient, coords, allow_degenerate)
+        self._store(gram, name, None, None, allow_degenerate)
 
     def _store(self, gram, name, ambient, coords, allow_degenerate,
                det=None):
@@ -114,14 +104,9 @@ class Lattice:
     def __add__(self, other):
         return self.direct_sum(other)
 
-    def vector(self, coords):
-        return LatticeVector(self, coords)
-
     def sublattice(self, vectors, name=None):
-        """Sublattice spanned by the given vectors (must be independent)."""
-        rows = int_matrix([v.coords if isinstance(v, LatticeVector)
-                           else list(v) for v in vectors],
-                          self.rank, "coordinates")
+        """Sublattice spanned by independent coordinate rows."""
+        rows = int_matrix(vectors, self.rank, "coordinates")
         if rows and linalg.row_rank(rows) != len(rows):
             ker = linalg.kernel_basis(linalg.transpose(rows))
             raise ValueError(f"dependent vectors, e.g. relation {ker[0]}")
@@ -165,45 +150,11 @@ class Lattice:
         return obj
 
     @classmethod
-    def from_json(cls, obj, ambient=None):
-        name = obj.get("name") or None
-        if "coords" in obj:
-            if ambient is None:
-                raise ValueError("lattice record references an ambient lattice")
-            return cls(obj["gram"], name=name, ambient=ambient,
-                       coords=obj["coords"], allow_degenerate=True)
-        return cls(obj["gram"], name=name, allow_degenerate=True)
+    def from_json(cls, obj):
+        """Lattice of a record's 'gram' and 'name'; other keys are ignored."""
+        return cls(obj["gram"], name=obj.get("name") or None,
+                   allow_degenerate=True)
 
     def __repr__(self):
         label = self.name or "lattice"
         return f"<{label} rank {self.rank} det {self._det}>"
-
-
-class LatticeVector:
-    """Integer coordinate row in the basis of a fixed lattice."""
-
-    def __init__(self, lattice, coords):
-        (coords,) = int_matrix([coords], lattice.rank, "vector coordinates")
-        self.lattice = lattice
-        self.coords = coords
-
-    def norm(self):
-        return linalg.dot(self.coords, self.coords, self.lattice.gram)
-
-    def is_primitive(self):
-        return math.gcd(*self.coords) == 1 if len(self.coords) > 1 \
-            else abs(self.coords[0]) == 1
-
-    def __neg__(self):
-        return LatticeVector(self.lattice, [-a for a in self.coords])
-
-    def __add__(self, other):
-        return LatticeVector(self.lattice,
-                             [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return LatticeVector(self.lattice,
-                             [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __repr__(self):
-        return f"<vector {self.coords} of {self.lattice!r}>"

@@ -51,9 +51,7 @@ def wall_context(n, mukai=None, v=None):
         raise ValueError(f"v has square {vv}, expected {2 * n - 2}")
     if math.gcd(*v) != 1:
         raise ValueError("v must be primitive")
-    pairing = linalg.mat_mul(mukai.gram, linalg.transpose([v]))
-    perp_rows = linalg.kernel_basis(pairing)
-    perp = mukai.sublattice(perp_rows, name=f"L_{n}")
+    perp = mukai.sublattice([v]).orthogonal_complement(name=f"L_{n}")
     return WallContext(n=n, mukai=mukai, v=list(v), perp=perp)
 
 
@@ -243,9 +241,9 @@ def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
     if want == 0:
         candidates.append([0] * len(K))
     else:
-        for w in en.short_vectors(LJ, abs(want), cap=cap):
-            if w.norm() == want:
-                candidates.append(linalg.vec_mat(w.coords, J))
+        for q, w in en.short_vectors(LJ, abs(want), cap=cap):
+            if q == want:
+                candidates.append(linalg.vec_mat(w, J))
     for cand in candidates:
         # cand = den * w in K coordinates; need w - tau in K, i.e.
         # cand = tau_int mod den
@@ -372,11 +370,10 @@ def wall_verdict_in_model(glued, n, all_vectors=False, cap=en.DEFAULT_CAP):
         if all_vectors:
             vecs = en.short_vectors(T, 2 * n - 2, up_to_sign=True,
                                     cap=cap)
-            vs = [v.coords for v in vecs
-                  if v.norm() == 2 * n - 2 and v.is_primitive()]
+            vs = [v for q, v in vecs if q == 2 * n - 2 and math.gcd(*v) == 1]
             reason = "every embedding produces a numerical wall"
         else:
-            vs = [first.coords]
+            vs = [first]
     else:
         v = _isotropic_pair_vector(T, 2 * n - 2)
         if v is None:

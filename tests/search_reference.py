@@ -120,7 +120,7 @@ def find_isometry(L1, L2):
     cands = {}
     vecs = enumeration.short_vectors(L2, bound)
     for q in set(norms_needed):
-        cands[q] = [v.coords for v in vecs if v.norm() == q]
+        cands[q] = [v for p, v in vecs if p == q]
     chosen = []
     nodes = 0
 

@@ -37,7 +37,7 @@ def e8_coordinate_oracle(norm_times_4):
 def test_a1_minus_two():
     L = Lattice([[-2]])
     vecs = en.short_vectors(L, 2, up_to_sign=True)
-    assert len(vecs) == 1 and vecs[0].norm() == -2
+    assert len(vecs) == 1 and vecs[0][0] == -2
 
 
 def test_e8_roots_against_brute_force():
@@ -83,7 +83,8 @@ def test_primitive_represents():
     A = Lattice(A2)
     T = A + A.rescale(3)
     v = en.primitive_represents(T, 2)
-    assert v is not None and v.norm() == 2 and v.is_primitive()
+    assert v is not None and linalg.dot(v, v, T.gram) == 2
+    assert math.gcd(*v) == 1
     assert en.primitive_represents(Lattice([[-2]]), 2) is None
 
 
@@ -132,8 +133,8 @@ def test_up_to_sign_halves_and_canonicalizes():
     full = en.short_vectors(L, 2)
     half = en.short_vectors(L, 2, up_to_sign=True)
     assert len(full) == 2 * len(half)
-    for v in half:
-        first = next(a for a in v.coords if a)
+    for _, v in half:
+        first = next(a for a in v if a)
         assert first > 0
 
 
@@ -178,8 +179,8 @@ def test_census_holds_norms_not_vectors():
 
 def test_ordering_deterministic():
     L = Lattice(A2)
-    v1 = [v.coords for v in en.short_vectors(L, 6)]
-    v2 = [v.coords for v in en.short_vectors(L, 6)]
+    v1 = [v for _, v in en.short_vectors(L, 6)]
+    v2 = [v for _, v in en.short_vectors(L, 6)]
     assert v1 == v2 and v1 == sorted(v1, key=lambda c: (abs(linalg.dot(c, c, A2)), c))
 
 
@@ -194,13 +195,13 @@ def test_output_order_after_base_change():
     L = Lattice(linalg.mat_mul(linalg.mat_mul(P, gram_D(4)),
                                linalg.transpose(P)))
     assert linalg.lll_reduce(L.gram)[1] != linalg.identity(4)
-    assert [v.coords for v in en.short_vectors(L, 2, up_to_sign=True)] == [
+    assert [v for _, v in en.short_vectors(L, 2, up_to_sign=True)] == [
         [0, 0, 5, 2], [1, -1, -4, 0], [1, -1, 1, 2], [1, 0, -9, -3],
         [1, 0, -6, -2], [1, 0, -4, -1], [1, 0, -1, 0], [2, -1, -8, -1],
         [2, -1, -5, 0], [2, 0, -10, -3], [3, -1, -14, -3], [3, -1, -9, -1]]
-    assert en.primitive_represents(L, 2).coords == [1, 0, -1, 0]
-    assert en.primitive_represents(L, 4).coords == [0, 0, 3, 1]
-    assert en.primitive_represents(L.rescale(-1), -4).coords == [0, 0, 3, 1]
+    assert en.primitive_represents(L, 2) == [1, 0, -1, 0]
+    assert en.primitive_represents(L, 4) == [0, 0, 3, 1]
+    assert en.primitive_represents(L.rescale(-1), -4) == [0, 0, 3, 1]
 
 
 @st.composite
@@ -254,13 +255,15 @@ def test_enumeration_matches_box_scan(data):
                      for x, q in box.items())
         assert (found is not None) == expect
         if found is not None:
-            assert found.norm() == sign * m and found.is_primitive()
+            assert linalg.dot(found, found, L.gram) == sign * m
+            assert math.gcd(*found) == 1
 
     vecs = en.short_vectors(L, bound)
-    assert {tuple(linalg.vec_mat(v.coords, P)): v.norm() for v in vecs} == box
+    assert all(q == linalg.dot(v, v, L.gram) for q, v in vecs)
+    assert {tuple(linalg.vec_mat(v, P)): q for q, v in vecs} == box
     assert len(vecs) == len(box)
-    assert [v.coords for v in vecs] == sorted(
-        (v.coords for v in vecs), key=lambda c: (abs(linalg.dot(c, c, L.gram)), c))
+    assert [v for _, v in vecs] == sorted(
+        (v for _, v in vecs), key=lambda c: (abs(linalg.dot(c, c, L.gram)), c))
 
 
 # -- the split walk ----------------------------------------------------------
@@ -340,8 +343,8 @@ def test_split_never_reaches_a_walk_that_reads_order(split):
     L = Lattice(E8)
 
     def found():
-        return ([v.coords for v in en.short_vectors(L, 6)],
-                [en.primitive_represents(L, m).coords for m in (2, 4, 6, 8)])
+        return (en.short_vectors(L, 6),
+                [en.primitive_represents(L, m) for m in (2, 4, 6, 8)])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(en, "SPLIT_NODES", SERIAL)

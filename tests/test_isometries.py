@@ -66,6 +66,15 @@ def test_invariant_trivial_group():
     assert S.rank == 0
 
 
+@pytest.mark.parametrize("call", [
+    iso.group_closure, iso.invariant_lattice, iso.coinvariant_lattice,
+    lambda gens: iso.leech_pair_check(Lattice(E8).rescale(-1), gens)],
+    ids=["group_closure", "invariant", "coinvariant", "leech_pair_check"])
+def test_empty_generator_list_is_refused(call):
+    with pytest.raises(ValueError, match="need at least one generator"):
+        call([])
+
+
 def test_order11_invariant_coinvariant():
     g = catalog.n22_order11_isometry()
     T = iso.invariant_lattice([g])

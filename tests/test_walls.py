@@ -96,12 +96,12 @@ def _brute_force_walls(ctx, S):
     vv = ctx.v_sq
     bound = 2 * vv * vv + vv ** 3 // 4
     found = []
-    for x in en.short_vectors(Lattice(S.gram), bound, up_to_sign=True):
-        if not x.is_primitive():
+    for _, x in en.short_vectors(Lattice(S.gram), bound, up_to_sign=True):
+        if math.gcd(*x) != 1:
             continue
-        t = linalg.vec_mat(x.coords, S.coords)
+        t = linalg.vec_mat(x, S.coords)
         if walls.is_wall_divisor(ctx, t).is_wall:
-            found.append((abs(x.norm()), t))
+            found.append((abs(linalg.dot(x, x, S.gram)), t))
     return found
 
 
