@@ -3,11 +3,10 @@
 Subcommands: construct, analyze, autos, walls, classify, verify. All
 results go to standard output as JSON; progress notes and verify's
 per-check times go to standard error. verify runs `k3lat.acceptance`,
-the one acceptance battery, which tier-1 runs too. A big norm-only
-Fincke-Pohst walk (the Leech census) and the classification table fork
-children through `k3lat.parallel.run` when more than one CPU is usable;
-a split walk feeds only counts, and the table's halves are joined in a
-fixed order, so standard output does not depend on the number of CPUs.
+the one acceptance battery, which tier-1 runs too. The classification
+table forks a child through `k3lat.parallel.run` when more than one CPU
+is usable; its halves are joined in a fixed order, so standard output
+does not depend on the number of CPUs.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
 2 malformed input, or an enumeration or group closure that outgrew its
@@ -308,6 +307,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for k in range(len(argv) - 1, 0, -1):  # else "-1,2" reads as an option
+        if argv[k - 1] == "--divisor" and argv[k][:2].lstrip("-").isdigit():
+            argv[k - 1:k + 1] = ["--divisor=" + argv[k]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

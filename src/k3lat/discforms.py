@@ -279,18 +279,25 @@ def _primary_parts(form):
     h_i = (f_i / p_i) g_i, p_i = gcd(f_i, p^k) > 1, over the exponent p^k.
     q and b of an element of order m lie in (1/m)Z, so e q(h_i) and
     e b(h_i, h_j) rescale to p^k by an exact //, for a well-defined q.
+    Trial division stops at MILGRAM_ORDER_CAP: a cofactor above its square
+    with no prime factor up to it is refused before any part is yielded.
     """
     f, qn, e = form.factors, form._qnum, form.exponent
-    rest, p = e, 2
+    powers, rest, p = [], e, 2
     while rest > 1:
-        if p * p > rest:
+        top = math.isqrt(rest)
+        p = next((q for q in range(p, min(top, MILGRAM_ORDER_CAP) + 1)
+                  if rest % q == 0), None)
+        if p is None:
+            if top > MILGRAM_ORDER_CAP:  # so is the order of each block
+                raise ValueError("orthogonal block of order above the "
+                                 f"Milgram cap {MILGRAM_ORDER_CAP}")
             p = rest  # what is left is prime
-        if rest % p:
-            p += 1
-            continue
         pk = 1
         while rest % p == 0:
             rest, pk = rest // p, pk * p
+        powers.append((p, pk))
+    for p, pk in powers:
         part = [(i, d // math.gcd(d, pk)) for i, d in enumerate(f)
                 if d % p == 0]
         yield p, FiniteQuadraticForm._from_numerators(

@@ -21,31 +21,21 @@ the basis, the unimodular T preserves gcds, and T maps +-pairs to +-pairs.
 `short_vectors` converts every vector, picks its sign in the input basis
 and returns it with the norm the tree computed.
 
-A big norm-only walk without stop_after uses every usable CPU
-(Dagdelen-Schneider, Euro-Par 2010). It runs serially until it has
-visited SPLIT_NODES nodes; the subtrees of level s = n - SPLIT_DEPTH that
-it reaches from then on are numbered in walk order and dealt round-robin,
-subtree first + i to share i mod w of w workers. The trigger counts work
-done because the top levels cannot tell a big tree from a small one; of
-the benchmark's trees only the Leech census reaches it. The shares are
-jobs of `parallel.run`: share 0 is walked by the calling process, which
-keeps the prefix found before the split, and each other share by one
-forked child, which walks the top levels again, descends only into its
-own subtrees and sends their leaves back marshalled; where the fork
-fails or the child fails, the caller walks that share itself. The shares
-are appended to the prefix in any order: a split returns the serial
-leaves as a multiset, which is all `norm_census` and `has_roots` read,
-and raises EnumerationCap exactly when the serial walk would (a share
-stops at the leaves the prefix left under the cap, and the joined length
-is checked). Walks that return coordinates or stop early never split.
+A norm-only walk replays repeated subtrees (Fincke-Pohst, Math. Comp. 44
+(1985); Conway-Sloane, SPLAG ch. 2 and 4). A level-j node with a nonzero
+top y = sum_{i>=j} x_i b_i walks w + y over w in L_j = span(b_0..b_{j-1});
+y projects onto L_j (x) R at c in the dual L_j^*, and the node's budget is
+E_j = d[j] (bound - ||y - c||^2). Nodes with equal E_j whose c agree mod
+L_j walk translated subtrees, with the same leaf norms in the same order,
+so `_walk` records the leaves of each key once. This cuts the norm-4 Leech
+census from 2.3 M nodes to under 0.2 M.
 """
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import linalg, parallel
+from . import linalg
 
 
 class EnumerationCap(RuntimeError):
@@ -63,19 +53,11 @@ class EnumerationCap(RuntimeError):
 
 DEFAULT_CAP = 10_000_000
 
-# A big walk is dealt out at level n - SPLIT_DEPTH: 1 043 nodes for E8 at
-# norm <= 8, 1 212 for the Leech census, against 5 + 22 + 91 + 361 above
-# it, enough to balance a few workers.
-SPLIT_DEPTH = 5
-
-# Work done before a walk is dealt out, in nodes (about 0.2 s; a serial
-# Leech census takes 3.1 s, CPython 3.11 on a 2-core host). The top of
-# the tree cannot tell a big tree from a small one: at depths 3/4/5/6, E8
-# at norm <= 8 has 91/313/1 043/2 782 nodes and the Leech census at
-# norm <= 4 91/361/1 212/3 300. Below this count a fork would cost more
-# than it saves; the largest tree of the benchmark other than the Leech
-# census, a rank-24 root check, stays below it.
-SPLIT_NODES = 1 << 17
+# Nodes a norm-only walk visits before it builds its memo: 15-30 ms of
+# walking, against 6-8 ms for the Smith forms at rank 24. A rank-24 root
+# check of 15 762 nodes saves 3 700 of them, and took a third longer with
+# the memo built at 4 096.
+MEMO_NODES = 1 << 14
 
 
 def _reduced_gram(L):
@@ -93,14 +75,15 @@ def _reduced_gram(L):
     return G2, T, sign
 
 
-def _cut(out, before, stop_after, cap):
-    """Replay the per-leaf checks on the leaves past out[:before].
+def _cut(out, stop_after, cap):
+    """Replay the per-leaf checks on out, which has passed its limit.
 
     Leaf m (1-based) returns out[:m] if m >= stop_after, and otherwise
-    raises EnumerationCap if m > cap; the return is tested first.
+    raises EnumerationCap if m > cap; the return is tested first. Each
+    batch starts below the limit, so no leaf before the batch did either.
     """
     if stop_after is not None:
-        m = max(stop_after, before + 1)
+        m = max(stop_after, 1)
         if m <= min(cap + 1, len(out)):
             del out[m:]
             return out
@@ -114,8 +97,8 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     pair has its highest-index nonzero coordinate positive. Leaves come
     with x_0 fastest and each coordinate increasing; the first stop_after
     leaves are returned, and more than cap leaves raise EnumerationCap.
-    With coords=False each leaf is its norm alone, with the same cuts and,
-    unless the walk is split (below), in the same order.
+    With coords=False each leaf is its norm alone, with the same cuts and
+    in the same order.
 
     Budgets. With (d, lam) = linalg.integral_gram_schmidt(G), x's
     coordinate along the j-th Gram-Schmidt vector is u_j / d[j+1], where
@@ -131,6 +114,43 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     leaf's norm is bound - E_0 (d[0] = 1). For an LLL-reduced Gram these
     are small: below 2^25 in the norm-4 census of the P^1(Z/23) and N23
     Leech models, so one machine word each.
+    """
+    if bound <= 0:
+        return []
+    limit = cap + 1 if stop_after is None else min(stop_after, cap + 1)
+    if len(G) == 1:
+        a = G[0][0]
+        xs = range(1, math.isqrt(bound // a) + 1)
+        out = ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
+               else [a * x0 * x0 for x0 in xs])
+        if out and len(out) >= limit:
+            return _cut(out, stop_after, cap)
+        return out
+    return _walk(G, bound, limit, cap, stop_after, coords)
+
+
+def _memo_levels(G):
+    """Per level j, None or (rows, table): table maps keys to subtrees.
+    With (D, U, V) = snf(G_j), G_j the leading j x j block, a top's class
+    has one coordinate sum_{i>=j} r[i] x_i mod m per factor m = D_kk > 1,
+    r[i] entry (k, i) of U G[:j] mod m; its row is (r, m, s), s for the
+    partial sums.
+    Memo levels 6, 9, 12, ...: on the Leech census 8, 12, 16 walked slower,
+    and every second level from 4 a sixth faster with 50 % more subtrees.
+    """
+    n = len(G)
+    levels = [None] * n
+    for j in range(6, n, 3):
+        D, U, _ = linalg.snf([r[:j] for r in G[:j]])
+        UG = linalg.mat_mul(U, [r[j:] for r in G[:j]])
+        levels[j] = ([([0] * j + [a % D[k][k] for a in UG[k]], D[k][k],
+                       [0] * (n + 1)) for k in range(j) if D[k][k] > 1], {})
+    return levels
+
+
+def _walk(G, bound, limit, cap, stop_after, coords):
+    """The leaves of the tree on G, of rank 2 or more, up to bound, cut as
+    `_enumerate_reduced` states at `limit` leaves.
 
     sigma[l][k] = sum_{i >= k} lam[i][l] x[i] is refreshed lazily
     (Schnorr-Euchner): top[j] is the highest column whose x changed since
@@ -141,56 +161,18 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     needs neither x_0 nor the prefix tuple: its norm is
     bound - E_0 = bound - (F[0] - u_0^2) / d[1], with u_0 stepping by d[1].
 
-    A norm-only walk with stop_after None is split once it has visited
-    SPLIT_NODES nodes (see the module docstring) and returns the serial
-    leaves as a multiset; every other walk is serial.
+    The memo. After MEMO_NODES nodes a norm-only walk keys each node at a
+    memo level j with a nonzero top and a nonempty child range by E_j and
+    its class, in one int; the class sums are as lazy as sigma, ctop[j]
+    being raised to top[j] on each descent to level j. A miss descends, and
+    when the walk climbs back past level j the key maps to the offsets of
+    the subtree's leaves out[start:stop], in one int: out only grows, so no
+    leaf is copied. A hit appends out[start:stop] and walks on as a node
+    with an empty range, so `_cut` cuts at the same leaf as the plain walk.
     """
     n = len(G)
-    if bound <= 0:
-        return []
     d, lam = linalg.integral_gram_schmidt(G)
-    limit = cap + 1 if stop_after is None else min(stop_after, cap + 1)
-    if n == 1:
-        a = d[1]
-        xs = range(1, math.isqrt(bound // a) + 1)
-        out = ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
-               else [a * x0 * x0 for x0 in xs])
-        if out and len(out) >= limit:
-            return _cut(out, 0, stop_after, cap)
-        return out
-    tree = (d, [[lam[i][l] for i in range(n)] for l in range(n)], bound,
-            cap, stop_after, coords)
-    if coords or stop_after is not None:
-        return _walk(tree, limit)
-    split = n - SPLIT_DEPTH
-    out, first = _prefix(tree, limit, split)
-    if first is None:
-        return out
-    # a share that passes the cap raises EnumerationCap, in the caller or
-    # in a child whose job parallel.run then reruns in the caller; each
-    # share is freed as it is joined
-    workers = parallel.workers()
-    shares = parallel.run([functools.partial(_share, tree, limit - len(out),
-                                             split, first, k, workers)
-                           for k in range(workers)])
-    while shares:
-        out += shares.pop()
-    if len(out) > cap:
-        raise EnumerationCap(cap)
-    return out
-
-
-def _walk(tree, limit, split=0, deal=None):
-    """The leaves of the tree (d, lamc, bound, cap, stop_after, coords),
-    cut as `_enumerate_reduced` states at `limit` leaves.
-
-    A level-`split` node with a nonempty child range descends only if
-    deal(nodes) is true, given the nodes visited so far; split <= 1 never
-    asks, and a node that does not descend is walked as one with an empty
-    range.
-    """
-    d, lamc, bound, cap, stop_after, coords = tree
-    n = len(lamc)
+    lamc = [[lam[i][l] for i in range(n)] for l in range(n)]
     out = []
     isqrt = math.isqrt
     sigma = [[0] * (n + 1) for _ in range(n)]
@@ -199,13 +181,21 @@ def _walk(tree, limit, split=0, deal=None):
     x = [0] * n
     xmax = [0] * n
     zero_above = [False] * n
+    levels = None
+    pending = [None] * n  # (key, start) of the subtree being recorded
+    ctop = [n - 1] * n  # like top, for the partial sums of the class rows
+    shift = limit.bit_length()
+    mask = (1 << shift) - 1
+    countdown = 0 if coords else MEMO_NODES
     j, xj = n - 1, 0
     F[j] = d[j] * d[n] * bound
     xmax[j] = isqrt(F[j]) // d[n]
     zero_above[j] = True
-    nodes = 0
     while True:
-        nodes += 1
+        if countdown:
+            countdown -= 1
+            if not countdown:
+                levels = _memo_levels(G)
         # node x[j] = xj: its budget, then row i = j - 1 and the child's range
         dn = d[j + 1]
         u = dn * xj + sigma[j][j + 1]
@@ -234,7 +224,6 @@ def _walk(tree, limit, split=0, deal=None):
             if za and lo < 1:
                 lo = 1
             if lo <= hi:
-                before = len(out)
                 if coords:
                     prefix = tuple(x[1:])
                     for x0 in range(lo, hi + 1):
@@ -245,55 +234,50 @@ def _walk(tree, limit, split=0, deal=None):
                     out += [bound - (f - v * v) // dj
                             for v in range(dj * lo + c, dj * hi + c + 1, dj)]
                 if len(out) >= limit:
-                    return _cut(out, before, stop_after, cap)
+                    return _cut(out, stop_after, cap)
         else:
-            if za and lo < 0:
-                lo = 0
-            if lo <= hi and (j != split or deal(nodes)):
+            if za:
+                if lo < 0:
+                    lo = 0
+            elif levels and lo <= hi and levels[j] is not None:
+                rows, table = levels[j]
+                key = e
+                for r, m, s in rows:
+                    for k in range(ctop[j], i, -1):
+                        s[k] = s[k + 1] + r[k] * x[k]
+                    key = key * m + s[j] % m
+                ctop[j] = j
+                span = table.get(key)
+                if span is None:
+                    pending[j] = key, len(out)
+                else:
+                    out += out[span >> shift:span & mask]
+                    if len(out) >= limit:
+                        return _cut(out, stop_after, cap)
+                    hi = lo - 1
+            if lo <= hi:
                 j -= 1
+                if levels and top[j] > ctop[j]:
+                    ctop[j] = top[j]
                 F[j] = f
                 x[j] = xj = lo
                 xmax[j] = hi
                 zero_above[j] = za
                 continue
-        # next sibling, climbing past exhausted levels
+        # next sibling, climbing past exhausted levels, which ends the
+        # subtrees being recorded there (an empty one is 0, no new object)
         xj += 1
         while xj > xmax[j]:
             j += 1
             if j == n:
                 return out
+            if levels and pending[j]:
+                key, start = pending[j]
+                end = len(out)
+                levels[j][1][key] = start << shift | end if end > start else 0
+                pending[j] = None
             xj = x[j] + 1
         x[j] = xj
-
-
-def _prefix(tree, limit, split):
-    """(leaves, first): the walk's leaves up to the first level-`split`
-    subtree it reaches after SPLIT_NODES nodes, and that subtree's number
-    in walk order; first is None when the walk ended before."""
-    seen, first = 0, None
-
-    def deal(nodes):
-        nonlocal seen, first
-        if first is None and nodes >= SPLIT_NODES:
-            first = seen
-        seen += 1
-        return first is None
-
-    return _walk(tree, limit, split, deal), first
-
-
-def _share(tree, limit, split, first, k, workers):
-    """The leaves of share k: level-`split` subtrees first + k,
-    first + k + workers, ..., in walk order."""
-    seen = -first
-
-    def deal(nodes):
-        nonlocal seen
-        take = seen >= 0 and seen % workers == k
-        seen += 1
-        return take
-
-    return _walk(tree, limit, split, deal)
 
 
 def _canonical_sign(coords):
@@ -322,16 +306,20 @@ def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
 
 
 def min_norm(L, cap=DEFAULT_CAP):
-    """Minimal |q| over nonzero vectors, with the lattice's sign restored."""
+    """Minimal |q| over nonzero vectors, with the lattice's sign restored:
+    the least multiple b of the step (2 on even lattices) whose stop_after=1
+    walk finds a vector, by bisection below the least diagonal entry.
+    """
     G2, _, sign = _reduced_gram(L)
-    limit = min(G2[i][i] for i in range(len(G2)))
     step = 2 if L.is_even() else 1
-    start = step
-    for b in range(start, limit + 1, step):
-        hit = _enumerate_reduced(G2, b, cap, stop_after=1, coords=False)
-        if hit:
-            return sign * hit[0]
-    raise AssertionError("diagonal entry should have been reachable")
+    empty, found = 0, min(G2[i][i] for i in range(len(G2))) // step
+    while found - empty > 1:
+        mid = (empty + found) // 2
+        if _enumerate_reduced(G2, mid * step, cap, stop_after=1, coords=False):
+            found = mid
+        else:
+            empty = mid
+    return sign * found * step
 
 
 def has_roots(L, cap=DEFAULT_CAP):

@@ -1,13 +1,17 @@
-"""Session-wide test set-up: one classification table per session, and
-the `split` fixture of the tests that fork."""
+"""Session-wide test set-up: one classification table per session, the
+`split` fixture of the tests that fork, the `memo_hits` fixture of the
+tests of the memoized Fincke-Pohst walk, and the `time_limit` fixture of
+the tests of inputs that once never finished."""
 
+import contextlib
 import copy
 import functools
 import os
+import signal
 
 import pytest
 
-from k3lat import walls
+from k3lat import enumeration, walls
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -50,3 +54,43 @@ def split(monkeypatch):
     yield forks, set_workers
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def memo_hits(monkeypatch):
+    """A list that gains one entry for each subtree a norm-only walk
+    replays from its memo."""
+    hits = []
+    build = enumeration._memo_levels
+
+    class Counted(dict):
+        def get(self, key):
+            span = super().get(key)
+            if span is not None:
+                hits.append(key)
+            return span
+
+    monkeypatch.setattr(enumeration, "_memo_levels", lambda G: [
+        None if level is None else (level[0], Counted())
+        for level in build(G)])
+    return hits
+
+
+@pytest.fixture
+def time_limit():
+    """time_limit(seconds): a context in which code still running after
+    that many seconds (of wall-clock time) raises TimeoutError."""
+    @contextlib.contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from k3lat import acceptance, catalog, cli, enumeration
+from k3lat import acceptance, cli
 
 
 def run_cli(argv):
@@ -82,6 +82,28 @@ def test_analyze_milgram_of_many_small_blocks(tmp_path):
     code, out, _ = run_cli(["analyze", "--input", str(path), "--milgram"])
     assert code == 0
     assert json.loads(out) == {"milgram": 5}
+
+
+def test_analyze_milgram_refuses_a_large_prime_factor(tmp_path, time_limit):
+    # det -(10^60 + 24): the exponent's cofactor above 10^12 has no prime
+    # factor up to the Milgram cap; it used to be trial-divided to its root
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": [[2, -10 ** 30], [-10 ** 30, -12]]}))
+    with time_limit(10):
+        code, out, err = run_cli(["analyze", "--input", str(path),
+                                  "--milgram"])
+    lines = err.splitlines()
+    assert code == 2 and out == "" and len(lines) == 1
+    assert lines[0].startswith("error: ") and "Milgram cap" in lines[0]
+
+
+def test_analyze_min_norm_of_a_huge_rank_one_lattice(tmp_path, time_limit):
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps({"gram": [[-2 * 10 ** 30]]}))
+    with time_limit(10):
+        code, out, _ = run_cli(["analyze", "--input", str(path),
+                                "--min-norm"])
+    assert code == 0 and json.loads(out) == {"min_norm": -2 * 10 ** 30}
 
 
 def test_analyze_missing_file_exits_2():
@@ -207,6 +229,13 @@ def test_walls_check_divisor_in_l_n_or_mukai_coordinates():
     assert outs[0] == outs[1] and outs[0][0] == 0
 
 
+def test_walls_check_divisor_that_begins_with_a_minus_sign():
+    coords = ",".join(["-1"] + ["0"] * 7 + ["1"] + ["0"] * 15)
+    joined = run_cli(["walls", "check", "--n", "2", f"--divisor={coords}"])
+    apart = run_cli(["walls", "check", "--n", "2", "--divisor", coords])
+    assert joined[0] == 0 and apart == joined
+
+
 def test_walls_check_bad_divisor():
     code, _, err = run_cli(["walls", "check", "--n", "2",
                             "--divisor", "1,2,three"])
@@ -306,36 +335,6 @@ def test_byte_identical_runs():
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
-
-
-# Prints a line into block-buffered stdout, then runs a census whose walk
-# is dealt out between this process and a forked child.
-SPLIT_CENSUS = """
-import os, sys
-from k3lat import cli, enumeration
-enumeration.SPLIT_NODES = 0
-os.sched_getaffinity = lambda pid: {0, 1}
-print("before the census")
-sys.exit(cli.main(["analyze", "--input", sys.argv[1], "--census", "4"]))
-"""
-
-
-def test_split_census_writes_stdout_once(tmp_path, monkeypatch):
-    path = tmp_path / "leech.json"
-    path.write_text(json.dumps({"name": "leech", "gram": catalog.leech().gram}))
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", SPLIT_CENSUS, str(path)],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env, text=True, timeout=300)
-    monkeypatch.setattr(enumeration, "SPLIT_NODES", 1 << 62)
-    code, serial, _ = run_cli(["analyze", "--input", str(path),
-                               "--census", "4"])
-    assert proc.returncode == 0 and code == 0
-    assert proc.stdout == "before the census\n" + serial
-    assert json.loads(serial) == {"census": {"-4": 98280}}
 
 
 # Prints a line into block-buffered stdout, then builds the table, whose

@@ -1,17 +1,17 @@
 import itertools
 import math
-import os
 import random
 import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import walk_reference
 from k3lat import catalog, linalg
 from k3lat import enumeration as en
 from k3lat.gram_data import (A2, E8, U, S_LATTICE_2_5_3_10, S_LATTICE_2_9_3_6,
-                             gram_D)
+                             gram_A, gram_D)
 from k3lat.lattice import Lattice
 
 
@@ -72,6 +72,15 @@ def test_min_norm():
     assert en.min_norm(Lattice(E8)) == 2
     from k3lat.gram_data import POS_2_5_3_10
     assert en.min_norm(Lattice(POS_2_5_3_10)) == 4
+
+
+def test_min_norm_takes_few_walks(time_limit):
+    # one walk per even norm up to the minimum took 11.9 s on E8(100000)
+    # and never ended on <-2 10^30>
+    with time_limit(10):
+        assert en.min_norm(Lattice(E8).rescale(100000)) == 200000
+        assert en.min_norm(Lattice([[-2 * 10 ** 30]])) == -2 * 10 ** 30
+        assert en.min_norm(Lattice([[3 * 10 ** 30]])) == 3 * 10 ** 30
 
 
 def test_has_roots():
@@ -266,30 +275,12 @@ def test_enumeration_matches_box_scan(data):
         (v for _, v in vecs), key=lambda c: (abs(linalg.dot(c, c, L.gram)), c))
 
 
-# -- the split walk ----------------------------------------------------------
-# With SPLIT_NODES = 0 every norm-only walk without stop_after deals its
-# level n - SPLIT_DEPTH subtrees out from the first one; with SERIAL it
-# never does. A split must return the serial leaves as a multiset, so the
-# tests compare them sorted or as Counters, and every other walk must stay
-# serial, element for element, with no fork. The `split` fixture
-# (conftest) counts forks and sets the usable CPUs.
-
-SERIAL = 1 << 62
-
-
-def walk(G, bound, cap=en.DEFAULT_CAP, coords=True, nodes=0):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(en, "SPLIT_NODES", nodes)
-        try:
-            return en._enumerate_reduced(G, bound, cap, coords=coords)
-        except en.EnumerationCap:
-            return en.EnumerationCap
-
-
-def norms(G, bound, cap=en.DEFAULT_CAP, nodes=0):
-    """The norm-only leaves sorted, or EnumerationCap."""
-    found = walk(G, bound, cap, False, nodes)
-    return found if found is en.EnumerationCap else sorted(found)
+# -- the memoized walk -------------------------------------------------------
+# A norm-only walk replays the leaves of subtrees whose key it has seen
+# before. It must return the list of the frozen plain walk in
+# `walk_reference`, element for element, and make the same cap and
+# stop_after cuts. The `memo_hits` fixture (conftest) counts the replays,
+# so that no check passes without one.
 
 
 def leech_base_change(gram, rng):
@@ -307,110 +298,140 @@ def leech_base_change(gram, rng):
     return linalg.mat_mul(linalg.mat_mul(P, gram), linalg.transpose(P))
 
 
-@pytest.mark.parametrize("model", ["P1-base-change", "N23"])
-def test_split_leech_census_is_serial(split, model):
-    if model == "N23":
-        gram = catalog.holy_construction("N23").leech.gram
-    else:
-        gram = leech_base_change(catalog.leech().gram, random.Random(1))
-    G, _, _ = en._reduced_gram(Lattice(gram))
-    serial = walk(G, 4, coords=False, nodes=SERIAL)
-    assert len(serial) == 98280
-    assert Counter(walk(G, 4, coords=False)) == Counter(serial)
-    assert len(split[0]) == 1
+# (gram, bound, whether a subtree is replayed): the Leech models are the
+# census inputs, and ranks 4 and 6 have no memo level
+MEMO_INPUTS = {
+    "P1": (lambda: catalog.leech().gram, 4, True),
+    "P1-base-change": (lambda: leech_base_change(catalog.leech().gram,
+                                                 random.Random(1)), 4, True),
+    "N23": (lambda: catalog.holy_construction("N23").leech.gram, 4, True),
+    "BW16(-1)": (lambda: catalog.exceptional("BW16(-1)").gram, 8, True),
+    "E8": (lambda: E8, 16, True),
+    "2^5-3^10": (lambda: S_LATTICE_2_5_3_10, 12, False),
+    "W(-1)-orthogonal": (lambda: catalog.exceptional("W(-1)")
+                         .orthogonal_complement().gram, 10, False),
+}
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("nodes", [0, 3000])
-def test_split_e8_is_serial(split, workers, nodes):
-    # with nodes = 3000 the bigger trees split after a prefix of leaves,
-    # which the shares' cap must leave room for
-    forks, set_workers = split
-    set_workers(workers)
+def norm_walk(G, bound, cap=en.DEFAULT_CAP, stop_after=None):
+    try:
+        return en._enumerate_reduced(G, bound, cap, stop_after, coords=False)
+    except en.EnumerationCap:
+        return en.EnumerationCap
+
+
+def cut(full, cap, stop_after):
+    """What the plain walk returns for these cuts, given its uncut list:
+    leaf m returns the first m leaves if m >= stop_after, and otherwise
+    raises EnumerationCap if m > cap."""
+    if stop_after is not None and stop_after <= min(cap + 1, len(full)):
+        return full[:stop_after]
+    return en.EnumerationCap if len(full) > cap else full
+
+
+@pytest.mark.parametrize("name", list(MEMO_INPUTS))
+def test_memo_walk_matches_plain_walk(memo_hits, monkeypatch, name):
+    gram, bound, replays = MEMO_INPUTS[name]
+    G, _, _ = en._reduced_gram(Lattice(gram()))
+    full = walk_reference.enumerate_reduced(G, bound, en.DEFAULT_CAP,
+                                            coords=False)
+    if bound == 4:  # a Leech model: 98 280 pairs of norm 4, no roots
+        assert Counter(full) == {4: 98280}
+    assert norm_walk(G, bound) == full
+    assert bool(memo_hits) == replays
+    # caps and stop_after cuts before, inside and at the end of the list,
+    # with the memo built from the first node on
+    monkeypatch.setattr(en, "MEMO_NODES", 1)
+    k = len(full)
+    assert norm_walk(G, bound) == full
+    for cap in (k // 100, k - 1, k):
+        assert norm_walk(G, bound, cap) == cut(full, cap, None)
+    for stop_after in (1, k // 2):
+        assert norm_walk(G, bound, k // 3, stop_after) == \
+            cut(full, k // 3, stop_after)
+        assert norm_walk(G, bound, stop_after=stop_after) == \
+            full[:stop_after]
+    assert bool(memo_hits) == replays
+
+
+def test_memo_cuts_match_plain_walk_on_e8(memo_hits, monkeypatch):
+    # every bound, cap and stop_after against the frozen walk itself
+    monkeypatch.setattr(en, "MEMO_NODES", 1)
     G = linalg.lll_reduce(E8)[0]
-    for bound in range(2, 11):
-        assert walk(G, bound, nodes=nodes) == walk(G, bound, nodes=SERIAL)
-    assert forks == []
-    for bound in range(2, 11):
-        assert norms(G, bound, nodes=nodes) == norms(G, bound, nodes=SERIAL)
-    for cap in (1000, 10000, 28439):  # 28 440 pairs of norm <= 10
-        assert norms(G, 10, cap, nodes) == norms(G, 10, cap, SERIAL)
-    assert forks and len(forks) % (workers - 1) == 0
+    for bound in range(2, 13, 2):
+        for cap in (0, 100, 1000, en.DEFAULT_CAP):
+            for stop_after in (None, 1, 50, 500, 5000):
+                try:
+                    expect = walk_reference.enumerate_reduced(
+                        G, bound, cap, stop_after, coords=False)
+                except en.EnumerationCap:
+                    expect = en.EnumerationCap
+                assert norm_walk(G, bound, cap, stop_after) == expect
+    assert memo_hits
 
 
-def test_split_never_reaches_a_walk_that_reads_order(split):
-    forks, _ = split
+@st.composite
+def root_lattice_sums(draw):
+    """P B P^t: B a direct sum of rank 8 to 14 of <1>, <2>, <3>, A_2..A_4,
+    D_4, D_5 and E8, P unimodular. Such lattices have many short vectors,
+    so the memo's keys repeat."""
+    blocks = [[[1]], [[2]], [[3]], gram_A(2), gram_A(3), gram_A(4),
+              gram_D(4), gram_D(5), E8]
+    parts, n = [], 0
+    while n < 8:
+        parts.append(draw(st.sampled_from([b for b in blocks
+                                           if n + len(b) <= 14])))
+        n += len(parts[-1])
+    B = [[0] * n for _ in range(n)]
+    at = 0
+    for part in parts:
+        for i, row in enumerate(part):
+            B[at + i][at:at + len(part)] = row
+        at += len(part)
+    P = linalg.identity(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from([-1, 1]))
+        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    return linalg.mat_mul(linalg.mat_mul(P, B), linalg.transpose(P))
+
+
+def test_memo_matches_plain_walk_on_root_lattice_sums(memo_hits,
+                                                       monkeypatch):
+    monkeypatch.setattr(en, "MEMO_NODES", 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(G=root_lattice_sums(), bound=st.integers(1, 6),
+           stop_after=st.sampled_from([None, 1, 13, 1000]),
+           cap=st.sampled_from([0, 7, 100, 3000, en.DEFAULT_CAP]))
+    @example(G=E8, bound=4, stop_after=None, cap=en.DEFAULT_CAP)
+    def check(G, bound, stop_after, cap):
+        for M in (G, linalg.lll_reduce(G)[0]):
+            try:
+                expect = walk_reference.enumerate_reduced(
+                    M, bound, cap, stop_after, coords=False)
+            except en.EnumerationCap:
+                expect = en.EnumerationCap
+            assert norm_walk(M, bound, cap, stop_after) == expect
+
+    check()
+    assert memo_hits
+
+
+def test_memo_never_reaches_a_walk_that_reads_coordinates(monkeypatch):
+    built = []
+    build = en._memo_levels
+    monkeypatch.setattr(en, "MEMO_NODES", 1)
+    monkeypatch.setattr(en, "_memo_levels",
+                        lambda G: built.append(G) or build(G))
+    G = linalg.lll_reduce(E8)[0]
+    for bound in (2, 6, 10):
+        assert en._enumerate_reduced(G, bound, en.DEFAULT_CAP) == \
+            walk_reference.enumerate_reduced(G, bound, en.DEFAULT_CAP)
     L = Lattice(E8)
-
-    def found():
-        return (en.short_vectors(L, 6),
-                [en.primitive_represents(L, m) for m in (2, 4, 6, 8)])
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(en, "SPLIT_NODES", SERIAL)
-        serial = found()
-        mp.setattr(en, "SPLIT_NODES", 0)
-        assert found() == serial
-    assert forks == []
-
-
-def share_sizes(G, bound, workers):
-    """Leaves of each norm-only share when every subtree is dealt."""
-    n = len(G)
-    d, lam = linalg.integral_gram_schmidt(G)
-    tree = (d, [[lam[i][l] for i in range(n)] for l in range(n)], bound,
-            en.DEFAULT_CAP, None, False)
-    return [len(en._share(tree, en.DEFAULT_CAP, n - en.SPLIT_DEPTH, 0, k,
-                          workers)) for k in range(workers)]
-
-
-def test_split_raises_cap_exactly_when_serial(split):
-    G = linalg.lll_reduce(E8)[0]
-    total = len(walk(G, 6, coords=False, nodes=SERIAL))
-    mine, child = share_sizes(G, 6, 2)
-    assert mine + child == total and mine < child
-    # only the child's share passes mine; only the joined list passes
-    # max(mine, child); nothing passes total
-    for cap in (0, mine - 1, mine, child - 1, child, total - 1, total):
-        assert norms(G, 6, cap) == norms(G, 6, cap, SERIAL)
-
-
-def test_split_recomputes_a_share_the_fork_refused(split, monkeypatch):
-    refused = []
-
-    def refuse():
-        refused.append(1)
-        raise OSError("no more processes")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    G = linalg.lll_reduce(E8)[0]
-    assert norms(G, 6) == norms(G, 6, nodes=SERIAL)
-    assert refused == [1]
-
-
-def test_split_recomputes_the_share_of_a_failed_child(split, monkeypatch):
-    forks, _ = split
-    fork = os.fork
-
-    def failing_fork():
-        pid = fork()
-        if pid == 0:
-            os._exit(3)
-        return pid
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    G = linalg.lll_reduce(E8)[0]
-    assert norms(G, 6) == norms(G, 6, nodes=SERIAL)
-    assert len(forks) == 1
-
-
-def test_split_with_one_cpu_or_no_fork_never_forks(split, monkeypatch):
-    forks, set_workers = split
-    G = linalg.lll_reduce(E8)[0]
-    serial = norms(G, 6, nodes=SERIAL)
-    set_workers(1)
-    assert norms(G, 6) == serial
-    set_workers(2)
-    monkeypatch.delattr(os, "fork")
-    assert norms(G, 6) == serial
-    assert forks == []
+    en.short_vectors(L, 6)
+    en.primitive_represents(L, 8)
+    assert built == []
+    en.norm_census(L, 2)
+    assert built

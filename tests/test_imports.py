@@ -6,9 +6,9 @@ module reads a private name of another k3lat module: what one module
 needs of another is part of that module's public surface. No module
 imports `multiprocessing`, `concurrent.futures` or `threading`, and only
 `parallel` calls os.fork, once: the one parallel path is `parallel.run`,
-which forks for the split of a big Fincke-Pohst walk in `enumeration`
-and for the two halves of `walls.classification_table`, and every
-module-level import adds to the start-up time of every command.
+which forks for the two halves of `walls.classification_table`, and
+every module-level import adds to the start-up time of every command.
+`enumeration` does not import `parallel`: its walks run in one process.
 
 No decision path uses floating point: `src/k3lat` holds no float
 literal, no true division and no call of `float`, `round` or of the
@@ -69,6 +69,14 @@ def test_only_parallel_forks_once():
     sites = sorted(f"{path.name}:{line}" for path in SRC.glob("*.py")
                    for line in _fork_calls(path))
     assert len(sites) == 1 and sites[0].startswith("parallel.py:")
+
+
+def test_enumeration_does_not_import_parallel():
+    tree = ast.parse((SRC / "enumeration.py").read_text())
+    assert "parallel" not in _module_aliases(tree).values()
+    assert not any(isinstance(node, ast.ImportFrom)
+                   and "parallel" in (node.module or "").split(".")
+                   for node in ast.walk(tree))
 
 
 def _private(name):

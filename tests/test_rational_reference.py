@@ -8,17 +8,16 @@ d_j (bound - ||pi_j(x)||^2) computed in `Fraction`, with every division
 exact. `enumeration._enumerate_reduced` must return the leaves of the
 eager loop in `eager_reference` in the same order, so every enumeration
 downstream is unchanged, and its norm-only leaves must be those leaves'
-norms, with the same cuts: in the same order where the walk is serial,
-and as a multiset where it is split across processes. LLL's output is also checked against the
+norms, with the same cuts and in the same order, also where the walk
+replays memoized subtrees. LLL's output is also checked against the
 definition of a reduced basis.
 """
 
 import functools
-import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import eager_reference
 import rational_reference as ref
@@ -229,45 +228,32 @@ def norm_leaves(G, bound, cap, stop_after):
         return en.EnumerationCap
 
 
-@pytest.mark.parametrize("max_rank", [1, 8])
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), bound=st.integers(-1, 16),
-       stop_after=st.sampled_from([None, 1, 2, 7]),
-       cap=st.sampled_from([0, 1, 5, 6, en.DEFAULT_CAP]))
-def test_norm_leaves_are_pair_norms(max_rank, data, bound, stop_after, cap):
-    # a split norm-only walk keeps only the multiset; some trees drawn here
-    # (an unreduced rank-8 basis at norm 16) are big enough to split
-    G = data.draw(definite_grams(max_rank=max_rank))
-    W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(en, "SPLIT_NODES", 1 << 62)
+@pytest.mark.parametrize("min_rank, max_rank", [
+    pytest.param(1, 1, id="1"), pytest.param(1, 8, id="8"),
+    pytest.param(6, 10, id="6-10")])
+def test_norm_leaves_are_pair_norms(memo_hits, monkeypatch, min_rank,
+                                    max_rank):
+    # with the memo built from the first node on, every norm-only walk of
+    # rank 7 and up keys its nodes at level 6 (and 9), and must still give
+    # the eager loop's norms in its order; Z^n is drawn first, so that some
+    # subtree is replayed
+    monkeypatch.setattr(en, "MEMO_NODES", 1)
+
+    @settings(max_examples=200 if max_rank <= 8 else 60, deadline=None)
+    @given(G=definite_grams(max_rank=max_rank, min_rank=min_rank),
+           bound=st.integers(-1, 16 if max_rank <= 8 else 10),
+           stop_after=st.sampled_from([None, 1, 2, 7]),
+           cap=st.sampled_from([0, 1, 5, 6, 50, en.DEFAULT_CAP]))
+    @example(G=linalg.identity(max_rank), bound=4, stop_after=None,
+             cap=en.DEFAULT_CAP)
+    def check(G, bound, stop_after, cap):
+        W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
         for M in (W, linalg.lll_reduce(W)[0]):
-            pairs = leaves(en._enumerate_reduced, M, bound, cap, stop_after)
+            pairs = leaves(eager_reference.enumerate_reduced, M, bound, cap,
+                           stop_after)
             if pairs is not en.EnumerationCap:
                 pairs = [q for q, _ in pairs]
             assert norm_leaves(M, bound, cap, stop_after) == pairs
 
-
-@settings(max_examples=60, deadline=None)
-@given(definite_grams(max_rank=10, min_rank=6), st.integers(1, 10),
-       st.sampled_from([0, 5, 50, en.DEFAULT_CAP]))
-def test_split_walk_matches_eager_loop(G, bound, cap):
-    # every norm-only walk of rank 7 and up is dealt out from its first
-    # subtree between this process and a forked child, and returns the
-    # eager loop's norms in some order
-    W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(en, "SPLIT_NODES", 0)
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        mp.setattr(os, "cpu_count", lambda: 2)
-        for M in (W, linalg.lll_reduce(W)[0]):
-            found = norm_leaves(M, bound, cap, None)
-            if found is not en.EnumerationCap:
-                found.sort()
-            eager = leaves(eager_reference.enumerate_reduced, M, bound, cap,
-                           None)
-            if eager is not en.EnumerationCap:
-                eager = sorted(q for q, _ in eager)
-            assert found == eager
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    check()
+    assert bool(memo_hits) == (max_rank > 6)
