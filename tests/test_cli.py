@@ -327,6 +327,21 @@ def test_verify_reports_a_crashing_check(monkeypatch):
         {"check": "crash", "ok": False, "detail": {"error": "boom"}}]}
 
 
+# tests/golden/<name>.out holds the stdout bytes of `k3lat <argv>` run from
+# tests/golden; commands.json holds each name's argv and exit code
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+GOLDEN_COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_golden(name, monkeypatch):
+    command = GOLDEN_COMMANDS[name]
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run_cli(command["argv"])
+    assert code == command["exit"]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
 def test_byte_identical_runs():
     argv = ["construct", "N22", "--verify"]
     outs = []
