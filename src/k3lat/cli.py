@@ -163,17 +163,13 @@ def cmd_autos(args):
             "trivial_discriminant_action":
                 iso.group_acts_trivially_on_discriminant(L, gens),
         }
-    elif args.action == "closure":
+    else:  # closure
         out = {"group_order": group.order}
-    else:
-        raise InputError(f"unknown autos action {args.action}")
     _emit(out, args)
     return 0
 
 
 def cmd_walls(args):
-    if args.action != "check":
-        raise InputError(f"unknown walls action {args.action}")
     ctx = walls.wall_context(args.n)
     if args.lattice:
         S = _load_mukai_sublattice(args.lattice, ctx.mukai)
@@ -204,18 +200,16 @@ def cmd_classify(args):
     if args.action == "table":
         _note("building the classification table (constructions are cached)")
         out = walls.classification_table(cap=args.cap)
-        _emit(out, args)
-        return 0
-    if args.action == "prime":
+    else:  # prime
         if args.p is None:
             raise InputError("classify prime needs --p")
         rows = [walls.minimal_n(name, cap=args.cap)
                 for name, (q, _, _) in walls.ROWS.items() if q == args.p]
         if not rows:
             raise InputError(f"no classification rows for p = {args.p}")
-        _emit([row.to_json() for row in rows], args)
-        return 0
-    raise InputError(f"unknown classify action {args.action}")
+        out = [row.to_json() for row in rows]
+    _emit(out, args)
+    return 0
 
 
 # -- the verification suite --------------------------------------------------------

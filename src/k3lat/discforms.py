@@ -5,10 +5,9 @@ coordinates of its dual vectors, the exact Milgram signature, the
 anti-isometry search of forms, the simplified existence/embedding/
 uniqueness criteria for even lattices (rank below length is no: A_L is a
 quotient of Z^rank), 2-elementary invariants, subgroups spanned by
-generators, and overlattice gluing. Forms are stored and searched as
-integer numerators over the group's exponent; Fraction appears only in a
-form's rational constructor input, in the q_value/b_value results and in
-the JSON records.
+generators, and overlattice gluing. Forms are built, stored and searched
+as integer numerators over the group's exponent; only their JSON records
+reduce each value to a [numerator, denominator] pair.
 
 Gluing never lists a group. An overlattice of S + T is an isotropic
 subgroup H of A_S + A_T, the graph of the glue map (Nikulin 1979,
@@ -35,7 +34,6 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter, mul
 
 from . import linalg
@@ -50,49 +48,20 @@ class FiniteQuadraticForm:
     """A finite abelian group with a quadratic form q: A -> Q/2Z.
 
     The group is presented by invariant factors d_1 | d_2 | ... | d_k
-    (each > 1). With e = d_k the exponent (1 for the trivial group), q is
-    stored on the generators as the symmetric integer matrix e*q, its
-    diagonal read mod 2e and its off-diagonal mod e, so two forms on the
-    same factors compare as plain ints. The constructor takes int factors
-    and rational entries and raises ValueError unless e*q is integral and
-    q is well defined: d_i b(g_i, g_j) = 0 mod 1 and q(d_i g_i) = 0 mod 2.
+    (each > 1). With e = d_k the exponent (1 for the trivial group), the
+    constructor takes the integer numerators num of e*q on the generators,
+    a symmetric k x k matrix, and stores them with the diagonal reduced mod
+    2e and the rest mod e, so two forms on the same factors compare as
+    plain ints. q must be well defined on the factors: d_i b(g_i, g_j) = 0
+    mod 1 and q(d_i g_i) = 0 mod 2, as on every discriminant_data form.
     """
 
-    def __init__(self, factors, q_matrix):
-        factors = list(factors)  # refused, not coerced: 2.7, "3", True
-        if any(type(d) is not int or d <= 1 for d in factors):
-            raise ValueError("invariant factors must be integers > 1")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-        e = factors[-1] if factors else 1
-        k = len(factors)
-        scaled = [[Fraction(q_matrix[i][j]) * e for j in range(k)]
-                  for i in range(k)]
-        if any(scaled[i][j] != scaled[j][i] for i in range(k) for j in range(i)):
-            raise ValueError("q matrix must be symmetric")
-        if any(a.denominator != 1 for row in scaled for a in row):
-            raise ValueError(f"e*q must be integral for the exponent e = {e}")
-        num = [[int(a) for a in row] for row in scaled]
-        if any(d * a % e or i == j and d * d * a % (2 * e)
-               for i, (d, row) in enumerate(zip(factors, num))
-               for j, a in enumerate(row)):
-            raise ValueError("q is not well defined on the invariant factors")
-        self._store(factors, num)
-
-    def _store(self, factors, num):
-        """Set q = num / e, reducing the diagonal mod 2e and the rest mod e."""
+    def __init__(self, factors, num):
         e = factors[-1] if factors else 1
         self.factors = factors
         self.exponent = e
         self._qnum = [[a % (2 * e if i == j else e) for j, a in enumerate(row)]
                       for i, row in enumerate(num)]
-
-    @classmethod
-    def _from_numerators(cls, factors, num):
-        form = cls.__new__(cls)
-        form._store(factors, num)
-        return form
 
     @property
     def length(self):
@@ -175,23 +144,14 @@ class FiniteQuadraticForm:
             for j in range(i + 2, k):  # the coordinates past i are 0 again
                 levels[j] = (state[0], state[1], state[2][j - i - 1:])
 
-    def q_value(self, x):
-        """q(x) as a Fraction in [0, 2)."""
-        return Fraction(self._q_num(x), self.exponent)
-
-    def b_value(self, x, y):
-        """Bilinear pairing b(x, y) as a Fraction in [0, 1)."""
-        return Fraction(self._b_num(x, y), self.exponent)
-
     def neg(self):
-        return FiniteQuadraticForm._from_numerators(
+        return FiniteQuadraticForm(
             self.factors, [[-a for a in row] for row in self._qnum])
 
     def to_json(self):
         e = self.exponent
         return {"factors": self.factors[:],
-                "q": [[[f.numerator, f.denominator]
-                       for f in (Fraction(a, e) for a in row)]
+                "q": [[[a // math.gcd(a, e), e // math.gcd(a, e)] for a in row]
                       for row in self._qnum]}
 
     def __repr__(self):
@@ -253,7 +213,7 @@ def discriminant_data(L):
     RG = linalg.mat_mul(gens, L.gram)
     num = [[linalg.dot(rg, rj) * e // (fi * fj)
             for rj, fj in zip(gens, factors)] for rg, fi in zip(RG, factors)]
-    form = FiniteQuadraticForm._from_numerators(factors, num)
+    form = FiniteQuadraticForm(factors, num)
     data = DiscriminantData(L, form, gens, V, keep)
     _recent_data.append(data)
     return data
@@ -300,7 +260,7 @@ def _primary_parts(form):
     for p, pk in powers:
         part = [(i, d // math.gcd(d, pk)) for i, d in enumerate(f)
                 if d % p == 0]
-        yield p, FiniteQuadraticForm._from_numerators(
+        yield p, FiniteQuadraticForm(
             [f[i] // c for i, c in part],
             [[qn[i][j] * c * cj // (e // pk) for j, cj in part]
              for i, c in part])
@@ -320,7 +280,7 @@ def _block_signature(p, part, block):
         raise ValueError(f"orthogonal block of order {size} exceeds the "
                          f"Milgram cap {MILGRAM_ORDER_CAP}")
     eb = factors[-1]
-    sub = FiniteQuadraticForm._from_numerators(factors, [
+    sub = FiniteQuadraticForm(factors, [
         [part._qnum[i][j] // (part.exponent // eb) for j in block]
         for i in block])
     counts = collections.Counter(map(itemgetter(0), sub._walk()))
@@ -554,7 +514,8 @@ def nikulin_lattice_exists(sig, form):
 
 def nikulin_embedding_exists(S, target_sig):
     """Can S embed primitively into an even unimodular lattice of this
-    signature? Decided through the complement's invariants."""
+    signature? Decided through the complement's invariants; a "yes"
+    witness holds the complement's signature and its form -q_S."""
     if not S.is_even():
         raise ValueError("embedding criterion requires an even lattice")
     sp, sm = S.signature() if S.rank else (0, 0)
@@ -567,8 +528,7 @@ def nikulin_embedding_exists(S, target_sig):
     if sub.status == "yes":
         return Verdict("yes", witness={
             "complement_signature": (mp, mm),
-            "complement_factors": q.factors,
-            "complement_form": q.to_json(),
+            "complement_form": q,
         })
     return Verdict(sub.status, reason=sub.reason)
 
@@ -664,13 +624,14 @@ def glue_overlattice(S, T, glue, name=None):
     for k, (d, i) in enumerate(pairs):
         if (qS._q_num(d) * eT + qT._q_num(i) * eS) % (2 * eS * eT):
             raise ValueError(f"glue is not an anti-isometry at generator {k}: "
-                             f"q_S = {qS.q_value(d)}, q_T = {qT.q_value(i)}")
+                             f"q_S = {qS._q_num(d)}/{eS}, "
+                             f"q_T = {qT._q_num(i)}/{eT}")
     for (k, (d, i)), (l, (d2, i2)) in itertools.combinations(
             enumerate(pairs), 2):
         if (qS._b_num(d, d2) * eT + qT._b_num(i, i2) * eS) % (eS * eT):
             raise ValueError(f"glue is not an anti-isometry at generators "
-                             f"{k}, {l}: b_S = {qS.b_value(d, d2)}, "
-                             f"b_T = {qT.b_value(i, i2)}")
+                             f"{k}, {l}: b_S = {qS._b_num(d, d2)}/{eS}, "
+                             f"b_T = {qT._b_num(i, i2)}/{eT}")
     if index != subgroup_order([i for _, i in pairs], qT.factors):
         raise ValueError("glue map is not injective")
 

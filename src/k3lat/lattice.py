@@ -34,14 +34,15 @@ class Lattice:
             raise ValueError("Gram matrix must be symmetric")
         self._store(gram, name, None, None, allow_degenerate)
 
-    def _store(self, gram, name, ambient, coords, allow_degenerate,
-               det=None):
+    def _store(self, gram, name, ambient, coords, allow_degenerate):
         self.gram = gram
         self.name = name
         self.ambient = ambient
         self.coords = coords
-        self._det = linalg.det(gram) if det is None else det
-        self.degenerate = self._det == 0 and self.rank > 0
+        # (plus, minus, zero, det): det(), signature() and degenerate read
+        # this one elimination
+        self._inertia = linalg.inertia(gram)
+        self.degenerate = self._inertia[2] > 0
         if self.degenerate and not allow_degenerate:
             raise ValueError("degenerate form (pass allow_degenerate to allow)")
 
@@ -57,13 +58,13 @@ class Lattice:
         return len(self.gram)
 
     def det(self):
-        return self._det
+        return self._inertia[3]
 
     def signature(self):
         """(n_plus, n_minus) from linalg.inertia, fraction-free."""
         if self.degenerate:
             raise ValueError("signature of a degenerate lattice")
-        return linalg.inertia(self.gram)[:2]
+        return self._inertia[:2]
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -86,8 +87,7 @@ class Lattice:
                        allow_degenerate=True)
 
     def direct_sum(self, other):
-        """The orthogonal sum; its determinant is the product of the
-        summands', so no elimination runs on the block Gram."""
+        """The orthogonal sum."""
         n, m = self.rank, other.rank
         gram = ([row + [0] * m for row in self.gram]
                 + [[0] * n + row for row in other.gram])
@@ -97,8 +97,7 @@ class Lattice:
         # both blocks are symmetric integer Grams, so the constructor's
         # checks are skipped
         out = Lattice.__new__(Lattice)
-        out._store(gram, name, None, None, allow_degenerate=True,
-                   det=self._det * other._det)
+        out._store(gram, name, None, None, allow_degenerate=True)
         return out
 
     def __add__(self, other):
@@ -157,4 +156,4 @@ class Lattice:
 
     def __repr__(self):
         label = self.name or "lattice"
-        return f"<{label} rank {self.rank} det {self._det}>"
+        return f"<{label} rank {self.rank} det {self.det()}>"

@@ -330,12 +330,14 @@ def rowspace_solver(B):
 
 
 def inertia(G):
-    """(plus, minus, zero) of a symmetric integer G, by Sylvester's law.
+    """(plus, minus, zero, det) of a symmetric integer G, by Sylvester's law.
 
     Symmetric fraction-free (Bareiss) elimination: each pivot p is a minor
     of a matrix congruent to G and the rational pivot is p / prev, the
     previous one, so its sign is that of p * prev. Where no diagonal pivot
-    is left, x_i += x_j makes the (i, i) entry 2 A[i][j] != 0.
+    is left, x_i += x_j makes the (i, i) entry 2 A[i][j] != 0. Both moves
+    are congruences by matrices of determinant +-1, so det G is the last
+    pivot, or 0 when a zero block is left.
     """
     A = copy_mat(G)
     plus, prev = 0, 1
@@ -360,7 +362,7 @@ def inertia(G):
              for r in rest]
         prev = p
     # what is left of A is zero: its size is the nullity
-    return plus, len(G) - len(A) - plus, len(A)
+    return plus, len(G) - len(A) - plus, len(A), 0 if A else prev
 
 
 def integral_gram_schmidt(W):

@@ -267,23 +267,20 @@ class RealizabilityVerdict:
         return self.status == "realizable"
 
 
-def realizability(S, group_or_gens, n, complement=None):
+def realizability(S, group_or_gens, n, complement):
     """Is (S, G) induced by symplectic automorphisms on some K3^[n] model?
 
-    S must be the full coinvariant lattice of G on itself. A Mukai model
-    is built by gluing S to an explicit complement; the verdict follows
-    the two conditions: negative definiteness and absence of numerical
-    wall divisors.
+    S must be the full coinvariant lattice of G on itself, n >= 2 the
+    level, and complement the lattice T that S is glued to into a Mukai
+    model (S.rank + T.rank = 24). The verdict follows the two conditions:
+    negative definiteness, then absence of numerical wall divisors in
+    that model (wall_verdict_in_model).
     """
     plus, minus = S.signature() if S.rank else (0, 0)
     if plus or minus != S.rank:
         return RealizabilityVerdict(
             "obstructed", reason="coinvariant lattice is not negative definite")
     pair = iso.leech_pair_check(S, group_or_gens)
-    if complement is None:
-        return RealizabilityVerdict(
-            "inconclusive", reason="no Mukai complement supplied",
-            leech_pair=pair)
     found = mukai_gluing(S, complement)
     if not found:
         return RealizabilityVerdict("inconclusive", reason=found.reason,
@@ -343,23 +340,22 @@ def _isotropic_pair_vector(T, target):
 
 
 def wall_verdict_in_model(glued, n, all_vectors=False, cap=en.DEFAULT_CAP):
-    """Wall check for the S factor of a glued Mukai model at level n.
+    """Wall check for the S factor of a glued Mukai model at level n >= 2.
 
-    The Mukai vector v of square 2n - 2 lies in the complement T: in a
-    definite T it is the first primitive vector of that square, or with
-    all_vectors every one of them up to sign; in an indefinite T it is
-    the one vector `_isotropic_pair_vector` chooses. "realizable" means
-    some tested v gives no numerical wall. "obstructed" says that every
-    embedding produces a wall only when every primitive v of a definite T
-    was tested; otherwise its reason says the one vector tested gives one.
-    cap bounds every enumeration of the check (EnumerationCap beyond it).
+    Raises ValueError for n < 2: at n = 1 a wall is a class of square -2,
+    which _k3_route tests. The Mukai vector v of square 2n - 2 lies in the
+    complement T: in a definite T it is the first primitive vector of that
+    square, or with all_vectors every one of them up to sign; in an
+    indefinite T it is the one vector `_isotropic_pair_vector` chooses.
+    "realizable" means some tested v gives no numerical wall. "obstructed"
+    says that every embedding produces a wall only when every primitive v
+    of a definite T was tested; otherwise its reason says the one vector
+    tested gives one. cap bounds every enumeration of the check
+    (EnumerationCap beyond it).
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     T = glued.t_sub
-    if n == 1:
-        if en.has_roots(glued.s_sub, cap=cap):
-            return RealizabilityVerdict(
-                "obstructed", reason="coinvariant contains -2 classes")
-        return RealizabilityVerdict("realizable", reason="root-free at n = 1")
     reason = "the one Mukai vector tested gives a numerical wall"
     if T.is_definite():
         first = en.primitive_represents(T, 2 * n - 2, cap=cap)

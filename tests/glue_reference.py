@@ -56,7 +56,8 @@ def glue_overlattice(S, T, glue, name=None):
     for x, y in graph.items():
         if (qS._q_num(x) * eT + qT._q_num(y) * eS) % (2 * eS * eT):
             raise ValueError(f"glue is not an anti-isometry at element {x}: "
-                             f"q_S = {qS.q_value(x)}, q_T = {qT.q_value(y)}")
+                             f"q_S = {qS._q_num(x)}/{eS}, "
+                             f"q_T = {qT._q_num(y)}/{eT}")
     if len(set(graph.values())) != len(graph):
         raise ValueError("glue map is not injective")
     index = len(graph)

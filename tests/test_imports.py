@@ -1,7 +1,7 @@
 """Import structure of k3lat.
 
-Only `discforms` imports `fractions`: the rest of k3lat computes in
-integers, and discforms uses Fraction only at its public boundary. No
+No module imports `fractions`: k3lat computes in integers, and a finite
+quadratic form is built from the integer numerators of e q. No
 module reads a private name of another k3lat module: what one module
 needs of another is part of that module's public surface. No module
 imports `multiprocessing`, `concurrent.futures` or `threading`, and only
@@ -37,11 +37,11 @@ def _imported_modules(path):
             yield node.module
 
 
-def test_only_discforms_imports_fractions():
+def test_no_module_imports_fractions():
     users = sorted(path.name for path in SRC.glob("*.py")
                    if any(m.split(".")[0] == "fractions"
                           for m in _imported_modules(path)))
-    assert users == ["discforms.py"]
+    assert users == []
 
 
 def test_no_module_imports_a_pool_or_threads():

@@ -165,12 +165,12 @@ def test_lll_rounds_half_to_even():
 
 
 def test_inertia_signs():
-    assert linalg.inertia(U) == (1, 1, 0)
-    assert linalg.inertia(E8) == (8, 0, 0)
+    assert linalg.inertia(U) == (1, 1, 0, -1)
+    assert linalg.inertia(E8) == (8, 0, 0, 1)
 
 
 def test_inertia_degenerate():
-    assert linalg.inertia([[0, 0], [0, 2]]) == (1, 0, 1)
+    assert linalg.inertia([[0, 0], [0, 2]]) == (1, 0, 1, 0)
 
 
 def test_rowspace_solver_known_solution():

@@ -3,6 +3,7 @@
 `linalg.inertia` and `linalg.lll_reduce` must give exactly what the
 `Fraction` routines in `rational_reference` gave: the same signs and the
 same (G2, T) or the same ValueError (LLL with the Lovasz constant 99/100).
+The determinant `linalg.inertia` returns must be `linalg.det`'s.
 The integer budgets of the Fincke-Pohst tree must equal
 d_j (bound - ||pi_j(x)||^2) computed in `Fraction`, with every division
 exact. `enumeration._enumerate_reduced` must return the leaves of the
@@ -75,9 +76,11 @@ any_grams = st.one_of(definite_grams(), symmetric_grams())
 
 
 def reference_inertia(G):
+    """The signs of the Fraction diagonalisation, and linalg.det's
+    determinant, which inertia reads off its last pivot."""
     diag = ref.congruent_diagonal(G)
     return (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0),
-            sum(1 for d in diag if d == 0))
+            sum(1 for d in diag if d == 0), linalg.det(G))
 
 
 def outcome(f, G):

@@ -141,6 +141,9 @@ def test_numerical_wall_absent_for_e8_minus_2_model():
     glued = walls.mukai_gluing(S, T).witness["gluing"]
     verdict = walls.wall_verdict_in_model(glued, 2)
     assert verdict.status == "realizable"
+    # n = 1 is the K3 route's, not a Mukai model's
+    with pytest.raises(ValueError, match="at least 2"):
+        walls.wall_verdict_in_model(glued, 1)
 
 
 def _glue_d12_exclusion_pair(monkeypatch):
@@ -206,8 +209,10 @@ def test_realizability_e8_minus_2():
 
 
 def test_realizability_indefinite_fails():
+    # the signature answers before any gluing, so any complement will do
     S = catalog.hyperbolic()
-    verdict = walls.realizability(S, [iso.minus_identity(S)], 2)
+    verdict = walls.realizability(S, [iso.minus_identity(S)], 2,
+                                  complement=S)
     assert verdict.status == "obstructed"
     assert "negative definite" in verdict.reason
 
@@ -227,12 +232,6 @@ def test_gluing_raises_only_on_a_proven_no(monkeypatch):
     monkeypatch.setattr(walls, "_gluing_cache", {})
     with pytest.raises(AssertionError, match="cap of 2 nodes"):
         walls._exclusion_model("BW16(-1)")
-
-
-def test_realizability_without_complement_inconclusive():
-    S = catalog.exceptional("S_2.K3")
-    verdict = walls.realizability(S, [iso.minus_identity(S)], 2)
-    assert verdict.status == "inconclusive"
 
 
 def test_conway_condition_order_11():
