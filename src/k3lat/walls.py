@@ -485,15 +485,14 @@ def _exclusion_model(name):
 
 
 def exclusion_witness(name, n, cap=en.DEFAULT_CAP):
-    """The wall verdict of an excluded lattice at level n, in its model.
+    """The wall verdict of an excluded lattice at level n >= 2, in its
+    model (wall_verdict_in_model raises ValueError for n < 2).
 
     The Mukai vector is the one `_isotropic_pair_vector` chooses in the
     complement U(k)^4 + <-2>^m, so an obstructed verdict carries the
     witness WallReport and says that one vector was tested. Inconclusive
     when the complement holds no such vector of square 2n - 2.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     verdict = wall_verdict_in_model(_exclusion_model(name), n, cap=cap)
     if verdict.status == "realizable":
         raise AssertionError(f"{name} unexpectedly wall-free at n = {n}")
