@@ -14,10 +14,8 @@ batch of (norm, tuple) pairs, or of norms alone where only norms are read.
 The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
 `norm_census`, `has_roots` and `min_norm` read norms only: their leaves
 are norms alone, one small int per +-pair (the norm-4 Leech census holds
-98 280 ints, not as many 24-tuples), and no vector is converted.
-`primitive_represents` tests the gcd in reduced coordinates and
-converts only the vector it returns. This is exact: norms do not depend on
-the basis, the unimodular T preserves gcds, and T maps +-pairs to +-pairs.
+98 280 ints, not as many 24-tuples), and no vector is converted. This is
+exact: norms do not depend on the basis, and T maps +-pairs to +-pairs.
 `short_vectors` converts every vector, picks its sign in the input basis
 and returns it with the norm the tree computed.
 
@@ -326,23 +324,6 @@ def has_roots(L, cap=DEFAULT_CAP):
     """True iff the lattice contains a vector of norm +-2."""
     G2, _, _ = _reduced_gram(L)
     return 2 in _enumerate_reduced(G2, 2, cap, coords=False)
-
-
-def primitive_represents(L, m, cap=DEFAULT_CAP):
-    """The coordinates of a primitive vector of norm m, first nonzero
-    entry positive, or None.
-
-    Only definite lattices are searched, so absence is conclusive.
-    """
-    if m == 0 or L.rank == 0:
-        return None
-    G2, T, sign = _reduced_gram(L)
-    if m * sign < 0:
-        return None
-    for q, y in _enumerate_reduced(G2, abs(m), cap):
-        if q == abs(m) and math.gcd(*y) == 1:
-            return _canonical_sign(linalg.mat_vec(T, y))
-    return None
 
 
 @dataclass

@@ -4,11 +4,15 @@ A wall context fixes a Mukai-lattice model with a primitive vector v of
 square 2n-2; divisors live in v-perp. The wall predicate evaluates the
 two numerical clauses on the saturated rank-2 lattice spanned by v and
 the divisor; the search for numerical walls inside a coinvariant lattice
-is complete, so an "absent" answer is a proof of absence.
+is complete, so an "absent" answer is a proof of absence. It enumerates
+each slice (v, r) = s of the candidates r once, up to the bound of the
+root clause, and reads every r^2 off that one enumeration.
 
 The classification glues each lattice of `ROWS` and `EXCLUSIONS` to a
 complement T into a Mukai-lattice model, then tests Mukai vectors of
-square 2n-2 in T, chosen by `wall_verdict_in_model` alone.
+square 2n-2 in T, chosen by `wall_verdict_in_model` alone: every
+primitive one, up to sign, of a definite T, and one chosen vector of an
+indefinite T.
 """
 
 import math
@@ -85,7 +89,8 @@ class WallReport:
 
 def is_wall_divisor(ctx, d):
     """Evaluate the wall clauses on the saturated span of v and the
-    divisor d, given by its coordinates in the Mukai model."""
+    divisor d, given by its coordinates in the Mukai model; d must be a
+    nonzero vector of v-perp (ValueError otherwise)."""
     d = list(d)
     if not any(d):
         raise ValueError("divisor must be nonzero")
@@ -93,6 +98,9 @@ def is_wall_divisor(ctx, d):
     v = ctx.v
     if linalg.row_rank([v, d]) < 2:
         raise ValueError("divisor is proportional to v")
+    Gd = linalg.mat_vec(G, d)
+    if linalg.dot(v, Gd):
+        raise ValueError("divisor is not orthogonal to v")
     T = ctx.mukai.sublattice([v, d]).saturation()
     sol = linalg.rowspace_solver(T.coords)([v])
     if sol is None or sol[1] != 1:
@@ -120,7 +128,6 @@ def is_wall_divisor(ctx, d):
         clause = "root"
     elif 0 <= rr * vv <= s * s and 4 * s * s < vv * vv:
         clause = "norm"
-    Gd = linalg.mat_vec(G, d)
     dn = linalg.dot(d, Gd)
     # divisibility taken inside L_n = v-perp, where the divisor lives
     ddiv = math.gcd(*linalg.mat_vec(ctx.perp.coords, Gd))
@@ -150,11 +157,12 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
 
     Complete: every wall divisor of S corresponds to a vector r in the
     saturation of Zv + S with either r^2 = -2, 0 <= (v,r) <= v^2/2 or the
-    norm clause; all such r are enumerated. Their divisors t are ranked
-    by (|t^2|, t), with t^2 in closed form, and the full wall predicate
-    runs in that order until the first wall, whose WallReport is returned:
-    the witness smallest in (|divisor norm|, divisor). None when no
-    candidate is a wall.
+    norm clause; (v, r) takes only multiples of the v-pairing's gcd on the
+    saturation, and each such slice is enumerated once. The divisors t are
+    ranked by (|t^2|, t), with t^2 in closed form, and the full wall
+    predicate runs in that order until the first wall, whose WallReport is
+    returned: the witness smallest in (|divisor norm|, divisor). None when
+    no candidate is a wall.
     """
     if S.ambient is not ctx.mukai:
         raise ValueError("S must be a sublattice of the context's Mukai model")
@@ -182,21 +190,14 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
     solve = linalg.rowspace_solver(A)
     norms = {}  # divisor t -> t^2; a report depends on t alone
 
-    for s_val in range(0, vv // 2 + 1):
-        targets = [-2]
-        if 2 * s_val < vv:
-            targets += [rho for rho in range(0, s_val * s_val // vv + 1)]
-        if s_val % gell:
-            continue
+    for s_val in range(0, vv // 2 + 1, gell):
         # particular solution x0 in Mbar coordinates with (v, x0) = s_val
         x0 = [a * (s_val // gell) for a in u]
-        for rho in targets:
-            for r_m in _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho,
-                                      vv, cap):
-                r_amb = linalg.vec_mat(r_m, B)
-                found = _divisor_from_r(ctx, r_amb, s_val, rho)
-                if found is not None:
-                    norms[tuple(found[0])] = found[1]
+        for r_m, rho in _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, vv,
+                                       cap):
+            found = _divisor_from_r(ctx, linalg.vec_mat(r_m, B), s_val, rho)
+            if found is not None:
+                norms[tuple(found[0])] = found[1]
     for t in sorted(norms, key=lambda t: (abs(norms[t]), t)):
         report = is_wall_divisor(ctx, t)
         if report.divisor_norm != norms[t]:
@@ -207,51 +208,43 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
     return None
 
 
-def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, rho, vv, cap):
-    """All r in Mbar with (v, r) = s_val and r^2 = rho.
+def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, vv, cap):
+    """(r, rho) for the r in Mbar outside Qv with (v, r) = s_val and
+    rho = r^2 that a wall clause can use: rho = -2, or 2 s_val < vv and
+    0 <= rho vv <= s_val^2.
 
-    Decomposes r = x0 + z over the kernel lattice K and enumerates the
-    shifted sphere exactly, via the index-d refinement J = K + Z tau.
+    Decomposes r = x0 + z over the kernel lattice K: x0 = (s/vv) v + tau
+    with tau in the K-span, and the K part tau + z of r is nonzero, of norm
+    rho - s^2/vv >= -2 - s^2/vv. So one enumeration of the index-den
+    refinement J = K + Z tau, up to the bound of rho = -2, holds every such
+    r: a vector w of J is den (tau + z) when w = tau mod den in K
+    coordinates, and its norm q in LJ (den^2 times that of (1/den)K) gives
+    rho = (vv q + s^2 den^2) / (vv den^2).
     KG = K Gram(Mbar), A = KG K^T is the K-Gram and solve its solver.
     """
     if not K:
-        # zero-dimensional slice: r = x0 alone
-        r2 = linalg.dot(x0, x0, Mbar.gram)
-        if r2 == rho:
-            yield x0
-        return
-    # x0 = (s/vv) v + tau with tau in the K-span; K is orthogonal to v, so
-    # the tau coordinates solve the K-Gram system directly
-    bvec = linalg.mat_vec(KG, x0)
-    # the K part of r has norm rho - s^2/vv; excess is vv (> 0) times it
-    excess = rho * vv - s_val * s_val
-    if excess > 0:
-        return
-    (tau_int,), den = solve([bvec])  # den * tau in K coords
+        return  # Mbar = Zv, so every r lies in Qv
+    # x0's K part: K is orthogonal to v, so tau solves the K-Gram system
+    (tau_int,), den = solve([linalg.mat_vec(KG, x0)])  # den * tau in K coords
     rows = [[den * int(i == j) for j in range(len(K))] for i in range(len(K))]
     if any(tau_int):
         rows.append(tau_int)
     J = linalg.hnf(rows)  # sublattice of (1/den)K containing K and tau
     LJ = Lattice(linalg.mat_mul(linalg.mat_mul(J, A), linalg.transpose(J)))
-    # LJ is scaled by den^2 relative to (1/den)K
-    if excess * den * den % vv:
-        return
-    want = excess * den * den // vv
-    candidates = []
-    if want == 0:
-        candidates.append([0] * len(K))
-    else:
-        for q, w in en.short_vectors(LJ, abs(want), cap=cap):
-            if q == want:
-                candidates.append(linalg.vec_mat(w, J))
-    for cand in candidates:
-        # cand = den * w in K coordinates; need w - tau in K, i.e.
-        # cand = tau_int mod den
-        diff = [a - b for a, b in zip(cand, tau_int)]
+    dd = den * den
+    for q, w in en.short_vectors(LJ, (s_val * s_val + 2 * vv) * dd // vv,
+                                 cap=cap):
+        # rho is an integer on the coset, so a remainder rules w out before
+        # any conversion
+        rho, rest = divmod(vv * q + s_val * s_val * dd, vv * dd)
+        if rest or not (rho == -2 or 2 * s_val < vv
+                        and 0 <= rho * vv <= s_val * s_val):
+            continue
+        diff = [a - b for a, b in zip(linalg.vec_mat(w, J), tau_int)]
         if any(c % den for c in diff):
             continue
-        z = [c // den for c in diff]  # integer K coordinates of w - tau
-        yield [a + b for a, b in zip(x0, linalg.vec_mat(z, K))]
+        z = [c // den for c in diff]  # integer K coordinates of w/den - tau
+        yield [a + b for a, b in zip(x0, linalg.vec_mat(z, K))], rho
 
 
 # -- realizability -------------------------------------------------------------
@@ -339,45 +332,40 @@ def _isotropic_pair_vector(T, target):
     return None
 
 
-def wall_verdict_in_model(glued, n, all_vectors=False, cap=en.DEFAULT_CAP):
+def wall_verdict_in_model(glued, n, cap=en.DEFAULT_CAP):
     """Wall check for the S factor of a glued Mukai model at level n >= 2.
 
     Raises ValueError for n < 2: at n = 1 a wall is a class of square -2,
     which _k3_route tests. The Mukai vector v of square 2n - 2 lies in the
-    complement T: in a definite T it is the first primitive vector of that
-    square, or with all_vectors every one of them up to sign; in an
-    indefinite T it is the one vector `_isotropic_pair_vector` chooses.
-    "realizable" means some tested v gives no numerical wall. "obstructed"
-    says that every embedding produces a wall only when every primitive v
-    of a definite T was tested; otherwise its reason says the one vector
-    tested gives one. cap bounds every enumeration of the check
-    (EnumerationCap beyond it).
+    complement T: in a definite T every primitive vector of that square,
+    up to sign, is tested; in an indefinite T the one vector
+    `_isotropic_pair_vector` chooses. "realizable" means some tested v
+    gives no numerical wall; "obstructed" means every tested v gives one,
+    and its reason says whether that covers every embedding (definite T)
+    or one vector (indefinite T). cap bounds every enumeration of the
+    check (EnumerationCap beyond it).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     T = glued.t_sub
-    reason = "the one Mukai vector tested gives a numerical wall"
+    target = 2 * n - 2
     if T.is_definite():
-        first = en.primitive_represents(T, 2 * n - 2, cap=cap)
-        if first is None:
+        vs = [v for q, v in en.short_vectors(T, target, up_to_sign=True,
+                                             cap=cap)
+              if q == target and math.gcd(*v) == 1]
+        if not vs:
             return RealizabilityVerdict(
                 "inconclusive",
-                reason=f"complement does not represent {2 * n - 2}")
-        if all_vectors:
-            vecs = en.short_vectors(T, 2 * n - 2, up_to_sign=True,
-                                    cap=cap)
-            vs = [v for q, v in vecs if q == 2 * n - 2 and math.gcd(*v) == 1]
-            reason = "every embedding produces a numerical wall"
-        else:
-            vs = [first]
+                reason=f"complement does not represent {target}")
+        reason = "every embedding produces a numerical wall"
     else:
-        v = _isotropic_pair_vector(T, 2 * n - 2)
+        v = _isotropic_pair_vector(T, target)
         if v is None:
             return RealizabilityVerdict(
                 "inconclusive",
                 reason="no explicit Mukai vector found in the complement")
         vs = [v]
-    last_wall = None
+        reason = "the one Mukai vector tested gives a numerical wall"
     for v_t in vs:
         v_amb = linalg.vec_mat(v_t, T.coords)
         ctx = wall_context(n, mukai=glued.lattice, v=v_amb)
@@ -385,8 +373,7 @@ def wall_verdict_in_model(glued, n, all_vectors=False, cap=en.DEFAULT_CAP):
         if wall is None:
             return RealizabilityVerdict(
                 "realizable", reason=f"no numerical wall divisor at n = {n}")
-        last_wall = wall
-    return RealizabilityVerdict("obstructed", reason=reason, wall=last_wall)
+    return RealizabilityVerdict("obstructed", reason=reason, wall=wall)
 
 
 # -- group-level criteria --------------------------------------------------------
@@ -553,8 +540,7 @@ def minimal_n(row_name, cap=en.DEFAULT_CAP):
         witness = None
         for S_row, T in pairs:
             glued = _cached_gluing(S_row, T)
-            verdict = wall_verdict_in_model(
-                glued, n, all_vectors=(n - 1) % p == 0, cap=cap)
+            verdict = wall_verdict_in_model(glued, n, cap=cap)
             if verdict.status == "realizable":
                 embeddings += 1
                 if witness is None:

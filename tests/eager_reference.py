@@ -6,8 +6,8 @@ budgets per level: it scales every level to one common denominator
 (`rational_reference.integer_cholesky`), each descent from level j
 rewrites column j of every row l < j of `sigma`, every node is one pass
 of the loop, and leaves are lists. The property tests check that the
-current loop visits the same leaves in the same order, which
-`primitive_represents` depends on; nothing in `src/` imports this module.
+current loop visits the same leaves in the same order, the order that a
+`stop_after` cut keeps; nothing in `src/` imports this module.
 """
 
 import math

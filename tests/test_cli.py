@@ -230,10 +230,20 @@ def test_walls_check_divisor_in_l_n_or_mukai_coordinates():
 
 
 def test_walls_check_divisor_that_begins_with_a_minus_sign():
-    coords = ",".join(["-1"] + ["0"] * 7 + ["1"] + ["0"] * 15)
+    # f - e + a root lies in v-perp for v = e + f
+    coords = ",".join(["-1", "1"] + ["0"] * 6 + ["1"] + ["0"] * 15)
     joined = run_cli(["walls", "check", "--n", "2", f"--divisor={coords}"])
     apart = run_cli(["walls", "check", "--n", "2", "--divisor", coords])
     assert joined[0] == 0 and apart == joined
+
+
+def test_walls_check_divisor_not_orthogonal_to_v_exits_2():
+    # v = e + 2f at n = 3 pairs with e + f' (first and second U) to 2
+    coords = ",".join(["1", "0", "0", "1"] + ["0"] * 20)
+    code, out, err = run_cli(["walls", "check", "--n", "3",
+                              "--divisor", coords])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: divisor is not orthogonal to v"]
 
 
 def test_walls_check_bad_divisor():
@@ -261,6 +271,20 @@ def test_walls_check_lattice_coords(tmp_path):
     path = _e8_block(tmp_path)
     code, out, _ = run_cli(["walls", "check", "--n", "2", "--lattice",
                             str(path)])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["wall_found"] is True and obj["wall"]["clause"] == "root"
+
+
+def test_walls_check_lattice_at_a_huge_level(tmp_path, time_limit):
+    # two orthogonal E8 roots: v pairs with the saturation only in
+    # multiples of v^2, so the search has the one slice (v, r) = 0
+    coords = [[0] * 8 + [1] + [0] * 15, [0] * 10 + [1] + [0] * 13]
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps({"coords": coords}))
+    with time_limit(10):
+        code, out, _ = run_cli(["walls", "check", "--n", "1000000",
+                                "--lattice", str(path)])
     assert code == 0
     obj = json.loads(out)
     assert obj["wall_found"] is True and obj["wall"]["clause"] == "root"

@@ -88,21 +88,6 @@ def test_has_roots():
     assert not en.has_roots(Lattice(E8).rescale(-2))
 
 
-def test_primitive_represents():
-    A = Lattice(A2)
-    T = A + A.rescale(3)
-    v = en.primitive_represents(T, 2)
-    assert v is not None and linalg.dot(v, v, T.gram) == 2
-    assert math.gcd(*v) == 1
-    assert en.primitive_represents(Lattice([[-2]]), 2) is None
-
-
-def test_primitive_vs_imprimitive():
-    L = Lattice([[1]])
-    assert en.primitive_represents(L, 4) is None  # only 2*e has norm 4
-    assert en.primitive_represents(L, 1) is not None
-
-
 def test_census_invariant_under_basis_permutation():
     L = Lattice(E8)
     c1 = en.norm_census(L, 4).counts
@@ -155,9 +140,6 @@ def test_cap_raises():
     # 120 pairs of roots: the test must not stop at the first one
     with pytest.raises(en.EnumerationCap):
         en.has_roots(Lattice(E8).rescale(-1), cap=10)
-    # E8 is even, so no vector of norm 3: all 120 root pairs are scanned
-    with pytest.raises(en.EnumerationCap):
-        en.primitive_represents(Lattice(E8), 3, cap=10)
 
 
 def test_cap_counts_pairs_everywhere():
@@ -208,9 +190,6 @@ def test_output_order_after_base_change():
         [0, 0, 5, 2], [1, -1, -4, 0], [1, -1, 1, 2], [1, 0, -9, -3],
         [1, 0, -6, -2], [1, 0, -4, -1], [1, 0, -1, 0], [2, -1, -8, -1],
         [2, -1, -5, 0], [2, 0, -10, -3], [3, -1, -14, -3], [3, -1, -9, -1]]
-    assert en.primitive_represents(L, 2) == [1, 0, -1, 0]
-    assert en.primitive_represents(L, 4) == [0, 0, 3, 1]
-    assert en.primitive_represents(L.rescale(-1), -4) == [0, 0, 3, 1]
 
 
 @st.composite
@@ -258,14 +237,16 @@ def test_enumeration_matches_box_scan(data):
         dict(Counter(box.values()))
     assert en.has_roots(L) == (2 * sign in box.values())
     assert en.min_norm(L) == sign * min(abs(q) for q in box.values())
+    # the primitive vectors of each norm, one per sign, as the wall
+    # verdict lists its Mukai vectors
+    pairs = en.short_vectors(L, bound, up_to_sign=True)
     for m in range(1, bound + 1):
-        found = en.primitive_represents(L, sign * m)
-        expect = any(abs(q) == m and math.gcd(*x) == 1
-                     for x, q in box.items())
-        assert (found is not None) == expect
-        if found is not None:
-            assert linalg.dot(found, found, L.gram) == sign * m
-            assert math.gcd(*found) == 1
+        found = [tuple(linalg.vec_mat(v, P)) for q, v in pairs
+                 if q == sign * m and math.gcd(*v) == 1]
+        expect = {x for x, q in box.items()
+                  if q == sign * m and math.gcd(*x) == 1}
+        assert len(found) * 2 == len(expect)
+        assert set(found) | {tuple(-a for a in x) for x in found} == expect
 
     vecs = en.short_vectors(L, bound)
     assert all(q == linalg.dot(v, v, L.gram) for q, v in vecs)
@@ -431,7 +412,7 @@ def test_memo_never_reaches_a_walk_that_reads_coordinates(monkeypatch):
             walk_reference.enumerate_reduced(G, bound, en.DEFAULT_CAP)
     L = Lattice(E8)
     en.short_vectors(L, 6)
-    en.primitive_represents(L, 8)
+    en.short_vectors(L, 8)
     assert built == []
     en.norm_census(L, 2)
     assert built

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import exclusion_reference
+import wall_reference
 from k3lat import catalog, discforms as df, enumeration as en
 from k3lat import isometries as iso
 from k3lat import linalg, walls
@@ -105,11 +106,10 @@ def _brute_force_walls(ctx, S):
     return found
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_numerical_wall_matches_brute_force(n):
-    ctx = walls.wall_context(n)
+def _small_cases(n):
+    """Sublattices of v-perp at level n, as rows of (index, entry)."""
     w = [(0, 1), (1, 1 - n)]  # e - (n-1)f spans v-perp in the first U
-    cases = {
+    return {
         "A1+A1": [[(8, 1)], [(10, 1)]],
         "A2": [[(8, 1)], [(9, 1)]],
         "w": [w],
@@ -117,7 +117,12 @@ def test_numerical_wall_matches_brute_force(n):
         "w+2r": [w + [(8, 2)]],
         "w,r": [w, [(8, 1)]],
     }
-    for name, rows in cases.items():
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_numerical_wall_matches_brute_force(n):
+    ctx = walls.wall_context(n)
+    for name, rows in _small_cases(n).items():
         S = ctx.mukai.sublattice([_mukai_vector(row) for row in rows])
         ref = _brute_force_walls(ctx, S)
         rep = walls.numerical_wall_in(S, ctx)
@@ -130,6 +135,68 @@ def test_numerical_wall_matches_brute_force(n):
         walls_found = [t for _, t in ref]
         assert (rep.divisor in walls_found
                 or [-a for a in rep.divisor] in walls_found), (n, name)
+
+
+def _frozen_search_inputs():
+    """(S, ctx) pairs on which the wall search is checked against the
+    frozen copy in `wall_reference`."""
+    for n in (2, 3, 4, 5):
+        ctx = walls.wall_context(n)
+        for rows in _small_cases(n).values():
+            yield ctx.mukai.sublattice([_mukai_vector(r) for r in rows]), ctx
+    for name, (n, _, _) in walls.EXCLUSIONS.items():
+        glued = walls._exclusion_model(name)
+        T = glued.t_sub
+        v = walls._isotropic_pair_vector(T, 2 * n - 2)
+        yield glued.s_sub, walls.wall_context(
+            n, mukai=glued.lattice, v=linalg.vec_mat(v, T.coords))
+    models = [(_w_model(), 4)]
+    models += [(walls._cached_gluing(S, T), n)
+               for name, n in (("S_5exo", 3), ("S_11.K3[2]", 2))
+               for S, T in walls.ROWS[name][1]()]
+    for glued, n in models:
+        for ctx in _definite_contexts(glued, n):
+            yield glued.s_sub, ctx
+    ctx = walls.wall_context(100)
+    yield ctx.mukai.sublattice([_mukai_vector([(0, -1), (1, 99)])]), ctx
+    yield ctx.mukai.sublattice([]), ctx  # Mbar = Zv: no divisor at all
+
+
+def test_numerical_wall_matches_the_frozen_search():
+    def as_json(report):
+        return None if report is None else report.to_json()
+
+    found = []
+    for S, ctx in _frozen_search_inputs():
+        report = as_json(walls.numerical_wall_in(S, ctx))
+        assert report == as_json(wall_reference.numerical_wall_in(S, ctx))
+        found.append(report is not None)
+    assert any(found) and not all(found)
+
+
+@pytest.mark.parametrize("n, rows, gell", [
+    (100, [[(0, -1), (1, 99)]], 1),  # (v, e) = 99, (v, f) = 1
+    (1000, [[(8, 1)], [(10, 1)]], 1998),  # Mbar = Zv + S pairs only to v^2
+])
+def test_each_slice_is_enumerated_once(monkeypatch, n, rows, gell):
+    slices, enumerations = [], []
+    slice_vectors, short_vectors = walls._slice_vectors, en.short_vectors
+
+    def counted_slice(Mbar, K, KG, A, solve, x0, s_val, *rest):
+        slices.append(s_val)
+        return slice_vectors(Mbar, K, KG, A, solve, x0, s_val, *rest)
+
+    def counted_enumeration(*args, **kwargs):
+        enumerations.append(1)
+        return short_vectors(*args, **kwargs)
+
+    monkeypatch.setattr(walls, "_slice_vectors", counted_slice)
+    monkeypatch.setattr(en, "short_vectors", counted_enumeration)
+    ctx = walls.wall_context(n)
+    S = ctx.mukai.sublattice([_mukai_vector(row) for row in rows])
+    assert walls.numerical_wall_in(S, ctx) is not None
+    assert slices == list(range(0, n, gell))
+    assert len(enumerations) <= len(slices)
 
 
 def test_numerical_wall_absent_for_e8_minus_2_model():
@@ -347,24 +414,70 @@ def test_chooser_skips_diagonal_entries_that_meet_the_pair():
     assert walls._isotropic_pair_vector(Lattice([[2, 1], [1, 2]]), 2) is None
 
 
-def test_obstructed_reason_says_which_vectors_were_tested():
-    # W(-1) with A2 + A2(3) is obstructed at n = 4: the first primitive
-    # v of square 6 gives a wall, and so does every other one
+def _w_model():
+    """The Mukai model of W(-1) glued to A2 + A2(3), a definite T."""
     S, T = walls.ROWS["W(-1)"][1]()[0]
-    glued = walls._cached_gluing(S, T)
-    one = walls.wall_verdict_in_model(glued, 4)
-    every = walls.wall_verdict_in_model(glued, 4, all_vectors=True)
-    assert one.status == every.status == "obstructed"
-    assert one.reason == "the one Mukai vector tested gives a numerical wall"
-    assert every.reason == "every embedding produces a numerical wall"
-    # an indefinite complement gives one chosen vector, all_vectors or not
+    return walls._cached_gluing(S, T)
+
+
+def _definite_contexts(glued, n):
+    """A wall context for each primitive v of square 2n - 2, up to sign,
+    in the definite complement of a glued model, in the verdict's order."""
+    T = glued.t_sub
+    return [walls.wall_context(n, mukai=glued.lattice,
+                               v=linalg.vec_mat(v, T.coords))
+            for q, v in en.short_vectors(T, 2 * n - 2, up_to_sign=True)
+            if q == 2 * n - 2 and math.gcd(*v) == 1]
+
+
+def test_obstructed_reason_says_which_vectors_were_tested():
+    # W(-1) with A2 + A2(3) is obstructed at n = 4: every primitive v of
+    # square 6 in the definite complement gives a wall
+    verdict = walls.wall_verdict_in_model(_w_model(), 4)
+    assert verdict.status == "obstructed"
+    assert verdict.reason == "every embedding produces a numerical wall"
+    # an indefinite complement gives one chosen vector
     glued = walls._exclusion_model("D12+(-2)")
-    for all_vectors in (False, True):
-        verdict = walls.wall_verdict_in_model(glued, 2,
-                                              all_vectors=all_vectors)
-        assert verdict.status == "obstructed"
-        assert verdict.reason == one.reason
-    assert walls.exclusion_witness("D12+(-2)", 2).reason == one.reason
+    verdict = walls.wall_verdict_in_model(glued, 2)
+    assert verdict.status == "obstructed"
+    assert verdict.reason == \
+        "the one Mukai vector tested gives a numerical wall"
+    assert walls.exclusion_witness("D12+(-2)", 2).reason == verdict.reason
+
+
+def _walls_except(monkeypatch, free):
+    """Make every numerical wall search find a wall, except at the Mukai
+    vectors in free; returns the list of vectors searched."""
+    searched = []
+
+    def search(S, ctx, cap):
+        searched.append(ctx.v)
+        return None if ctx.v in free else "wall"
+
+    monkeypatch.setattr(walls, "numerical_wall_in", search)
+    return searched
+
+
+def test_a_wall_on_every_vector_but_the_last_is_realizable(monkeypatch):
+    # A2 + A2(3) has three primitive vectors of square 2 up to sign; the
+    # verdict must reach the last one
+    glued = _w_model()
+    vs = [ctx.v for ctx in _definite_contexts(glued, 2)]
+    assert len(vs) == 3
+    searched = _walls_except(monkeypatch, [vs[-1]])
+    verdict = walls.wall_verdict_in_model(glued, 2)
+    assert verdict.status == "realizable"
+    assert searched == vs
+
+
+def test_a_wall_on_every_vector_is_obstructed(monkeypatch):
+    glued = _w_model()
+    vs = [ctx.v for ctx in _definite_contexts(glued, 2)]
+    searched = _walls_except(monkeypatch, [])
+    verdict = walls.wall_verdict_in_model(glued, 2)
+    assert verdict.status == "obstructed" and verdict.wall == "wall"
+    assert verdict.reason == "every embedding produces a numerical wall"
+    assert searched == vs
 
 
 def test_minimal_n_rows():
