@@ -16,8 +16,11 @@ The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
 are norms alone, one small int per +-pair (the norm-4 Leech census holds
 98 280 ints, not as many 24-tuples), and no vector is converted. This is
 exact: norms do not depend on the basis, and T maps +-pairs to +-pairs.
-`short_vectors` converts every vector, picks its sign in the input basis
-and returns it with the norm the tree computed.
+`short_pairs` returns T, the sign and the leaves as the tree emits them,
+one (norm, y) per +-pair in reduced coordinates, unsorted: a caller that
+carries the vectors on into its own basis folds T into that one product.
+`short_vectors` is built on it: it converts every vector, picks its sign
+in the input basis, adds the other signs if asked and sorts.
 
 A norm-only walk replays repeated subtrees (Fincke-Pohst, Math. Comp. 44
 (1985); Conway-Sloane, SPLAG ch. 2 and 4). A level-j node with a nonzero
@@ -58,16 +61,16 @@ DEFAULT_CAP = 10_000_000
 MEMO_NODES = 1 << 14
 
 
-def _reduced_gram(L):
-    """(G2, T, sign): G2 = T^t (sign * L.gram) T positive definite and
-    LLL-reduced, T unimodular; y in reduced coordinates is T y in L's basis.
-    lll_reduce's own pivots are the definiteness test.
+def _reduced_gram(gram):
+    """(G2, T, sign): G2 = T^t (sign * gram) T positive definite and
+    LLL-reduced, T unimodular; y in reduced coordinates is T y in the
+    basis of gram. lll_reduce's own pivots are the definiteness test.
     """
-    if L.rank == 0:
+    if not gram:
         raise ValueError("enumeration on a rank-0 lattice")
-    sign = -1 if L.gram[0][0] < 0 else 1
+    sign = -1 if gram[0][0] < 0 else 1
     try:
-        G2, T = linalg.lll_reduce([[sign * a for a in row] for row in L.gram])
+        G2, T = linalg.lll_reduce([[sign * a for a in row] for row in gram])
     except ValueError:
         raise ValueError("enumeration requires a definite lattice") from None
     return G2, T, sign
@@ -287,6 +290,19 @@ def _canonical_sign(coords):
     return coords
 
 
+def short_pairs(gram, bound, cap=DEFAULT_CAP):
+    """(T, sign, leaves) for a definite integer Gram: leaves holds one
+    (|q|, y) per +-pair {v, -v} with 0 < |q(v)| <= bound, unsorted, with
+    y a tuple in the reduced basis, v = T y in the basis of gram and
+    q(v) = sign |q|.
+
+    A caller that converts the leaves as one product can fold T into its
+    own basis change and read both signs off each leaf.
+    """
+    G2, T, sign = _reduced_gram(gram)
+    return T, sign, _enumerate_reduced(G2, bound, cap)
+
+
 def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
     """(q(v), v) for all nonzero v with |q(v)| <= bound, ordered by |q(v)|
     and then by the coordinate list v; q carries the lattice's sign.
@@ -294,9 +310,9 @@ def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
     With up_to_sign one representative per {v, -v} is returned (its first
     nonzero coordinate positive); otherwise both signs appear.
     """
-    G2, T, sign = _reduced_gram(L)
+    T, sign, leaves = short_pairs(L.gram, bound, cap)
     found = [(sign * q, _canonical_sign(linalg.mat_vec(T, y)))
-             for q, y in _enumerate_reduced(G2, bound, cap)]
+             for q, y in leaves]
     if not up_to_sign:
         found = found + [(q, [-a for a in v]) for q, v in found]
     found.sort(key=lambda t: (abs(t[0]), t[1]))
@@ -308,7 +324,7 @@ def min_norm(L, cap=DEFAULT_CAP):
     the least multiple b of the step (2 on even lattices) whose stop_after=1
     walk finds a vector, by bisection below the least diagonal entry.
     """
-    G2, _, sign = _reduced_gram(L)
+    G2, _, sign = _reduced_gram(L.gram)
     step = 2 if L.is_even() else 1
     empty, found = 0, min(G2[i][i] for i in range(len(G2))) // step
     while found - empty > 1:
@@ -322,7 +338,7 @@ def min_norm(L, cap=DEFAULT_CAP):
 
 def has_roots(L, cap=DEFAULT_CAP):
     """True iff the lattice contains a vector of norm +-2."""
-    G2, _, _ = _reduced_gram(L)
+    G2, _, _ = _reduced_gram(L.gram)
     return 2 in _enumerate_reduced(G2, 2, cap, coords=False)
 
 
@@ -344,7 +360,7 @@ class NormCensus:
 
 def norm_census(L, bound, up_to_sign=True, cap=DEFAULT_CAP):
     """Censuses of vector counts by norm up to the bound."""
-    G2, _, sign = _reduced_gram(L)
+    G2, _, sign = _reduced_gram(L.gram)
     pairs = Counter(_enumerate_reduced(G2, bound, cap, coords=False))
     k = 1 if up_to_sign else 2
     counts = {sign * q: k * c for q, c in pairs.items()}

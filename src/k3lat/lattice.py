@@ -5,7 +5,16 @@ on a fixed basis; a vector is the list of its coordinates in that basis.
 A sublattice (`Lattice.sublattice`) remembers its ambient lattice and the
 coordinate matrix of its basis inside it; saturation and orthogonal
 complements are computed exactly from those data.
+
+The inertia of the form (signature, determinant, degeneracy) is one
+elimination, made when one of them is first read. `Lattice(gram)` reads
+it at once, to refuse a degenerate Gram; a lattice built with
+`allow_degenerate` (sublattices, direct sums, rescalings and
+`from_json` records among them) makes it only if it is read, so the
+wall search's many saturated spans never pay for it.
 """
+
+import functools
 
 from . import linalg
 
@@ -39,12 +48,18 @@ class Lattice:
         self.name = name
         self.ambient = ambient
         self.coords = coords
-        # (plus, minus, zero, det): det(), signature() and degenerate read
-        # this one elimination
-        self._inertia = linalg.inertia(gram)
-        self.degenerate = self._inertia[2] > 0
-        if self.degenerate and not allow_degenerate:
+        if not allow_degenerate and self.degenerate:
             raise ValueError("degenerate form (pass allow_degenerate to allow)")
+
+    @functools.cached_property
+    def _inertia(self):
+        """(plus, minus, zero, det): det(), signature() and degenerate
+        read this one elimination, made on the first read."""
+        return linalg.inertia(self.gram)
+
+    @property
+    def degenerate(self):
+        return self._inertia[2] > 0
 
     def _gram_of(self, rows):
         """Gram matrix rows G rows^T of the given coordinate rows."""

@@ -6,7 +6,10 @@ two numerical clauses on the saturated rank-2 lattice spanned by v and
 the divisor; the search for numerical walls inside a coinvariant lattice
 is complete, so an "absent" answer is a proof of absence. It enumerates
 each slice (v, r) = s of the candidates r once, up to the bound of the
-root clause, and reads every r^2 off that one enumeration.
+root clause, and reads every r^2 off that one enumeration. The slice
+keeps the enumeration's +-pairs in its LLL coordinates and folds that
+basis change into one precomposed matrix, so a pair whose r^2 a clause
+can use costs one vector-matrix product, for both signs.
 
 The classification glues each lattice of `ROWS` and `EXCLUSIONS` to a
 complement T into a Mukai-lattice model, then tests Mukai vectors of
@@ -184,18 +187,23 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
     H = linalg.hnf([[a] + e for a, e in zip(ell, linalg.identity(len(ell)))])
     gell, u = H[0][0], H[0][1:]
     K = [row[1:] for row in H[1:]]
-    # the K-Gram and its solver depend on K alone, not on the slice
+    # the K-Gram, its solver and K in ambient coordinates depend on K
+    # alone, not on the slice; so do u's K-pairings and u in ambient
+    # coordinates, of which x0's are multiples
     KG = linalg.mat_mul(K, Mbar.gram)
     A = linalg.mat_mul(KG, linalg.transpose(K))
     solve = linalg.rowspace_solver(A)
+    KB = linalg.mat_mul(K, B)
+    Ku = linalg.mat_vec(KG, u)
+    uB = linalg.vec_mat(u, B)
     norms = {}  # divisor t -> t^2; a report depends on t alone
 
     for s_val in range(0, vv // 2 + 1, gell):
-        # particular solution x0 in Mbar coordinates with (v, x0) = s_val
-        x0 = [a * (s_val // gell) for a in u]
-        for r_m, rho in _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, vv,
-                                       cap):
-            found = _divisor_from_r(ctx, linalg.vec_mat(r_m, B), s_val, rho)
+        # particular solution x0 = m u in Mbar coordinates, (v, x0) = s_val
+        m = s_val // gell
+        for r, rho in _slice_vectors(KB, A, solve, [m * a for a in Ku],
+                                     [m * a for a in uB], s_val, vv, cap):
+            found = _divisor_from_r(ctx, r, s_val, rho)
             if found is not None:
                 norms[tuple(found[0])] = found[1]
     for t in sorted(norms, key=lambda t: (abs(norms[t]), t)):
@@ -208,10 +216,10 @@ def numerical_wall_in(S, ctx, cap=en.DEFAULT_CAP):
     return None
 
 
-def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, vv, cap):
+def _slice_vectors(KB, A, solve, Kx0, x0B, s_val, vv, cap):
     """(r, rho) for the r in Mbar outside Qv with (v, r) = s_val and
     rho = r^2 that a wall clause can use: rho = -2, or 2 s_val < vv and
-    0 <= rho vv <= s_val^2.
+    0 <= rho vv <= s_val^2; r in ambient coordinates.
 
     Decomposes r = x0 + z over the kernel lattice K: x0 = (s/vv) v + tau
     with tau in the K-span, and the K part tau + z of r is nonzero, of norm
@@ -220,31 +228,49 @@ def _slice_vectors(Mbar, K, KG, A, solve, x0, s_val, vv, cap):
     r: a vector w of J is den (tau + z) when w = tau mod den in K
     coordinates, and its norm q in LJ (den^2 times that of (1/den)K) gives
     rho = (vv q + s^2 den^2) / (vv den^2).
-    KG = K Gram(Mbar), A = KG K^T is the K-Gram and solve its solver.
+
+    The enumeration gives one leaf y per pair {w, -w} in LLL coordinates,
+    w = T y, so the slice precomposes P = T^t J K B and tKB = tau_int K B
+    once, and a leaf whose rho passes costs one product y P: the sign e
+    is kept when e y P - tKB = 0 mod den, and then
+    r = x0 B + (e y P - tKB) / den. Testing den in ambient coordinates is
+    exact: K, the kernel of the v-pairing on Mbar, is primitive in Mbar,
+    which is primitive in the ambient lattice, so the rows of K B span a
+    primitive sublattice, and an integer combination c K B has every
+    ambient coordinate divisible by den only when c has every coordinate
+    so.
+
+    KB = K B with B the basis of Mbar, A = K Gram(Mbar) K^T is the K-Gram
+    and solve its solver, Kx0 the K-pairings of x0 (the right side of
+    tau's system) and x0B is x0 in ambient coordinates.
     """
-    if not K:
+    if not KB:
         return  # Mbar = Zv, so every r lies in Qv
     # x0's K part: K is orthogonal to v, so tau solves the K-Gram system
-    (tau_int,), den = solve([linalg.mat_vec(KG, x0)])  # den * tau in K coords
-    rows = [[den * int(i == j) for j in range(len(K))] for i in range(len(K))]
+    (tau_int,), den = solve([Kx0])  # den * tau in K coords
+    k = len(KB)
+    rows = [[den * int(i == j) for j in range(k)] for i in range(k)]
     if any(tau_int):
         rows.append(tau_int)
     J = linalg.hnf(rows)  # sublattice of (1/den)K containing K and tau
-    LJ = Lattice(linalg.mat_mul(linalg.mat_mul(J, A), linalg.transpose(J)))
+    T, sign, leaves = en.short_pairs(
+        linalg.mat_mul(linalg.mat_mul(J, A), linalg.transpose(J)),
+        (s_val * s_val + 2 * vv) * den * den // vv, cap=cap)
+    P = linalg.mat_mul(linalg.transpose(T), linalg.mat_mul(J, KB))
+    tKB = linalg.vec_mat(tau_int, KB)
     dd = den * den
-    for q, w in en.short_vectors(LJ, (s_val * s_val + 2 * vv) * dd // vv,
-                                 cap=cap):
-        # rho is an integer on the coset, so a remainder rules w out before
+    for q, y in leaves:
+        # rho is an integer on the coset, so a remainder rules y out before
         # any conversion
-        rho, rest = divmod(vv * q + s_val * s_val * dd, vv * dd)
+        rho, rest = divmod(vv * sign * q + s_val * s_val * dd, vv * dd)
         if rest or not (rho == -2 or 2 * s_val < vv
                         and 0 <= rho * vv <= s_val * s_val):
             continue
-        diff = [a - b for a, b in zip(linalg.vec_mat(w, J), tau_int)]
-        if any(c % den for c in diff):
-            continue
-        z = [c // den for c in diff]  # integer K coordinates of w/den - tau
-        yield [a + b for a, b in zip(x0, linalg.vec_mat(z, K))], rho
+        yP = linalg.vec_mat(y, P)
+        for e in (1, -1):
+            diff = [e * a - b for a, b in zip(yP, tKB)]
+            if not any(c % den for c in diff):
+                yield [a + c // den for a, c in zip(x0B, diff)], rho
 
 
 # -- realizability -------------------------------------------------------------

@@ -313,7 +313,7 @@ def cut(full, cap, stop_after):
 @pytest.mark.parametrize("name", list(MEMO_INPUTS))
 def test_memo_walk_matches_plain_walk(memo_hits, monkeypatch, name):
     gram, bound, replays = MEMO_INPUTS[name]
-    G, _, _ = en._reduced_gram(Lattice(gram()))
+    G, _, _ = en._reduced_gram(gram())
     full = walk_reference.enumerate_reduced(G, bound, en.DEFAULT_CAP,
                                             coords=False)
     if bound == 4:  # a Leech model: 98 280 pairs of norm 4, no roots

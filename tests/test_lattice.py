@@ -1,7 +1,11 @@
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3lat import linalg
+from k3lat import cli, linalg
 from k3lat.gram_data import U, A2, E8, gram_D
 from k3lat.isometries import Isometry
 from k3lat.lattice import Lattice
@@ -86,6 +90,53 @@ def test_signature_respects_sums():
 def test_sublattice_isotropic_flagged_degenerate():
     S = LU().sublattice([[1, 0]])
     assert S.degenerate and S.gram == [[0]]
+
+
+@pytest.fixture
+def inertia_calls(monkeypatch):
+    """The Grams that linalg.inertia is called on, in order."""
+    calls = []
+    inertia = linalg.inertia
+
+    def counted(G):
+        calls.append(G)
+        return inertia(G)
+
+    monkeypatch.setattr(linalg, "inertia", counted)
+    return calls
+
+
+@pytest.mark.parametrize("read", [
+    lambda L: L.det(), lambda L: L.signature(), lambda L: L.is_definite(),
+    lambda L: L.degenerate], ids=["det", "signature", "is_definite",
+                                  "degenerate"])
+def test_inertia_is_computed_once_and_only_when_read(inertia_calls, read):
+    E, H = LE8(-1), LU()
+    del inertia_calls[:]  # the two Lattice(gram) checks
+    built = [E.sublattice([[1] + [0] * 7, [0, 1] + [0] * 6]),
+             E.direct_sum(H), E.rescale(3), Lattice.from_json(E.to_json())]
+    assert inertia_calls == []
+    for L in built:
+        first = read(L)
+        assert read(L) == first
+    assert inertia_calls == [L.gram for L in built]
+
+
+def test_a_degenerate_gram_is_still_refused_at_construction(inertia_calls):
+    with pytest.raises(ValueError, match="degenerate"):
+        Lattice([[0, 0], [0, 0]])
+    assert inertia_calls == [[[0, 0], [0, 0]]]
+
+
+def test_analyze_signature_of_a_degenerate_record_exits_2(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"name": "z", "gram": [[0, 0], [0, 0]]}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["analyze", "--input", str(path), "--signature"])
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_sublattice_norm_two():

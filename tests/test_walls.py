@@ -5,6 +5,7 @@ import pathlib
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import exclusion_reference
 import wall_reference
@@ -137,6 +138,17 @@ def test_numerical_wall_matches_brute_force(n):
                 or [-a for a in rep.divisor] in walls_found), (n, name)
 
 
+def _exclusion_search(name):
+    """(S, ctx) of an excluded lattice's wall search at its level, with
+    the Mukai vector that `_isotropic_pair_vector` chooses."""
+    n = walls.EXCLUSIONS[name][0]
+    glued = walls._exclusion_model(name)
+    T = glued.t_sub
+    v = walls._isotropic_pair_vector(T, 2 * n - 2)
+    return glued.s_sub, walls.wall_context(
+        n, mukai=glued.lattice, v=linalg.vec_mat(v, T.coords))
+
+
 def _frozen_search_inputs():
     """(S, ctx) pairs on which the wall search is checked against the
     frozen copy in `wall_reference`."""
@@ -144,12 +156,8 @@ def _frozen_search_inputs():
         ctx = walls.wall_context(n)
         for rows in _small_cases(n).values():
             yield ctx.mukai.sublattice([_mukai_vector(r) for r in rows]), ctx
-    for name, (n, _, _) in walls.EXCLUSIONS.items():
-        glued = walls._exclusion_model(name)
-        T = glued.t_sub
-        v = walls._isotropic_pair_vector(T, 2 * n - 2)
-        yield glued.s_sub, walls.wall_context(
-            n, mukai=glued.lattice, v=linalg.vec_mat(v, T.coords))
+    for name in walls.EXCLUSIONS:
+        yield _exclusion_search(name)
     models = [(_w_model(), 4)]
     models += [(walls._cached_gluing(S, T), n)
                for name, n in (("S_5exo", 3), ("S_11.K3[2]", 2))
@@ -162,16 +170,45 @@ def _frozen_search_inputs():
     yield ctx.mukai.sublattice([]), ctx  # Mbar = Zv: no divisor at all
 
 
-def test_numerical_wall_matches_the_frozen_search():
-    def as_json(report):
-        return None if report is None else report.to_json()
+def _as_json(report):
+    return None if report is None else report.to_json()
 
+
+def test_numerical_wall_matches_the_frozen_search():
     found = []
     for S, ctx in _frozen_search_inputs():
-        report = as_json(walls.numerical_wall_in(S, ctx))
-        assert report == as_json(wall_reference.numerical_wall_in(S, ctx))
+        report = _as_json(walls.numerical_wall_in(S, ctx))
+        assert report == _as_json(wall_reference.numerical_wall_in(S, ctx))
         found.append(report is not None)
     assert any(found) and not all(found)
+
+
+# a row of v-perp at level n: entry (0, a) adds a (e - (n-1)f), which
+# spans v-perp in the first U, and entry (i, a) for i >= 2 adds a times
+# the i-th Mukai basis vector. Index 0 is drawn about half the time, as
+# rows that mix it with the rest are the ones whose saturation Mbar is
+# larger than Zv + S (den > 1 in `_slice_vectors`).
+_perp_rows = st.lists(
+    st.lists(st.tuples(st.one_of(st.just(0), st.integers(2, 23)),
+                       st.integers(-3, 3)), min_size=1, max_size=4),
+    min_size=1, max_size=2)
+
+
+def _perp_vector(n, row):
+    return _mukai_vector([e for i, a in row for e in (
+        [(0, a), (1, (1 - n) * a)] if i == 0 else [(i, a)])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), _perp_rows)
+def test_random_sublattices_match_the_frozen_search(n, rows):
+    ctx = walls.wall_context(n)
+    coords = [_perp_vector(n, row) for row in rows]
+    assume(linalg.row_rank(coords) == len(coords))
+    S = ctx.mukai.sublattice(coords)
+    assume(not S.degenerate and S.signature() == (0, S.rank))
+    assert (_as_json(walls.numerical_wall_in(S, ctx))
+            == _as_json(wall_reference.numerical_wall_in(S, ctx)))
 
 
 @pytest.mark.parametrize("n, rows, gell", [
@@ -180,23 +217,42 @@ def test_numerical_wall_matches_the_frozen_search():
 ])
 def test_each_slice_is_enumerated_once(monkeypatch, n, rows, gell):
     slices, enumerations = [], []
-    slice_vectors, short_vectors = walls._slice_vectors, en.short_vectors
+    slice_vectors, short_pairs = walls._slice_vectors, en.short_pairs
 
-    def counted_slice(Mbar, K, KG, A, solve, x0, s_val, *rest):
+    def counted_slice(KB, A, solve, Kx0, x0B, s_val, *rest):
         slices.append(s_val)
-        return slice_vectors(Mbar, K, KG, A, solve, x0, s_val, *rest)
+        return slice_vectors(KB, A, solve, Kx0, x0B, s_val, *rest)
 
     def counted_enumeration(*args, **kwargs):
         enumerations.append(1)
-        return short_vectors(*args, **kwargs)
+        return short_pairs(*args, **kwargs)
 
     monkeypatch.setattr(walls, "_slice_vectors", counted_slice)
-    monkeypatch.setattr(en, "short_vectors", counted_enumeration)
+    monkeypatch.setattr(en, "short_pairs", counted_enumeration)
     ctx = walls.wall_context(n)
     S = ctx.mukai.sublattice([_mukai_vector(row) for row in rows])
     assert walls.numerical_wall_in(S, ctx) is not None
     assert slices == list(range(0, n, gell))
-    assert len(enumerations) <= len(slices)
+    assert len(enumerations) == len(slices)
+
+
+def test_slice_candidates_are_converted_in_one_product_each(monkeypatch):
+    """BW16(-1) at n = 3 in its exclusion model: one vec_mat per +-pair
+    that passes the rho filter, plus a few per search, not three per
+    candidate and sign (1 542 calls when each went through J, K and B)."""
+    S, ctx = _exclusion_search("BW16(-1)")
+    expected = wall_reference.numerical_wall_in(S, ctx)
+    calls = []
+    vec_mat = linalg.vec_mat
+
+    def counted(*args):
+        calls.append(1)
+        return vec_mat(*args)
+
+    monkeypatch.setattr(linalg, "vec_mat", counted)
+    report = walls.numerical_wall_in(S, ctx)
+    assert len(calls) <= 300
+    assert report.to_json() == expected.to_json()
 
 
 def test_numerical_wall_absent_for_e8_minus_2_model():
