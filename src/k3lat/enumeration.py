@@ -16,6 +16,9 @@ The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
 are norms alone, one small int per +-pair (the norm-4 Leech census holds
 98 280 ints, not as many 24-tuples), and no vector is converted. This is
 exact: norms do not depend on the basis, and T maps +-pairs to +-pairs.
+`min_norm` is one such walk, below the least diagonal entry of G2.
+Every walk ends the same way: it returns all its leaves, or raises
+EnumerationCap once it has more than cap of them.
 `short_pairs` returns T, the sign and the leaves as the tree emits them,
 one (norm, y) per +-pair in reduced coordinates, unsorted: a caller that
 carries the vectors on into its own basis folds T into that one product.
@@ -34,7 +37,7 @@ census from 2.3 M nodes to under 0.2 M.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 
@@ -76,30 +79,14 @@ def _reduced_gram(gram):
     return G2, T, sign
 
 
-def _cut(out, stop_after, cap):
-    """Replay the per-leaf checks on out, which has passed its limit.
-
-    Leaf m (1-based) returns out[:m] if m >= stop_after, and otherwise
-    raises EnumerationCap if m > cap; the return is tested first. Each
-    batch starts below the limit, so no leaf before the batch did either.
-    """
-    if stop_after is not None:
-        m = max(stop_after, 1)
-        if m <= min(cap + 1, len(out)):
-            del out[m:]
-            return out
-    raise EnumerationCap(cap)
-
-
-def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
+def _enumerate_reduced(G, bound, cap, coords=True):
     """All (norm, x) with 0 < x G x^T <= bound, one per +-pair.
 
     G must be positive definite. x is a tuple; the representative of each
     pair has its highest-index nonzero coordinate positive. Leaves come
-    with x_0 fastest and each coordinate increasing; the first stop_after
-    leaves are returned, and more than cap leaves raise EnumerationCap.
-    With coords=False each leaf is its norm alone, with the same cuts and
-    in the same order.
+    with x_0 fastest and each coordinate increasing, and more than cap
+    leaves raise EnumerationCap. With coords=False each leaf is its norm
+    alone, in the same order.
 
     Budgets. With (d, lam) = linalg.integral_gram_schmidt(G), x's
     coordinate along the j-th Gram-Schmidt vector is u_j / d[j+1], where
@@ -118,16 +105,14 @@ def _enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
     """
     if bound <= 0:
         return []
-    limit = cap + 1 if stop_after is None else min(stop_after, cap + 1)
     if len(G) == 1:
         a = G[0][0]
         xs = range(1, math.isqrt(bound // a) + 1)
-        out = ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
-               else [a * x0 * x0 for x0 in xs])
-        if out and len(out) >= limit:
-            return _cut(out, stop_after, cap)
-        return out
-    return _walk(G, bound, limit, cap, stop_after, coords)
+        if len(xs) > cap:
+            raise EnumerationCap(cap)
+        return ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
+                else [a * x0 * x0 for x0 in xs])
+    return _walk(G, bound, cap, coords)
 
 
 def _memo_levels(G):
@@ -149,9 +134,9 @@ def _memo_levels(G):
     return levels
 
 
-def _walk(G, bound, limit, cap, stop_after, coords):
-    """The leaves of the tree on G, of rank 2 or more, up to bound, cut as
-    `_enumerate_reduced` states at `limit` leaves.
+def _walk(G, bound, cap, coords):
+    """The leaves of the tree on G, of rank 2 or more, up to bound, as
+    `_enumerate_reduced` states.
 
     sigma[l][k] = sum_{i >= k} lam[i][l] x[i] is refreshed lazily
     (Schnorr-Euchner): top[j] is the highest column whose x changed since
@@ -169,7 +154,7 @@ def _walk(G, bound, limit, cap, stop_after, coords):
     when the walk climbs back past level j the key maps to the offsets of
     the subtree's leaves out[start:stop], in one int: out only grows, so no
     leaf is copied. A hit appends out[start:stop] and walks on as a node
-    with an empty range, so `_cut` cuts at the same leaf as the plain walk.
+    with an empty range.
     """
     n = len(G)
     d, lam = linalg.integral_gram_schmidt(G)
@@ -185,7 +170,7 @@ def _walk(G, bound, limit, cap, stop_after, coords):
     levels = None
     pending = [None] * n  # (key, start) of the subtree being recorded
     ctop = [n - 1] * n  # like top, for the partial sums of the class rows
-    shift = limit.bit_length()
+    shift = cap.bit_length()  # no offset exceeds cap
     mask = (1 << shift) - 1
     countdown = 0 if coords else MEMO_NODES
     j, xj = n - 1, 0
@@ -234,8 +219,8 @@ def _walk(G, bound, limit, cap, stop_after, coords):
                 else:
                     out += [bound - (f - v * v) // dj
                             for v in range(dj * lo + c, dj * hi + c + 1, dj)]
-                if len(out) >= limit:
-                    return _cut(out, stop_after, cap)
+                if len(out) > cap:
+                    raise EnumerationCap(cap)
         else:
             if za:
                 if lo < 0:
@@ -253,8 +238,8 @@ def _walk(G, bound, limit, cap, stop_after, coords):
                     pending[j] = key, len(out)
                 else:
                     out += out[span >> shift:span & mask]
-                    if len(out) >= limit:
-                        return _cut(out, stop_after, cap)
+                    if len(out) > cap:
+                        raise EnumerationCap(cap)
                     hi = lo - 1
             if lo <= hi:
                 j -= 1
@@ -320,20 +305,21 @@ def short_vectors(L, bound, up_to_sign=False, cap=DEFAULT_CAP):
 
 
 def min_norm(L, cap=DEFAULT_CAP):
-    """Minimal |q| over nonzero vectors, with the lattice's sign restored:
-    the least multiple b of the step (2 on even lattices) whose stop_after=1
-    walk finds a vector, by bisection below the least diagonal entry.
+    """Minimal |q| over nonzero vectors, with the lattice's sign restored,
+    in one norm-only walk.
+
+    The least diagonal entry b of the reduced Gram is the norm of a basis
+    vector, so the minimum is b unless the walk up to b - step (step 2 on
+    even lattices, 1 otherwise) finds a shorter vector; then it is the
+    least norm that walk found. The walk is cut by cap like every other:
+    if more than cap +-pairs lie below b, this raises EnumerationCap
+    rather than answer, and it never returns a wrong minimum.
     """
     G2, _, sign = _reduced_gram(L.gram)
+    b = min(G2[i][i] for i in range(len(G2)))
     step = 2 if L.is_even() else 1
-    empty, found = 0, min(G2[i][i] for i in range(len(G2))) // step
-    while found - empty > 1:
-        mid = (empty + found) // 2
-        if _enumerate_reduced(G2, mid * step, cap, stop_after=1, coords=False):
-            found = mid
-        else:
-            empty = mid
-    return sign * found * step
+    return sign * min(_enumerate_reduced(G2, b - step, cap, coords=False),
+                      default=b)
 
 
 def has_roots(L, cap=DEFAULT_CAP):
@@ -344,11 +330,10 @@ def has_roots(L, cap=DEFAULT_CAP):
 
 @dataclass
 class NormCensus:
-    """Counts of lattice vectors by norm, complete up to the stated bound."""
+    """Counts of lattice vectors by norm, complete up to the census's
+    bound."""
 
-    bound: int
-    up_to_sign: bool
-    counts: dict = field(default_factory=dict)
+    counts: dict
 
     def count(self, norm):
         return self.counts.get(norm, 0)
@@ -364,4 +349,4 @@ def norm_census(L, bound, up_to_sign=True, cap=DEFAULT_CAP):
     pairs = Counter(_enumerate_reduced(G2, bound, cap, coords=False))
     k = 1 if up_to_sign else 2
     counts = {sign * q: k * c for q, c in pairs.items()}
-    return NormCensus(bound=bound, up_to_sign=up_to_sign, counts=counts)
+    return NormCensus(counts)

@@ -448,18 +448,13 @@ def huybrechts_equivalents(M):
 
 # -- classification ---------------------------------------------------------------
 
-_gluing_cache = {}
-
-
-def _cached_gluing(S, T):
-    """mukai_gluing(S, T), computed once per (S.name, T.name)."""
-    key = (S.name, T.name)
-    if key not in _gluing_cache:
-        found = mukai_gluing(S, T)
-        if not found:
-            raise AssertionError(f"no Mukai model for {key}: {found.reason}")
-        _gluing_cache[key] = found.witness["gluing"]
-    return _gluing_cache[key]
+def _glue(S, T):
+    """mukai_gluing(S, T)'s glued model; a table pair must have one."""
+    found = mukai_gluing(S, T)
+    if not found:
+        raise AssertionError(f"no Mukai model for {(S.name, T.name)}: "
+                             f"{found.reason}")
+    return found.witness["gluing"]
 
 
 # coinvariant lattice -> (p, a function giving its Mukai (S, T) pairs, or
@@ -494,7 +489,7 @@ def _exclusion_model(name):
     U = catalog.hyperbolic().rescale(k)
     T = sum([Lattice([[-2]])] * m, U + U + U + U)
     T.name = f"U({k})^4" + (f"+(-2)^{m}" if m else "")
-    return _cached_gluing(catalog.exceptional(name), T)
+    return _glue(catalog.exceptional(name), T)
 
 
 def exclusion_witness(name, n, cap=en.DEFAULT_CAP):
@@ -560,17 +555,16 @@ def minimal_n(row_name, cap=en.DEFAULT_CAP):
         return row
     if mukai_pairs is None:
         raise AssertionError(f"K3 route fails on {row_name}: {reason}")
-    pairs = mukai_pairs()
+    models = [(T.name, _glue(S_row, T)) for S_row, T in mukai_pairs()]
     for n in range(2, N_MAX + 1):
         embeddings = 0
         witness = None
-        for S_row, T in pairs:
-            glued = _cached_gluing(S_row, T)
+        for complement, glued in models:
             verdict = wall_verdict_in_model(glued, n, cap=cap)
             if verdict.status == "realizable":
                 embeddings += 1
                 if witness is None:
-                    witness = {"route": "mukai", "complement": T.name,
+                    witness = {"route": "mukai", "complement": complement,
                                "n": n, "reason": verdict.reason}
         if embeddings:
             row = ClassificationRow(prime=p, lattice=row_name, minimal_n=n,
@@ -620,8 +614,6 @@ def classification_table(cap=en.DEFAULT_CAP):
     os.fork, or a child that fails, the caller computes that half itself
     after the rows, as a serial run would, so an error (EnumerationCap
     from a small cap, say) is raised here, from the rows first. The
-    caller does not keep the child's `_gluing_cache` entries, so a second
-    table glues the exclusion models again, in a child again; and the
     caller's peak RSS (RUSAGE_SELF, perfbench's `peak_rss_mb`) does not
     count the child.
     """

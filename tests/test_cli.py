@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from k3lat import acceptance, cli
 
@@ -442,3 +443,109 @@ def test_classify_table_cap_exits_2():
     code, out, err = run_cli(["classify", "table", "--cap", "10"])
     assert code == 2 and out == ""
     assert "error: enumeration exceeded the safety cap of 10 vectors" in err
+
+
+# -- fuzz: the exit-code contract on random commands -------------------------
+# Random `analyze`, `construct --verify` and `walls check` commands on
+# random records: each must exit 0, 1 or 2, raise nothing, print an
+# `error:` line with every 2 and end within the time limit.
+
+BIG = 10 ** 30
+
+
+@st.composite
+def grams(draw):
+    """Square lists of size 0-5: symmetric or not, degenerate, odd,
+    indefinite or definite, of ints up to BIG or with floats, strings,
+    bools and None mixed in."""
+    n = draw(st.integers(0, 5))
+    ints = st.integers(-BIG, BIG) if draw(st.booleans()) \
+        else st.integers(-3, 3)
+    kind = draw(st.sampled_from(["definite", "definite", "symmetric",
+                                 "degenerate", "asymmetric", "mixed"]))
+    if kind == "mixed":
+        ints = st.one_of(ints, st.floats(), st.text(max_size=2),
+                         st.booleans(), st.none())
+    G = [[draw(ints) for _ in range(n)] for _ in range(n)]
+    if kind != "asymmetric":
+        for i in range(n):
+            for j in range(i):
+                G[i][j] = G[j][i]
+    if kind == "definite":  # diagonally dominant, of either sign
+        sign = draw(st.sampled_from([-1, 1]))
+        for i in range(n):
+            G[i][i] = sign * (sum(abs(a) for a in G[i]) + draw(ints.filter(
+                lambda a: a >= 0)) + 1)
+    if kind == "degenerate" and n:
+        G[-1] = [0] * n
+        for row in G:
+            row[-1] = 0
+    return G
+
+
+def records(draw):
+    if draw(st.integers(0, 4)):
+        return {"gram": draw(grams())}
+    return draw(st.sampled_from([[], {}, {"gram": 2}, {"gram": [[1, 2]]},
+                                 {"gram": [[1], [2]]}, "E8"]))
+
+
+def flag(draw, name, values):
+    return [name, str(draw(values))] if draw(st.booleans()) else []
+
+
+@st.composite
+def commands(draw):
+    """(argv, record or None): the record is written to the file that
+    argv names as record.json."""
+    cap = flag(draw, "--cap", st.integers(0, 10 ** 4))
+    action = draw(st.sampled_from(["analyze", "construct", "walls"]))
+    if action == "analyze":
+        flags = draw(st.lists(st.sampled_from(
+            ["--signature", "--determinant", "--even", "--discriminant",
+             "--milgram", "--min-norm"]), unique=True))
+        flags += flag(draw, "--census", st.integers(-1, 8))
+        return (["analyze", "--input", "record.json"] + flags + cap,
+                records(draw))
+    if action == "construct":
+        name = draw(st.sampled_from(
+            ["A2", "A3(-1)", "D4", "D2", "E6", "E8", "E8(-2)", "E8(100000)",
+             "E8(1000000)", "U", "U(3)", "K3", "leech", "BW16(-1)",
+             "S_3exo", "N22", "Zorro", "A0"]))
+        return ["construct", name, "--verify"] + cap, None
+    argv = ["walls", "check", "--n", str(draw(st.integers(-1, 6)))] + cap
+    entries = st.integers(-BIG, BIG) if draw(st.booleans()) \
+        else st.integers(-2, 2)
+    width = draw(st.sampled_from([23, 24, 3]))
+    if draw(st.booleans()):
+        argv += ["--divisor", ",".join(
+            str(a) for a in draw(st.lists(entries, min_size=width,
+                                          max_size=width)))]
+    if draw(st.booleans()):
+        rows = st.lists(st.lists(entries, min_size=width, max_size=width),
+                        max_size=5)
+        return argv + ["--lattice", "record.json"], {"coords": draw(rows)}
+    return argv, None
+
+
+def test_random_commands_keep_the_exit_code_contract(tmp_path, monkeypatch,
+                                                     time_limit):
+    monkeypatch.chdir(tmp_path)
+
+    # two inputs that once never finished
+    @settings(max_examples=150, deadline=None)
+    @given(commands())
+    @example((["analyze", "--input", "record.json", "--min-norm"],
+              {"gram": [[-2 * BIG]]}))
+    @example((["construct", "E8(1000000)", "--verify"], None))
+    def check(command):
+        argv, record = command
+        if record is not None:
+            (tmp_path / "record.json").write_text(json.dumps(record))
+        with time_limit(5):
+            code, _, err = run_cli(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert any("error:" in line for line in err.splitlines())
+
+    check()

@@ -523,7 +523,7 @@ def _table_pair(name, i, monkeypatch):
     if i is not None:
         return walls.ROWS[name][1]()[i]
     pairs = []
-    monkeypatch.setattr(walls, "_cached_gluing",
+    monkeypatch.setattr(walls, "_glue",
                         lambda S, T: pairs.append((S, T)))
     walls._exclusion_model(name)
     return pairs[0]

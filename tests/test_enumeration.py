@@ -83,6 +83,31 @@ def test_min_norm_takes_few_walks(time_limit):
         assert en.min_norm(Lattice([[3 * 10 ** 30]])) == 3 * 10 ** 30
 
 
+def test_min_norm_walks_once(monkeypatch):
+    # the reduced Gram's least diagonal entry bounds the one walk
+    walks = []
+    walk = en._enumerate_reduced
+    monkeypatch.setattr(en, "_enumerate_reduced", lambda *args, **kwargs:
+                        walks.append(args) or walk(*args, **kwargs))
+    for L, expect in ((Lattice(E8).rescale(100000), 200000),
+                      (catalog.leech(), -4),
+                      (Lattice([[-2 * 10 ** 30]]), -2 * 10 ** 30)):
+        walks.clear()
+        assert en.min_norm(L) == expect
+        assert len(walks) <= 1
+
+
+def test_min_norm_below_the_least_diagonal_entry(monkeypatch):
+    # with no reduction the least diagonal entry, 2 and 6, lies above the
+    # minimum, which the walk below it must find; the walk keeps its cap
+    monkeypatch.setattr(linalg, "lll_reduce",
+                        lambda G: (G, linalg.identity(len(G))))
+    assert en.min_norm(Lattice([[5, 3], [3, 2]])) == 1
+    assert en.min_norm(Lattice([[6, 4], [4, 6]])) == 4
+    with pytest.raises(en.EnumerationCap):
+        en.min_norm(Lattice([[6, 4], [4, 6]]), cap=0)
+
+
 def test_has_roots():
     assert en.has_roots(Lattice(E8).rescale(-1))
     assert not en.has_roots(Lattice(E8).rescale(-2))
@@ -259,9 +284,9 @@ def test_enumeration_matches_box_scan(data):
 # -- the memoized walk -------------------------------------------------------
 # A norm-only walk replays the leaves of subtrees whose key it has seen
 # before. It must return the list of the frozen plain walk in
-# `walk_reference`, element for element, and make the same cap and
-# stop_after cuts. The `memo_hits` fixture (conftest) counts the replays,
-# so that no check passes without one.
+# `walk_reference`, element for element, and make the same cap cuts.
+# The `memo_hits` fixture (conftest) counts the replays, so that no check
+# passes without one.
 
 
 def leech_base_change(gram, rng):
@@ -294,19 +319,16 @@ MEMO_INPUTS = {
 }
 
 
-def norm_walk(G, bound, cap=en.DEFAULT_CAP, stop_after=None):
+def norm_walk(G, bound, cap=en.DEFAULT_CAP):
     try:
-        return en._enumerate_reduced(G, bound, cap, stop_after, coords=False)
+        return en._enumerate_reduced(G, bound, cap, coords=False)
     except en.EnumerationCap:
         return en.EnumerationCap
 
 
-def cut(full, cap, stop_after):
-    """What the plain walk returns for these cuts, given its uncut list:
-    leaf m returns the first m leaves if m >= stop_after, and otherwise
-    raises EnumerationCap if m > cap."""
-    if stop_after is not None and stop_after <= min(cap + 1, len(full)):
-        return full[:stop_after]
+def cut(full, cap):
+    """What the plain walk returns under cap, given its uncut list: it
+    raises EnumerationCap at leaf cap + 1."""
     return en.EnumerationCap if len(full) > cap else full
 
 
@@ -320,34 +342,28 @@ def test_memo_walk_matches_plain_walk(memo_hits, monkeypatch, name):
         assert Counter(full) == {4: 98280}
     assert norm_walk(G, bound) == full
     assert bool(memo_hits) == replays
-    # caps and stop_after cuts before, inside and at the end of the list,
-    # with the memo built from the first node on
+    # caps before, inside and at the end of the list, with the memo built
+    # from the first node on
     monkeypatch.setattr(en, "MEMO_NODES", 1)
     k = len(full)
     assert norm_walk(G, bound) == full
-    for cap in (k // 100, k - 1, k):
-        assert norm_walk(G, bound, cap) == cut(full, cap, None)
-    for stop_after in (1, k // 2):
-        assert norm_walk(G, bound, k // 3, stop_after) == \
-            cut(full, k // 3, stop_after)
-        assert norm_walk(G, bound, stop_after=stop_after) == \
-            full[:stop_after]
+    for cap in (k // 100, k // 3, k - 1, k):
+        assert norm_walk(G, bound, cap) == cut(full, cap)
     assert bool(memo_hits) == replays
 
 
 def test_memo_cuts_match_plain_walk_on_e8(memo_hits, monkeypatch):
-    # every bound, cap and stop_after against the frozen walk itself
+    # every bound and cap against the frozen walk itself
     monkeypatch.setattr(en, "MEMO_NODES", 1)
     G = linalg.lll_reduce(E8)[0]
     for bound in range(2, 13, 2):
         for cap in (0, 100, 1000, en.DEFAULT_CAP):
-            for stop_after in (None, 1, 50, 500, 5000):
-                try:
-                    expect = walk_reference.enumerate_reduced(
-                        G, bound, cap, stop_after, coords=False)
-                except en.EnumerationCap:
-                    expect = en.EnumerationCap
-                assert norm_walk(G, bound, cap, stop_after) == expect
+            try:
+                expect = walk_reference.enumerate_reduced(
+                    G, bound, cap, coords=False)
+            except en.EnumerationCap:
+                expect = en.EnumerationCap
+            assert norm_walk(G, bound, cap) == expect
     assert memo_hits
 
 
@@ -384,17 +400,16 @@ def test_memo_matches_plain_walk_on_root_lattice_sums(memo_hits,
 
     @settings(max_examples=100, deadline=None)
     @given(G=root_lattice_sums(), bound=st.integers(1, 6),
-           stop_after=st.sampled_from([None, 1, 13, 1000]),
            cap=st.sampled_from([0, 7, 100, 3000, en.DEFAULT_CAP]))
-    @example(G=E8, bound=4, stop_after=None, cap=en.DEFAULT_CAP)
-    def check(G, bound, stop_after, cap):
+    @example(G=E8, bound=4, cap=en.DEFAULT_CAP)
+    def check(G, bound, cap):
         for M in (G, linalg.lll_reduce(G)[0]):
             try:
                 expect = walk_reference.enumerate_reduced(
-                    M, bound, cap, stop_after, coords=False)
+                    M, bound, cap, coords=False)
             except en.EnumerationCap:
                 expect = en.EnumerationCap
-            assert norm_walk(M, bound, cap, stop_after) == expect
+            assert norm_walk(M, bound, cap) == expect
 
     check()
     assert memo_hits

@@ -21,9 +21,15 @@ a checked path such as the acceptance battery. An attribute load whose
 receiver is a k3lat module alias (`linalg.dot`) counts only for that
 module's names, and one whose receiver is a k3lat class name
 (`Lattice.from_json`) only for that class's methods.
+
+The benchmark's span tracer, perfbench/spans.py, wraps some k3lat
+functions by name, private ones included; each name it lists must still
+be a k3lat function.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3lat"
@@ -210,3 +216,32 @@ def test_no_floating_point_in_src():
     found = sorted(f"{path.name}:{line}: {what}" for path in SRC.glob("*.py")
                    for line, what in _float_uses(path))
     assert found == []
+
+
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
+
+
+def _benchmark_hooks():
+    """The "layer.function" names that perfbench/spans.py wraps by name:
+    its PRIVATE pairs and its TALLIES keys, read from the file's syntax
+    tree without importing it."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name == "PRIVATE":
+                yield from (".".join(pair)
+                            for pair in ast.literal_eval(node.value))
+            elif name == "TALLIES":
+                yield from (ast.literal_eval(key) for key in node.value.keys)
+
+
+def test_benchmark_hooks_name_k3lat_functions():
+    hooks = list(_benchmark_hooks())
+    assert "enumeration._enumerate_reduced" in hooks
+    missing = []
+    for hook in hooks:
+        layer, function = hook.split(".")
+        module = importlib.import_module(f"k3lat.{layer}")
+        if not inspect.isfunction(getattr(module, function, None)):
+            missing.append(hook)
+    assert missing == []

@@ -204,29 +204,26 @@ def test_catalog_grams_match_reference(name):
     assert linalg.lll_reduce(G) == ref.lll_reduce(G, DELTA)
 
 
-def leaves(enumerate_reduced, G, bound, cap, stop_after):
+def leaves(enumerate_reduced, G, bound, cap):
     try:
-        return [(q, list(x))
-                for q, x in enumerate_reduced(G, bound, cap, stop_after)]
+        return [(q, list(x)) for q, x in enumerate_reduced(G, bound, cap)]
     except en.EnumerationCap:
         return en.EnumerationCap
 
 
 @settings(max_examples=200, deadline=None)
 @given(definite_grams(max_rank=8), st.integers(-1, 8),
-       st.sampled_from([None, 1, 2, 7]),
        st.sampled_from([0, 1, 5, 6, en.DEFAULT_CAP]))
-def test_tree_order_matches_eager_loop(G, bound, stop_after, cap):
+def test_tree_order_matches_eager_loop(G, bound, cap):
     W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
     for M in (W, linalg.lll_reduce(W)[0]):
-        assert leaves(en._enumerate_reduced, M, bound, cap, stop_after) == \
-            leaves(eager_reference.enumerate_reduced, M, bound, cap,
-                   stop_after)
+        assert leaves(en._enumerate_reduced, M, bound, cap) == \
+            leaves(eager_reference.enumerate_reduced, M, bound, cap)
 
 
-def norm_leaves(G, bound, cap, stop_after):
+def norm_leaves(G, bound, cap):
     try:
-        return en._enumerate_reduced(G, bound, cap, stop_after, coords=False)
+        return en._enumerate_reduced(G, bound, cap, coords=False)
     except en.EnumerationCap:
         return en.EnumerationCap
 
@@ -245,18 +242,15 @@ def test_norm_leaves_are_pair_norms(memo_hits, monkeypatch, min_rank,
     @settings(max_examples=200 if max_rank <= 8 else 60, deadline=None)
     @given(G=definite_grams(max_rank=max_rank, min_rank=min_rank),
            bound=st.integers(-1, 16 if max_rank <= 8 else 10),
-           stop_after=st.sampled_from([None, 1, 2, 7]),
            cap=st.sampled_from([0, 1, 5, 6, 50, en.DEFAULT_CAP]))
-    @example(G=linalg.identity(max_rank), bound=4, stop_after=None,
-             cap=en.DEFAULT_CAP)
-    def check(G, bound, stop_after, cap):
+    @example(G=linalg.identity(max_rank), bound=4, cap=en.DEFAULT_CAP)
+    def check(G, bound, cap):
         W = [[-a for a in row] for row in G] if G[0][0] < 0 else G
         for M in (W, linalg.lll_reduce(W)[0]):
-            pairs = leaves(eager_reference.enumerate_reduced, M, bound, cap,
-                           stop_after)
+            pairs = leaves(eager_reference.enumerate_reduced, M, bound, cap)
             if pairs is not en.EnumerationCap:
                 pairs = [q for q, _ in pairs]
-            assert norm_leaves(M, bound, cap, stop_after) == pairs
+            assert norm_leaves(M, bound, cap) == pairs
 
     check()
     assert bool(memo_hits) == (max_rank > 6)

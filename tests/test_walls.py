@@ -159,7 +159,7 @@ def _frozen_search_inputs():
     for name in walls.EXCLUSIONS:
         yield _exclusion_search(name)
     models = [(_w_model(), 4)]
-    models += [(walls._cached_gluing(S, T), n)
+    models += [(walls._glue(S, T), n)
                for name, n in (("S_5exo", 3), ("S_11.K3[2]", 2))
                for S, T in walls.ROWS[name][1]()]
     for glued, n in models:
@@ -269,11 +269,10 @@ def test_numerical_wall_absent_for_e8_minus_2_model():
         walls.wall_verdict_in_model(glued, 1)
 
 
-def _glue_d12_exclusion_pair(monkeypatch):
+def _glue_d12_exclusion_pair():
     """Run mukai_gluing once on D12+(-2) against U(2)^4 + <-2>^4, whose
     discriminant groups have order 2^12 = 4 096."""
     catalog.exceptional("D12+(-2)")  # built outside what the caller measures
-    monkeypatch.setattr(walls, "_gluing_cache", {})
     return walls._exclusion_model("D12+(-2)")
 
 
@@ -295,17 +294,17 @@ def test_gluing_never_lists_the_discriminant_group(monkeypatch):
 
     monkeypatch.setattr(df, "subgroup", counting_subgroup)
     monkeypatch.setattr(df.FiniteQuadraticForm, "_walk", counting_walk)
-    glued = _glue_d12_exclusion_pair(monkeypatch)
+    glued = _glue_d12_exclusion_pair()
     assert glued.index == 4096
     assert lists == [] and len(walks) == 2 and walks[0] is not walks[1]
 
 
-def test_gluing_memory_peak(monkeypatch):
+def test_gluing_memory_peak():
     # tracemalloc peak of this gluing: 2.37 MB when the graph was listed
     # and checked element by element, 0.61 MB with the generator checks
     tracemalloc.start()
     try:
-        _glue_d12_exclusion_pair(monkeypatch)
+        _glue_d12_exclusion_pair()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,7 +351,6 @@ def test_gluing_raises_only_on_a_proven_no(monkeypatch):
                                   + catalog.named("E8(-2)"))
     assert verdict.status == "inconclusive"
     assert verdict.reason == "search stopped at its cap of 2 nodes"
-    monkeypatch.setattr(walls, "_gluing_cache", {})
     with pytest.raises(AssertionError, match="cap of 2 nodes"):
         walls._exclusion_model("BW16(-1)")
 
@@ -473,7 +471,7 @@ def test_chooser_skips_diagonal_entries_that_meet_the_pair():
 def _w_model():
     """The Mukai model of W(-1) glued to A2 + A2(3), a definite T."""
     S, T = walls.ROWS["W(-1)"][1]()[0]
-    return walls._cached_gluing(S, T)
+    return walls._glue(S, T)
 
 
 def _definite_contexts(glued, n):
@@ -606,7 +604,7 @@ def test_gluing_builds_each_discriminant_form_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "snf", counting_snf)
     monkeypatch.setattr(df, "discriminant_data", counting_data)
-    _glue_d12_exclusion_pair(monkeypatch)
+    _glue_d12_exclusion_pair()
     assert data == ["D12+(-2)", "U(2)^4+(-2)^4"] and snfs == [12, 12]
 
 
@@ -628,6 +626,17 @@ def serial_table(split):
     set_workers(2)
     assert forks == []
     return table
+
+
+def test_serial_table_glues_each_pair_once(split, monkeypatch):
+    # the five Mukai pairs of the rows and the three exclusion models
+    split[1](1)
+    glued = []
+    glue = walls.mukai_gluing
+    monkeypatch.setattr(walls, "mukai_gluing", lambda S, T:
+                        glued.append((S.name, T.name)) or glue(S, T))
+    fresh_table()
+    assert len(glued) == 8
 
 
 def test_split_table_is_serial(split, serial_table):
