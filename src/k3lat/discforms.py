@@ -34,7 +34,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from . import linalg
 from .lattice import Lattice
@@ -42,6 +42,8 @@ from .lattice import Lattice
 MILGRAM_ORDER_CAP = 10 ** 6
 ISOMORPHISM_ORDER_CAP = 10 ** 4
 _SEARCH_NODE_CAP = 500_000
+# Least number of elements FiniteQuadraticForm._walk yields per batch.
+_WALK_BLOCK = 64
 
 
 class FiniteQuadraticForm:
@@ -104,31 +106,56 @@ class FiniteQuadraticForm:
     def _walk(self):
         """Yield (e q(x), order of x) for x in elements() order.
 
-        Adds one invariant factor at a time: for a prefix x whose
-        coordinates from i on are 0, q(x + t g_i) = q(x) + t^2 q(g_i) +
-        2t b(x, g_i) and ord(x + t g_i) = lcm(ord(x), f_i / gcd(t, f_i)),
-        with b(x, g_j) for j > i carried along, so each element costs O(1)
-        amortized instead of _q_num's O(k^2).
+        Splits x into a prefix and a trailing block of the last factors,
+        of at least _WALK_BLOCK elements or all of them. The prefixes are
+        counted like an odometer, adding one invariant factor at a time:
+        for a prefix x whose coordinates from i on are 0,
+        q(x + t g_i) = q(x) + t^2 q(g_i) + 2t b(x, g_i) and
+        ord(x + t g_i) = lcm(ord(x), f_i / gcd(t, f_i)), with b(x, g_j)
+        for j > i carried along. Each prefix x then yields its block in one
+        batch: q(x + t) = q(x) + q(t) + 2 sum_j t_j b(x, g_j), with q(t)
+        and ord(t) listed once and the orders cached per ord(x).
         """
         f, qn, e = self.factors, self._qnum, self.exponent
         k, m = len(f), 2 * e
-        if not k:
-            yield 0, 1
-            return
+        p, size = k, 1
+        while p and size < _WALK_BLOCK:
+            p -= 1
+            size *= f[p]
         orders = [[fi // math.gcd(t, fi) for t in range(fi)] for fi in f]
+        # e q(t), ord(t) and e b(t, g_j) for the block's later j, over the
+        # block's elements t, extended a factor at a time like the prefixes
+        block = [range(d) for d in f[p:]]
+        block_q, block_o = [0], [1]
+        block_b = [[0] for _ in block]
+        for i, r in enumerate(block, p):
+            qii, oi = qn[i][i], orders[i]
+            block_q = [a + t * (t * qii + 2 * c)
+                       for a, c in zip(block_q, block_b[i - p]) for t in r]
+            block_o = [math.lcm(o, oi[t]) for o in block_o for t in r]
+            for j in range(i + 1, k):
+                block_b[j - p] = [c + t * qn[i][j]
+                                  for c in block_b[j - p] for t in r]
+        by_order = {1: block_o}
         tails = [row[i + 1:] for i, row in enumerate(qn)]
         # level i holds (e q, order, [e b(x, g_j) for j >= i]) of the
         # prefix x[:i]; x counts through the prefixes like an odometer
-        x = [0] * (k - 1)
-        levels = [(0, 1, [0] * (k - i)) for i in range(k)]
-        last, qkk = orders[-1], qn[-1][-1]
-        squares = [t * t * qkk for t in range(f[-1])]
+        x = [0] * p
+        levels = [(0, 1, [0] * (k - i)) for i in range(p + 1)]
         while True:
-            q, o, (b,) = levels[-1]
-            yield from zip([(q + sq + 2 * t * b) % m
-                            for t, sq in enumerate(squares)],
-                           [math.lcm(o, ot) for ot in last])
-            i = k - 2
+            q, o, b = levels[p]
+            qs = block_q
+            if any(b):
+                lin = [0]  # 2 sum_j t_j b(x, g_j) over the block
+                for bj, r in zip(b, block):
+                    steps = [2 * t * bj for t in r]
+                    lin = [a + s for a in lin for s in steps]
+                qs = map(add, qs, lin)
+            ords = by_order.get(o)
+            if ords is None:
+                ords = by_order[o] = [math.lcm(o, a) for a in block_o]
+            yield from zip([(q + a) % m for a in qs], ords)
+            i = p - 1
             while i >= 0 and x[i] == f[i] - 1:
                 x[i] = 0
                 i -= 1
@@ -141,7 +168,7 @@ class FiniteQuadraticForm:
                      math.lcm(o, orders[i][t]),
                      [(a + t * c) % e for a, c in zip(b[1:], tails[i])])
             levels[i + 1] = state
-            for j in range(i + 2, k):  # the coordinates past i are 0 again
+            for j in range(i + 2, p + 1):  # the coordinates past i are 0
                 levels[j] = (state[0], state[1], state[2][j - i - 1:])
 
     def neg(self):

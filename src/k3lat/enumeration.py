@@ -31,8 +31,9 @@ top y = sum_{i>=j} x_i b_i walks w + y over w in L_j = span(b_0..b_{j-1});
 y projects onto L_j (x) R at c in the dual L_j^*, and the node's budget is
 E_j = d[j] (bound - ||y - c||^2). Nodes with equal E_j whose c agree mod
 L_j walk translated subtrees, with the same leaf norms in the same order,
-so `_walk` records the leaves of each key once. This cuts the norm-4 Leech
-census from 2.3 M nodes to under 0.2 M.
+so `_walk` records the leaves of each key once, at every second level
+from 4. This cuts the norm-4 census of the P1(Z/23) Leech model from 2.2 M
+nodes to 98 083, and that of the N23 model from 1.8 M to 77 086.
 """
 
 import math
@@ -58,9 +59,9 @@ class EnumerationCap(RuntimeError):
 DEFAULT_CAP = 10_000_000
 
 # Nodes a norm-only walk visits before it builds its memo: 15-30 ms of
-# walking, against 6-8 ms for the Smith forms at rank 24. A rank-24 root
-# check of 15 762 nodes saves 3 700 of them, and took a third longer with
-# the memo built at 4 096.
+# walking, against about 3.5 ms for the ten Smith forms at rank 24. A
+# rank-24 root check of 15 762 nodes saves 3 700 of them, and took a third
+# longer with the memo built at 4 096.
 MEMO_NODES = 1 << 14
 
 
@@ -117,17 +118,20 @@ def _enumerate_reduced(G, bound, cap, coords=True):
 
 def _memo_levels(G):
     """Per level j, None or (rows, table): table maps keys to subtrees.
-    With (D, U, V) = snf(G_j), G_j the leading j x j block, a top's class
+    With (D, U) = snf_left(G_j), G_j the leading j x j block, a top's class
     has one coordinate sum_{i>=j} r[i] x_i mod m per factor m = D_kk > 1,
     r[i] entry (k, i) of U G[:j] mod m; its row is (r, m, s), s for the
     partial sums.
-    Memo levels 6, 9, 12, ...: on the Leech census 8, 12, 16 walked slower,
-    and every second level from 4 a sixth faster with 50 % more subtrees.
+    Memo levels 4, 6, 8, ...: any level is exact, as a key fixes the budget
+    and the class. The norm-4 census of the P1 Leech model then visits
+    98 083 nodes (N23: 77 086), against 137 171 (106 678) at levels 6, 9,
+    12, ...; every level from 4 visits 71 552 but holds 60 % more memory
+    for the same time. The Smith forms skip V, which the memo never reads.
     """
     n = len(G)
     levels = [None] * n
-    for j in range(6, n, 3):
-        D, U, _ = linalg.snf([r[:j] for r in G[:j]])
+    for j in range(4, n, 2):
+        D, U = linalg.snf_left([r[:j] for r in G[:j]])
         UG = linalg.mat_mul(U, [r[j:] for r in G[:j]])
         levels[j] = ([([0] * j + [a % D[k][k] for a in UG[k]], D[k][k],
                        [0] * (n + 1)) for k in range(j) if D[k][k] > 1], {})

@@ -27,8 +27,8 @@ alone, and the I-parts of the rows left zero there span the saturated
 left kernel (Cohen, GTM 138, Sec. 2.4). An extended gcd of c is the
 first row (gcd c, u) of the hnf of the rows (c_i | e_i). hnf takes its
 rows a width at a time, so a long spanning list, such as a Niemeier
-model's frame vectors, is never copied whole. snf stays apart: it needs
-both transforms.
+model's frame vectors, is never copied whole. snf stays apart: it carries
+both transforms, and snf_left the left one alone.
 
 Gram-Schmidt data are integers too: the leading minors d_i and
 lam_ij = d_{j+1} mu_ij of integral_gram_schmidt, which lll_reduce updates
@@ -196,78 +196,102 @@ def snf(M):
     """Smith normal form.
 
     Returns (D, U, V) with D = U * M * V diagonal, nonnegative, and
-    d1 | d2 | ... ; U and V are unimodular.
+    d1 | d2 | ... ; U and V are unimodular. V is built only here:
+    snf_left runs the same elimination for callers that read D and U
+    alone.
     """
-    D = copy_mat(M)
-    rows = len(D)
-    cols = len(D[0]) if rows else 0
+    return _snf(M, True)
+
+
+def snf_left(M):
+    """(D, U) of snf(M), without building V."""
+    D, U, _ = _snf(M, False)
+    return D, U
+
+
+def _snf(M, with_v):
+    """snf(M), carrying V only if with_v.
+
+    Step t works on the trailing block W (rows and columns t on): every
+    entry outside it is 0 but the pivots. Its pivot is the first entry of
+    least |a| in row-major order, so the scan stops at the first unit.
+    Clearing column 0 of W by row operations leaves a remainder only if
+    the pivot is not a unit; without one, clearing row 0 by column
+    operations changes row 0 of W and V alone. A unit divides everything,
+    so the divisibility sweep runs for larger pivots only.
+    """
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
     U = identity(rows)
-    V = identity(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in D:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
+    V = identity(cols) if with_v else None
+    W = copy_mat(M)
+    diag = []
     t = 0
     while t < min(rows, cols):
-        # Move a minimal nonzero entry of the trailing block to (t, t).
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    piv, best = (i, j), abs(D[i][j])
+        piv, best = None, 0
+        for i, row in enumerate(W):
+            for j, a in enumerate(row):
+                if a and (not best or abs(a) < best):
+                    piv, best = (i, j), abs(a)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # Clear the pivot row and column; restart if a remainder survives.
+        pi, pj = piv
+        if pi:
+            W[0], W[pi] = W[pi], W[0]
+            U[t], U[t + pi] = U[t + pi], U[t]
+        if pj:
+            for row in W:
+                row[0], row[pj] = row[pj], row[0]
+            if with_v:
+                for row in V:
+                    row[t], row[t + pj] = row[t + pj], row[t]
+        # Clear the pivot column, then the pivot row; restart if a
+        # remainder survives.
+        p = W[0]
         dirty = False
-        for i in range(t + 1, rows):
-            if D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                row_op(i, t, q)
-                if D[i][t] != 0:
+        for i in range(1, len(W)):
+            a = W[i][0]
+            if a:
+                q = a // p[0]
+                W[i] = [x - q * y for x, y in zip(W[i], p)]
+                U[t + i] = [x - q * y for x, y in zip(U[t + i], U[t])]
+                if W[i][0]:
                     dirty = True
-        for j in range(t + 1, cols):
-            if D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                col_op(j, t, q)
-                if D[t][j] != 0:
+        for j in range(1, len(p)):
+            a = p[j]
+            if a:
+                q = a // p[0]
+                if dirty:
+                    for row in W[1:]:
+                        row[j] -= q * row[0]
+                p[j] = a - q * p[0]
+                if with_v:
+                    for row in V:
+                        row[t + j] -= q * row[t]
+                if p[j]:
                     dirty = True
         if dirty:
             continue
         # Enforce divisibility of the remaining block by the pivot.
-        stop = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i][j] % D[t][t] != 0:
-                    row_op(t, i, -1)
-                    stop = False
-                    break
-            if not stop:
-                break
-        if stop:
-            if D[t][t] < 0:
-                D[t] = [-a for a in D[t]]
-                U[t] = [-a for a in U[t]]
-            t += 1
+        if best > 1:
+            i = next((i for i in range(1, len(W))
+                      if any(a % p[0] for a in W[i][1:])), None)
+            if i is not None:
+                W[0] = [x + y for x, y in zip(p, W[i])]
+                U[t] = [x + y for x, y in zip(U[t], U[t + i])]
+                continue
+        if p[0] < 0:
+            U[t] = [-a for a in U[t]]
+        diag.append(abs(p[0]))
+        W = [row[1:] for row in W[1:]]
+        t += 1
+    D = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(diag):
+        D[i][i] = d
     return D, U, V
 
 

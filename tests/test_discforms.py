@@ -719,6 +719,11 @@ def raw_forms(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(raw_forms())
+@example(df.FiniteQuadraticForm([2] * 10, [[1 + i * j % 3 for j in range(10)]
+                                           for i in range(10)]))
+@example(df.FiniteQuadraticForm([3] * 6, [[(i + j + i * j) % 6
+                                           for j in range(6)]
+                                          for i in range(6)]))
 def test_walk_matches_elementwise_values(form):
     _check_walk(form)
 

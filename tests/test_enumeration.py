@@ -304,18 +304,23 @@ def leech_base_change(gram, rng):
     return linalg.mat_mul(linalg.mat_mul(P, gram), linalg.transpose(P))
 
 
-# (gram, bound, whether a subtree is replayed): the Leech models are the
-# census inputs, and ranks 4 and 6 have no memo level
+# (gram, bound, replays): whether a subtree is replayed with the memo built
+# after MEMO_NODES nodes, then with it built from the first node. The Leech
+# models are the census inputs; rank 4 has no memo level, and the rank-6
+# walk of 279 nodes builds no memo by default.
 MEMO_INPUTS = {
-    "P1": (lambda: catalog.leech().gram, 4, True),
+    "P1": (lambda: catalog.leech().gram, 4, (True, True)),
     "P1-base-change": (lambda: leech_base_change(catalog.leech().gram,
-                                                 random.Random(1)), 4, True),
-    "N23": (lambda: catalog.holy_construction("N23").leech.gram, 4, True),
-    "BW16(-1)": (lambda: catalog.exceptional("BW16(-1)").gram, 8, True),
-    "E8": (lambda: E8, 16, True),
-    "2^5-3^10": (lambda: S_LATTICE_2_5_3_10, 12, False),
+                                                 random.Random(1)),
+                       4, (True, True)),
+    "N23": (lambda: catalog.holy_construction("N23").leech.gram, 4,
+            (True, True)),
+    "BW16(-1)": (lambda: catalog.exceptional("BW16(-1)").gram, 8,
+                 (True, True)),
+    "E8": (lambda: E8, 16, (True, True)),
+    "2^5-3^10": (lambda: S_LATTICE_2_5_3_10, 12, (False, False)),
     "W(-1)-orthogonal": (lambda: catalog.exceptional("W(-1)")
-                         .orthogonal_complement().gram, 10, False),
+                         .orthogonal_complement().gram, 10, (False, True)),
 }
 
 
@@ -341,7 +346,7 @@ def test_memo_walk_matches_plain_walk(memo_hits, monkeypatch, name):
     if bound == 4:  # a Leech model: 98 280 pairs of norm 4, no roots
         assert Counter(full) == {4: 98280}
     assert norm_walk(G, bound) == full
-    assert bool(memo_hits) == replays
+    assert bool(memo_hits) == replays[0]
     # caps before, inside and at the end of the list, with the memo built
     # from the first node on
     monkeypatch.setattr(en, "MEMO_NODES", 1)
@@ -349,7 +354,7 @@ def test_memo_walk_matches_plain_walk(memo_hits, monkeypatch, name):
     assert norm_walk(G, bound) == full
     for cap in (k // 100, k // 3, k - 1, k):
         assert norm_walk(G, bound, cap) == cut(full, cap)
-    assert bool(memo_hits) == replays
+    assert bool(memo_hits) == replays[1]
 
 
 def test_memo_cuts_match_plain_walk_on_e8(memo_hits, monkeypatch):
@@ -431,3 +436,34 @@ def test_memo_never_reaches_a_walk_that_reads_coordinates(monkeypatch):
     assert built == []
     en.norm_census(L, 2)
     assert built
+
+
+def test_memo_keeps_the_leech_census_tree_small(monkeypatch):
+    # the walk takes one integer square root per node, and one more for
+    # the root's range: the P1 census visits 98 083 nodes with memo levels
+    # 4, 6, 8, ..., and 137 171 with levels 6, 9, 12, ... alone
+    G, _, _ = en._reduced_gram(MEMO_INPUTS["P1"][0]())
+    roots, isqrt = [0], math.isqrt
+
+    def counting_isqrt(a):
+        roots[0] += 1
+        return isqrt(a)
+
+    monkeypatch.setattr(math, "isqrt", counting_isqrt)
+    assert Counter(norm_walk(G, 4)) == {4: 98280}
+    assert roots[0] < 100_000
+
+
+def test_leech_census_memory_peak():
+    # one census of a base change of the P1 model holds its 98 280 norms
+    # and the memo: 1.58 MB traced (1.37 MB with memo levels 6, 9, 12, ...;
+    # the model as built, whose tree is larger, reaches 1.93 MB)
+    L = Lattice(MEMO_INPUTS["P1-base-change"][0]())
+    tracemalloc.start()
+    try:
+        census = en.norm_census(L, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.counts == {-4: 98280}
+    assert peak < 2_000_000

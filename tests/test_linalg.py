@@ -3,8 +3,9 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import snf_reference
 from k3lat import linalg
 from k3lat.gram_data import E8, A2, U
 
@@ -101,6 +102,50 @@ def test_snf_det_and_divisibility():
     assert prod == abs(linalg.det(M))
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
+
+
+@st.composite
+def snf_inputs(draw):
+    """0-7 rows and columns, entries in [-9, 9] or one 2^64-sized; half
+    of those with two or more rows get a row that is a combination of two
+    others, so singular and rank-deficient matrices are common."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-9, 9),
+                      st.integers(-2 ** 64, 2 ** 64))
+    M = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(rows)))[:2]
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        M[draw(st.integers(0, rows - 1))] = [a * x + b * y
+                                             for x, y in zip(M[i], M[j])]
+    return M
+
+
+def _product(A, B, cols):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            if B else [0] * cols for row in A]
+
+
+@settings(max_examples=300, deadline=None)
+@given(snf_inputs())
+@example([[0, 2, 1], [1, 0, 1]])
+@example([[2, 4], [4, 2], [6, 6]])
+@example([[3]])
+def test_snf_property(M):
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    D, U, V = linalg.snf(M)
+    assert _product(_product(U, M, cols), V, cols) == D
+    assert all(D[i][j] == 0 for i in range(rows) for j in range(cols)
+               if i != j)
+    diag = [D[i][i] for i in range(min(rows, cols))]
+    assert all(d >= 0 for d in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    assert abs(linalg.det(U)) == 1 and abs(linalg.det(V)) == 1
+    # the memo's call builds no V and finds the same D and U
+    assert linalg.snf_left(M) == (D, U)
+    # and the same transforms as the full-block elimination
+    assert (D, U, V) == snf_reference.snf(M)
 
 
 def test_kernel_identity_empty():
