@@ -232,8 +232,7 @@ def leech_pair_criteria(fast):
                                    complement=U + U + U + U
                                    + catalog.named("E8(-2)"))
     E, F = catalog.named("E8(-2)"), catalog.named("E8(2)")
-    glued = df.glue_overlattice(E, F, df.GlueMap.full(
-        df.discriminant_form(E), df.discriminant_form(F)).witness["glue"])
+    glued = df.glue_full(E, F).witness["gluing"]
     # extend_by_identity builds a checked Isometry, so ext is one
     ext = iso.extend_by_identity(iso.minus_identity(E), glued)
     extends = ext.order() == 2 and all(

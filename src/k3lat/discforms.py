@@ -16,7 +16,10 @@ every pair of them, since q(x + y) = q(x) + q(y) + 2 b(x, y) mod 2. The
 map is well defined iff |H| = |pi_S H| and injective iff |H| = |pi_T H|,
 and subgroup_order reads each order off one small Hermite normal form.
 The anti-isometry search likewise tests a candidate image against each
-chosen one by a single dot product with that image's row of b.
+chosen one by a single dot product with that image's row of b. A glue
+map's coordinates are on the generators of the DiscriminantData of S
+and T that glue_overlattice is given; glue_full builds those once and
+runs both the search and the gluing on them.
 
 Gauss sums multiply over orthogonal summands, so the Milgram signature
 is summed one block at a time: the p-parts, split into the components of
@@ -213,13 +216,6 @@ class DiscriminantData:
         return tuple(z[i] % f for i, f in zip(self._keep, self.form.factors))
 
 
-# The two DiscriminantData built last. A gluing's caller has usually just
-# computed both forms for the anti-isometry search (walls.mukai_gluing
-# does), and glue_overlattice reads them from here rather than run two
-# more Smith normal forms.
-_recent_data = collections.deque(maxlen=2)
-
-
 def discriminant_data(L):
     """DiscriminantData of an even nondegenerate lattice."""
     if L.degenerate:
@@ -241,18 +237,7 @@ def discriminant_data(L):
     num = [[linalg.dot(rg, rj) * e // (fi * fj)
             for rj, fj in zip(gens, factors)] for rg, fi in zip(RG, factors)]
     form = FiniteQuadraticForm(factors, num)
-    data = DiscriminantData(L, form, gens, V, keep)
-    _recent_data.append(data)
-    return data
-
-
-def _data_of(L):
-    """discriminant_data(L), reusing one of the last two built if it was
-    built for this very object."""
-    for data in _recent_data:
-        if data.lattice is L:
-            return data
-    return discriminant_data(L)
+    return DiscriminantData(L, form, gens, V, keep)
 
 
 def discriminant_form(L):
@@ -587,24 +572,11 @@ def two_modular_invariants(L):
 @dataclass
 class GlueMap:
     """An anti-isometry between subgroups of two discriminant groups,
-    given by generators of the domain and their images."""
+    given by generators of the domain and their images, in coordinates on
+    the generators of two DiscriminantData."""
 
     domain: list
     images: list
-
-    @classmethod
-    def full(cls, qS, qT):
-        """The glue map of a full anti-isometry A_S -> A_T.
-
-        Returns find_anti_isometry's Verdict: on "yes" its witness also
-        holds the GlueMap under "glue"; "no" proves that no full
-        anti-isometry exists; "inconclusive" means a cap stopped the search.
-        """
-        found = find_anti_isometry(qS, qT)
-        if found:
-            found.witness["glue"] = cls(linalg.identity(qS.length),
-                                        found.witness["images"])
-        return found
 
 
 @dataclass
@@ -617,12 +589,14 @@ class Gluing:
     index: int
 
 
-def glue_overlattice(S, T, glue, name=None):
-    """Overlattice of S + T generated by lifts of the glue graph.
+def glue_overlattice(dS, dT, glue, name=None):
+    """Overlattice of S + T generated by lifts of the glue graph, for the
+    discriminant data dS of S and dT of T.
 
     The glue map must be an anti-isometry between subgroups of A_S and
-    A_T; lifts use the canonical dual-basis representatives. Returns a
-    Gluing with S and T as primitive sublattices of the result.
+    A_T, its rows coordinates on the generators of dS and dT; lifts use
+    those generators. Returns a Gluing with S and T as primitive
+    sublattices of the result.
 
     Everything is decided on the generators g_k = (d_k, i_k) of the graph
     H in A_S + A_T, never on its elements. The map is well defined iff
@@ -632,11 +606,8 @@ def glue_overlattice(S, T, glue, name=None):
     which holds iff it vanishes mod 2 on every g_k and b_S + b_T vanishes
     mod 1 on every pair g_k, g_l: q(x + y) = q(x) + q(y) + 2 b(x, y) and
     q(n x) = n^2 q(x) mod 2. The index of S + T in the result is |H|.
-    The discriminant data of S and T are the ones just built for these
-    very objects, where there are such (see _data_of).
     """
-    dS = _data_of(S)
-    dT = _data_of(T)
+    S, T = dS.lattice, dT.lattice
     qS, qT = dS.form, dT.form
     pairs = [(list(d), list(i)) for d, i in zip(glue.domain, glue.images)]
     if len(glue.domain) != len(glue.images) or any(
@@ -689,3 +660,21 @@ def glue_overlattice(S, T, glue, name=None):
     s_sub = L.sublattice(X[:ns], name=S.name)
     t_sub = L.sublattice(X[ns:], name=T.name)
     return Gluing(lattice=L, s_sub=s_sub, t_sub=t_sub, index=index)
+
+
+def glue_full(S, T, name=None):
+    """Glue S to T along a full anti-isometry A_S -> A_T, as a Verdict.
+
+    Builds the discriminant data of S and T once, and both the search and
+    the gluing use their generators: find_anti_isometry's Verdict, whose
+    witness on "yes" also holds the Gluing along the identity domain onto
+    the images found, under "gluing". "no" proves that no full
+    anti-isometry exists; "inconclusive" means a cap stopped the search.
+    """
+    dS, dT = discriminant_data(S), discriminant_data(T)
+    found = find_anti_isometry(dS.form, dT.form)
+    if found:
+        glue = GlueMap(linalg.identity(dS.form.length),
+                       found.witness["images"])
+        found.witness["gluing"] = glue_overlattice(dS, dT, glue, name=name)
+    return found

@@ -282,9 +282,6 @@ class RealizabilityVerdict:
     wall: WallReport = None
     leech_pair: dict = None
 
-    def __bool__(self):
-        return self.status == "realizable"
-
 
 def realizability(S, group_or_gens, n, complement):
     """Is (S, G) induced by symplectic automorphisms on some K3^[n] model?
@@ -312,23 +309,22 @@ def realizability(S, group_or_gens, n, complement):
 def mukai_gluing(S, T):
     """Glue S to T along a full anti-isometry into a Mukai-lattice model.
 
-    Returns the anti-isometry search's Verdict (GlueMap.full), whose
-    witness on "yes" also holds the Gluing under "gluing". Raises
-    ValueError when the search proves that no anti-isometry exists.
+    Returns df.glue_full's Verdict, whose witness on "yes" also holds the
+    Gluing under "gluing", its glue coordinates on the generators of the
+    discriminant data glue_full built for the search. Raises ValueError
+    when the search proves that no anti-isometry exists.
     """
     if S.rank + T.rank != 24:
         raise ValueError("complement rank must bring the total to 24")
-    found = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
+    found = df.glue_full(S, T, name="L_M")
     if found.status == "no":
         raise ValueError(f"no anti-isometry between the discriminant forms: "
                          f"{found.reason}")
-    if not found:
-        return found
-    glued = df.glue_overlattice(S, T, found.witness["glue"], name="L_M")
-    L = glued.lattice
-    if abs(L.det()) != 1 or L.signature() != (4, 20) or not L.is_even():
-        raise AssertionError("gluing did not produce a Mukai-lattice model")
-    found.witness["gluing"] = glued
+    if found:
+        L = found.witness["gluing"].lattice
+        if abs(L.det()) != 1 or L.signature() != (4, 20) or not L.is_even():
+            raise AssertionError("gluing did not produce a Mukai-lattice "
+                                 "model")
     return found
 
 

@@ -245,11 +245,18 @@ def test_two_modular_delta_matches_the_group_walk(lat, delta):
     assert df.two_modular_invariants(lat)[3] == delta
 
 
+def _glue(S, T, glue):
+    """df.glue_overlattice on the discriminant data of S and T, the ones
+    whose generators the rows of glue are written in."""
+    return df.glue_overlattice(df.discriminant_data(S),
+                               df.discriminant_data(T), glue)
+
+
 def test_glue_rank_two_unimodular():
     S = Lattice([[-2]], name="(-2)")
     T = Lattice([[2]], name="(2)")
     glue = df.GlueMap([[1]], [[1]])
-    g = df.glue_overlattice(S, T, glue)
+    g = _glue(S, T, glue)
     Lg = g.lattice
     assert Lg.rank == 2 and Lg.det() == -1 and Lg.is_even()
     assert Lg.signature() == (1, 1)
@@ -259,9 +266,9 @@ def test_glue_rank_two_unimodular():
 def test_glue_e8_pair():
     S = L(E8, -2)
     T = L(E8, 2)
-    found = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
+    found = df.glue_full(S, T)
     assert found.status == "yes"
-    g = df.glue_overlattice(S, T, found.witness["glue"])
+    g = found.witness["gluing"]
     assert g.lattice.rank == 16
     assert abs(g.lattice.det()) == 1
     assert g.lattice.signature() == (8, 8)
@@ -272,7 +279,7 @@ def test_glue_determinant_index_relation():
     S = Lattice([[-4]])
     T = Lattice([[4]])
     glue = df.GlueMap([[2]], [[2]])  # subgroup of order 2 inside Z/4
-    g = df.glue_overlattice(S, T, glue)
+    g = _glue(S, T, glue)
     assert abs(g.lattice.det()) == abs(S.det() * T.det()) // g.index ** 2
     # factors stay primitive: their saturations are themselves
     assert g.s_sub.saturation().coords == g.s_sub.coords
@@ -297,7 +304,7 @@ def test_glue_across_exponents():
     qT = df.discriminant_form(T)
     y = next(y for y in qT.elements()
              if _element_order(qT, y) == 2 and _q(qT, y) == Fraction(1, 2))
-    g = df.glue_overlattice(S, T, df.GlueMap([[1]], [list(y)]))
+    g = _glue(S, T, df.GlueMap([[1]], [list(y)]))
     assert g.index == 2 and g.lattice.rank == 3 and g.lattice.is_even()
     assert abs(g.lattice.det()) == abs(S.det() * T.det()) // 4
 
@@ -306,7 +313,7 @@ def test_glue_rejects_non_anti_isometry():
     S = Lattice([[-2]])
     T = Lattice([[4]])  # q = 1/4 on Z/4: subgroup gen 2 has q(2) = 1
     with pytest.raises(ValueError, match="anti-isometry|well defined"):
-        df.glue_overlattice(S, T, df.GlueMap([[1]], [[2]]))
+        _glue(S, T, df.GlueMap([[1]], [[2]]))
 
 
 def test_glue_rejects_a_map_that_is_not_well_defined():
@@ -315,7 +322,7 @@ def test_glue_rejects_a_map_that_is_not_well_defined():
     with pytest.raises(ValueError, match="not well defined"):
         glue_reference.glue_overlattice(S, T, glue)
     with pytest.raises(ValueError, match="not well defined"):
-        df.glue_overlattice(S, T, glue)
+        _glue(S, T, glue)
 
 
 def test_glue_rejects_a_map_that_is_not_injective():
@@ -325,7 +332,7 @@ def test_glue_rejects_a_map_that_is_not_injective():
     with pytest.raises(ValueError, match="not injective"):
         glue_reference.glue_overlattice(S, T, glue)
     with pytest.raises(ValueError, match="not injective"):
-        df.glue_overlattice(S, T, glue)
+        _glue(S, T, glue)
 
 
 _GLUE_PIECES = ["A2", "A4", "D4", "E6", "U(2)", "U(3)", "A2(-1)", "A4(-1)",
@@ -359,13 +366,14 @@ def glue_cases(draw):
     qS, qT = df.discriminant_form(S), df.discriminant_form(T)
     assume(qS.order() <= 256 and qT.order() <= 256)
     assume(not qS.is_trivial() and not qT.is_trivial())
-    if draw(st.booleans()):
-        full = df.GlueMap.full(qS, qT)
-        if full:
-            return S, T, full.witness["glue"]
     k = qS.length
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
     if draw(st.booleans()):
-        domain = [[int(i == j) for j in range(k)] for i in range(k)]
+        full = df.find_anti_isometry(qS, qT)
+        if full:
+            return S, T, df.GlueMap(identity, full.witness["images"])
+    if draw(st.booleans()):
+        domain = identity
     else:
         sources = list(qS.elements())
         isotropic = [x for x in sources
@@ -398,13 +406,48 @@ def _glue_outcome(glue_overlattice, S, T, glue):
 @given(glue_cases())
 def test_generator_checks_match_element_checks(case):
     ref = _glue_outcome(glue_reference.glue_overlattice, *case)
-    new = _glue_outcome(df.glue_overlattice, *case)
+    new = _glue_outcome(_glue, *case)
     if isinstance(ref, str):
         assert new == ref
     else:
         assert not isinstance(new, str)
         assert new.index == ref.index
         assert new.lattice.gram == ref.lattice.gram
+
+
+_DEFINITE_PIECES = ["A2", "A4", "D4", "E6", "E8", "A2(2)", "A2(3)", "D4(2)",
+                    2, 4, 6]
+
+
+@st.composite
+def definite_even_lattices(draw):
+    """Even definite direct sums of up to three small catalog lattices,
+    of either sign, under a drawn base change, with |A_S| <= 256."""
+    names = draw(st.lists(st.sampled_from(_DEFINITE_PIECES), min_size=1,
+                          max_size=3))
+    lat = _glue_piece(names[0])
+    for name in names[1:]:
+        lat = lat + _glue_piece(name)
+    assume(abs(lat.det()) <= 256)
+    gram = draw(base_changes(lat.gram))
+    return Lattice(gram).rescale(draw(st.sampled_from([1, -1])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(definite_even_lattices())
+def test_glue_full_with_the_rescaled_lattice(S):
+    # -q_S is the form of S(-1), so a full anti-isometry exists
+    T = S.rescale(-1)
+    found = df.glue_full(S, T)
+    assert found.status != "no"
+    if found.status == "yes":
+        g = found.witness["gluing"]
+        assert g.lattice.is_even() and abs(g.lattice.det()) == 1
+        sp, sm = S.signature()
+        tp, tm = T.signature()
+        assert g.lattice.signature() == (sp + tp, sm + tm)
+        assert g.index == abs(S.det())
+        assert g.s_sub.gram == S.gram and g.t_sub.gram == T.gram
 
 
 @st.composite
@@ -438,7 +481,7 @@ def test_subgroup_order_of_the_trivial_group():
 def test_glue_rejects_rows_of_the_wrong_length(domain, images):
     S, T = Lattice([[-2]]), Lattice([[2]])
     with pytest.raises(ValueError, match="do not match"):
-        df.glue_overlattice(S, T, df.GlueMap(domain, images))
+        _glue(S, T, df.GlueMap(domain, images))
 
 
 def test_embedding_milgram_consistency():

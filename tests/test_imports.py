@@ -25,6 +25,12 @@ module's names, and one whose receiver is a k3lat class name
 The benchmark's span tracer, perfbench/spans.py, wraps some k3lat
 functions by name, private ones included; each name it lists must still
 be a k3lat function.
+
+No function keeps state in a module-level name: none writes a subscript
+of one or calls a mutating method on it, so that what a call computes
+depends on its arguments alone and data flows through them. The one
+exemption is `catalog._cache`, the catalog's build-once memo of its
+fixed models.
 """
 
 import ast
@@ -245,3 +251,66 @@ def test_benchmark_hooks_name_k3lat_functions():
         if not inspect.isfunction(getattr(module, function, None)):
             missing.append(hook)
     assert missing == []
+
+
+MUTATORS = {"append", "appendleft", "extend", "extendleft", "insert", "add",
+            "update", "setdefault", "pop", "popleft", "popitem", "remove",
+            "discard", "clear", "sort", "reverse", "__setitem__",
+            "__delitem__"}
+MODULE_STATE = {"catalog._cache"}
+
+
+def _root_name(node):
+    """The name at the root of a chain of subscripts and attributes."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state_writes(path):
+    """(line, name) of each write, inside a function, of a subscript of a
+    module-level name (one the module assigns or imports from k3lat), and
+    of each call of a mutating method on one. A name the function binds
+    itself, and does not declare global, is its own."""
+    tree = ast.parse(path.read_text())
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            module_names.update(n.id for t in targets for n in ast.walk(t)
+                                if isinstance(n, ast.Name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            module_names.update(alias.asname or alias.name
+                                for alias in node.names)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        declared = {name for node in ast.walk(fn)
+                    if isinstance(node, ast.Global) for name in node.names}
+        args = fn.args
+        local = {a.arg for a in args.posonlyargs + args.args
+                 + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+        local |= {node.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)}
+        shared = module_names - (local - declared)
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                name = _root_name(node.value)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                name = _root_name(node.func.value)
+            else:
+                continue
+            if name in shared and f"{path.stem}.{name}" not in MODULE_STATE:
+                yield node.lineno, name
+
+
+def test_no_function_mutates_module_state():
+    found = sorted(f"{path.name}:{line}: {name}"
+                   for path in SRC.glob("*.py")
+                   for line, name in _module_state_writes(path))
+    assert found == []

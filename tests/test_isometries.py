@@ -219,7 +219,8 @@ def test_order13_no_fixed_points():
 def test_extend_by_identity_trivial():
     S = Lattice([[-2]], name="S")
     T = Lattice([[2]], name="T")
-    g = df.glue_overlattice(S, T, df.GlueMap([[1]], [[1]]))
+    g = df.glue_overlattice(df.discriminant_data(S), df.discriminant_data(T),
+                            df.GlueMap([[1]], [[1]]))
     ext = iso.extend_by_identity(iso.identity_isometry(S), g)
     assert ext.matrix == linalg.identity(2)
 
@@ -227,8 +228,7 @@ def test_extend_by_identity_trivial():
 def test_extend_by_identity_rejects_nontrivial_action():
     S = Lattice([[-6]], name="S")
     T = Lattice([[6]], name="T")
-    gm = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
-    glued = df.glue_overlattice(S, T, gm.witness["glue"])
+    glued = df.glue_full(S, T).witness["gluing"]
     with pytest.raises(ValueError, match="discriminant"):
         iso.extend_by_identity(iso.minus_identity(S), glued)
 
@@ -238,8 +238,7 @@ def test_extend_by_identity_minus_on_e8_minus_2():
     S.name = "E8(-2)"
     T = Lattice(E8).rescale(2)
     T.name = "E8(2)"
-    gm = df.GlueMap.full(df.discriminant_form(S), df.discriminant_form(T))
-    glued = df.glue_overlattice(S, T, gm.witness["glue"])
+    glued = df.glue_full(S, T).witness["gluing"]
     ext = iso.extend_by_identity(iso.minus_identity(S), glued)
     L = glued.lattice
     assert iso.is_isometry(L, ext.matrix)

@@ -589,8 +589,8 @@ def test_classification_table():
 
 
 def test_gluing_builds_each_discriminant_form_once(monkeypatch):
-    # mukai_gluing computes both forms for the anti-isometry search and
-    # glue_overlattice reuses them: two Smith normal forms, not four
+    # glue_full builds both discriminant data once, and the anti-isometry
+    # search and glue_overlattice share them: two Smith normal forms
     snfs, data = [], []
     snf, discriminant_data = linalg.snf, df.discriminant_data
 
