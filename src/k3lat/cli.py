@@ -4,9 +4,9 @@ Subcommands: construct, analyze, autos, walls, classify, verify. All
 results go to standard output as JSON; progress notes and verify's
 per-check times go to standard error. verify runs `k3lat.acceptance`,
 the one acceptance battery, which tier-1 runs too. The classification
-table forks a child through `k3lat.parallel.run` when more than one CPU
-is usable; its halves are joined in a fixed order, so standard output
-does not depend on the number of CPUs.
+table's two halves go through `k3lat.parallel.run(first, second)`, which
+forks when more than one CPU is usable; they are joined in a fixed
+order, so standard output does not depend on the number of CPUs.
 
 Exit codes: 0 verdict computed, 1 a self-check or invariant failed,
 2 malformed input, or an enumeration or group closure that outgrew its

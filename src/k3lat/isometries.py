@@ -105,18 +105,15 @@ def group_closure(generators, cap=GROUP_ORDER_CAP):
     return IsometryGroup(L, generators, len(seen))
 
 
-def _matrices(group_or_gens):
-    if isinstance(group_or_gens, IsometryGroup):
-        return group_or_gens.lattice, [g.matrix for g in group_or_gens.generators]
-    gens = list(group_or_gens)
+def _matrices(gens):
     if not gens:
         raise ValueError("need at least one generator")
     return gens[0].lattice, [g.matrix for g in gens]
 
 
-def invariant_lattice(group_or_gens, name=None):
+def invariant_lattice(gens, name=None):
     """T_G: the saturated sublattice fixed by every generator."""
-    L, mats = _matrices(group_or_gens)
+    L, mats = _matrices(gens)
     n = L.rank
     stacked = [[] for _ in range(n)]
     for P in mats:
@@ -127,15 +124,15 @@ def invariant_lattice(group_or_gens, name=None):
     return L.sublattice(ker, name=name)
 
 
-def coinvariant_lattice(group_or_gens, name=None):
+def coinvariant_lattice(gens, name=None):
     """S_G: the orthogonal complement of the invariant lattice."""
-    return invariant_lattice(group_or_gens).orthogonal_complement(name=name)
+    return invariant_lattice(gens).orthogonal_complement(name=name)
 
 
 def torsion_check(group):
     """|G| * b lies in T_G + S_G for every basis vector b."""
     L = group.lattice
-    T = invariant_lattice(group)
+    T = invariant_lattice(group.generators)
     S = T.orthogonal_complement()
     targets = [[group.order * a for a in row] for row in linalg.identity(L.rank)]
     sol = linalg.rowspace_solver(T.coords + S.coords)(targets)
@@ -155,22 +152,20 @@ def discriminant_action(L, isometry):
     return "trivial" if trivial else images
 
 
-def group_acts_trivially_on_discriminant(L, group_or_gens):
-    _, mats = _matrices(group_or_gens)
-    return all(discriminant_action(L, Isometry(L, P, check=False)) == "trivial"
-               for P in mats)
+def group_acts_trivially_on_discriminant(L, gens):
+    return all(discriminant_action(L, g) == "trivial" for g in gens)
 
 
-def leech_pair_check(M, group_or_gens):
+def leech_pair_check(M, gens):
     """The four defining conditions of a Leech pair, as a dict of booleans."""
-    L, mats = _matrices(group_or_gens)
+    L, _ = _matrices(gens)
     if L is not M:
         raise ValueError("group does not act on the given lattice")
     plus, minus = M.signature()
     negdef = plus == 0 and minus == M.rank
     rootfree = not enumeration.has_roots(M) if negdef else False
-    trivial = group_acts_trivially_on_discriminant(M, group_or_gens)
-    coinv = invariant_lattice(group_or_gens).rank == 0
+    trivial = group_acts_trivially_on_discriminant(M, gens)
+    coinv = invariant_lattice(gens).rank == 0
     return {
         "negative_definite": negdef,
         "no_minus_two_vectors": rootfree,

@@ -283,7 +283,7 @@ class RealizabilityVerdict:
     leech_pair: dict = None
 
 
-def realizability(S, group_or_gens, n, complement):
+def realizability(S, gens, n, complement):
     """Is (S, G) induced by symplectic automorphisms on some K3^[n] model?
 
     S must be the full coinvariant lattice of G on itself, n >= 2 the
@@ -296,7 +296,7 @@ def realizability(S, group_or_gens, n, complement):
     if plus or minus != S.rank:
         return RealizabilityVerdict(
             "obstructed", reason="coinvariant lattice is not negative definite")
-    pair = iso.leech_pair_check(S, group_or_gens)
+    pair = iso.leech_pair_check(S, gens)
     found = mukai_gluing(S, complement)
     if not found:
         return RealizabilityVerdict("inconclusive", reason=found.reason,
@@ -400,9 +400,9 @@ def wall_verdict_in_model(glued, n, cap=en.DEFAULT_CAP):
 
 # -- group-level criteria --------------------------------------------------------
 
-def conway_condition(group_or_gens):
+def conway_condition(gens):
     """rk(S_G) <= 20 and rk(T_G) > l(A_T), for a group on the Leech lattice."""
-    T = iso.invariant_lattice(group_or_gens)
+    T = iso.invariant_lattice(gens)
     S = T.orthogonal_complement()
     # T and S lie in the even Leech lattice, so their forms are defined
     lT = df.discriminant_form(T).length if T.rank else 0
@@ -603,15 +603,9 @@ def classification_table(cap=en.DEFAULT_CAP):
     the large-prime check; cap bounds every enumeration of the rows and
     the wall searches.
 
-    The two halves read nothing of each other, so they are the two jobs
-    of `parallel.run`: the seven rows run in the calling process while
-    one forked child computes the exclusion witnesses and the large-prime
-    check and sends back their JSON dicts. With one usable CPU, no
-    os.fork, or a child that fails, the caller computes that half itself
-    after the rows, as a serial run would, so an error (EnumerationCap
-    from a small cap, say) is raised here, from the rows first. The
-    caller's peak RSS (RUSAGE_SELF, perfbench's `peak_rss_mb`) does not
-    count the child.
+    The two halves read nothing of each other, so `parallel.run` computes
+    the exclusion witnesses and the large-prime check beside the rows,
+    with the fallbacks to a serial run, rows first, that it documents.
     """
     def seven_rows():
         return [minimal_n(name, cap=cap).to_json() for name in ROWS]
@@ -624,6 +618,6 @@ def classification_table(cap=en.DEFAULT_CAP):
                                 "wall": verdict.wall.to_json()}
         return exclusions, large_prime_rejection()
 
-    rows, (exclusions, large) = parallel.run(
-        [seven_rows, exclusions_and_large_primes])
+    rows, (exclusions, large) = parallel.run(seven_rows,
+                                             exclusions_and_large_primes)
     return {"rows": rows, "exclusions": exclusions, "large_primes": large}

@@ -35,8 +35,9 @@ def one_classification_table():
 
 @pytest.fixture
 def split(monkeypatch):
-    """Forks counted, `workers` usable CPUs (2 unless set, whatever the
-    machine has); no child may outlive the test."""
+    """(forks, set_workers): the forks counted, and set_workers(n), which
+    makes n CPUs usable (2 unless set, whatever the machine has); no child
+    may outlive the test."""
     forks = []
     fork = os.fork
 

@@ -4,11 +4,12 @@ No module imports `fractions`: k3lat computes in integers, and a finite
 quadratic form is built from the integer numerators of e q. No
 module reads a private name of another k3lat module: what one module
 needs of another is part of that module's public surface. No module
-imports `multiprocessing`, `concurrent.futures` or `threading`, and only
-`parallel` calls os.fork, once: the one parallel path is `parallel.run`,
-which forks for the two halves of `walls.classification_table`, and
-every module-level import adds to the start-up time of every command.
-`enumeration` does not import `parallel`: its walks run in one process.
+imports `multiprocessing`, `concurrent.futures` or `threading`:
+`parallel.run(first, second)` is the one parallel path, and every
+module-level import adds to the start-up time of every command. Only
+`parallel` calls os.fork, once, and only `walls` imports `parallel`, for
+the two halves of `walls.classification_table`, so the fork has one call
+site; `enumeration`'s walks run in one process.
 
 No decision path uses floating point: `src/k3lat` holds no float
 literal, no true division and no call of `float`, `round` or of the
@@ -83,12 +84,26 @@ def test_only_parallel_forks_once():
     assert len(sites) == 1 and sites[0].startswith("parallel.py:")
 
 
-def test_enumeration_does_not_import_parallel():
-    tree = ast.parse((SRC / "enumeration.py").read_text())
-    assert "parallel" not in _module_aliases(tree).values()
-    assert not any(isinstance(node, ast.ImportFrom)
-                   and "parallel" in (node.module or "").split(".")
-                   for node in ast.walk(tree))
+def _imports_parallel(path):
+    """Whether a module imports k3lat.parallel or a name from it, by an
+    absolute or a relative import."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}"
+                     for alias in node.names]
+        else:
+            continue
+        if any("parallel" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_only_walls_imports_parallel():
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if _imports_parallel(path))
+    assert users == ["walls.py"]
 
 
 def _private(name):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import tracemalloc
 
 import pytest
@@ -606,6 +607,58 @@ def test_gluing_builds_each_discriminant_form_once(monkeypatch):
     monkeypatch.setattr(df, "discriminant_data", counting_data)
     _glue_d12_exclusion_pair()
     assert data == ["D12+(-2)", "U(2)^4+(-2)^4"] and snfs == [12, 12]
+
+
+# -- verdicts under a change of basis ----------------------------------------
+
+def _base_change(L, rng):
+    """L, under its name, in the basis P L of 3 rank random elementary row
+    operations row_i += c row_j (i != j, c in {-2, -1, 1, 2})."""
+    n = L.rank
+    P = linalg.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+    return Lattice(linalg.mat_mul(linalg.mat_mul(P, L.gram),
+                                  linalg.transpose(P)), name=L.name)
+
+
+def _status_and_norm(glued, n):
+    """Status and witness divisor norm of the wall verdict at level n."""
+    verdict = walls.wall_verdict_in_model(glued, n)
+    return verdict.status, verdict.wall and verdict.wall.divisor_norm
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verdicts_do_not_depend_on_the_basis(seed):
+    """A random base change of S and T keeps every Mukai row's verdict,
+    per complement, at each level from 2 to one past its minimal n, and
+    the witness's divisor norm, which no basis changes (the witness
+    itself may move). The exclusions base-change S only, since the
+    chooser reads T's isotropic basis vectors. D12+(-2) is left out: its
+    base-changed gluing can stop at the anti-isometry search's node cap
+    (ROADMAP item 2 removes that inconclusive answer)."""
+    rng = random.Random(seed)
+    top = {row["lattice"]: row["minimal_n"]
+           for row in walls.classification_table()["rows"]}
+    for name, (_, pairs, _) in walls.ROWS.items():
+        if pairs is None:
+            continue
+        for S, T in pairs():
+            glued = walls._glue(S, T)
+            changed = walls._glue(_base_change(S, rng), _base_change(T, rng))
+            for n in range(2, top[name] + 2):
+                assert (_status_and_norm(changed, n)
+                        == _status_and_norm(glued, n)), (name, T.name, n)
+    for name in ("BW16(-1)", "S_3exo"):
+        n, k, _ = walls.EXCLUSIONS[name]
+        U = catalog.hyperbolic().rescale(k)
+        verdict = walls.exclusion_witness(name, n)
+        changed = walls._glue(_base_change(catalog.exceptional(name), rng),
+                              U + U + U + U)
+        assert (_status_and_norm(changed, n)
+                == (verdict.status, verdict.wall.divisor_norm)), name
 
 
 # -- the split table ---------------------------------------------------------
