@@ -32,8 +32,27 @@ y projects onto L_j (x) R at c in the dual L_j^*, and the node's budget is
 E_j = d[j] (bound - ||y - c||^2). Nodes with equal E_j whose c agree mod
 L_j walk translated subtrees, with the same leaf norms in the same order,
 so `_walk` records the leaves of each key once, at every second level
-from 4. This cuts the norm-4 census of the P1(Z/23) Leech model from 2.2 M
-nodes to 98 083, and that of the N23 model from 1.8 M to 77 086.
+from 4.
+
+The memo keys up to sign. A node's subtree reads its top only through
+E_j and c: it walks the w in L_j with ||w + c||^2 <= E_j / d[j], each
+level's range being the integers t at which the projection of w + c
+orthogonal to the levels below still fits. Let nodes A and B have equal
+E_j and c_A = -c_B + lam with lam in L_j. Then w -> -w - lam maps L_j
+onto itself with -w - lam + c_B = -(w + c_A): it maps A's subtree onto
+B's, norm for norm, and every projection to its negative, so at each
+level k < j it maps A's range onto {-t - lam_k : t in that range} with
+lam_k the k-th coordinate of lam, and B walks that in the opposite
+order. A subtree's leaves are its children's, child by child, so B's
+leaves are A's reversed at every level, and so in all. `_walk` keys a
+node by the smaller of the keys of c and -c (each Smith coordinate a of
+-c is -a mod m, and E_j is the same) and stores with each span whether
+it was recorded under -c; a hit of the other sign appends the leaves
+reversed. A self-inverse class, c = -c mod L_j, has one key, and its
+leaves are a palindrome, so its forward replay is exact. This cuts the
+norm-4 census of the P1(Z/23) Leech model from 2.2 M nodes to 62 529
+(98 083 keyed by the class alone), and that of the N23 model from 1.8 M
+to 50 817 (77 086).
 """
 
 import math
@@ -58,10 +77,10 @@ class EnumerationCap(RuntimeError):
 
 DEFAULT_CAP = 10_000_000
 
-# Nodes a norm-only walk visits before it builds its memo: 15-30 ms of
-# walking, against about 3.5 ms for the ten Smith forms at rank 24. A
-# rank-24 root check of 15 762 nodes saves 3 700 of them, and took a third
-# longer with the memo built at 4 096.
+# Nodes a norm-only walk visits before it builds its memo: 13-15 ms of
+# walking, against about 4 ms for the ten Smith forms at rank 24. A
+# rank-24 root check of 15 762 nodes saves 6 584 of them with the memo
+# built at 4 096, and took a third longer (17 ms against 13 ms).
 MEMO_NODES = 1 << 14
 
 
@@ -123,10 +142,13 @@ def _memo_levels(G):
     r[i] entry (k, i) of U G[:j] mod m; its row is (r, m, s), s for the
     partial sums.
     Memo levels 4, 6, 8, ...: any level is exact, as a key fixes the budget
-    and the class. The norm-4 census of the P1 Leech model then visits
-    98 083 nodes (N23: 77 086), against 137 171 (106 678) at levels 6, 9,
-    12, ...; every level from 4 visits 71 552 but holds 60 % more memory
-    for the same time. The Smith forms skip V, which the memo never reads.
+    and the class up to sign (the mirror fact of the module docstring). The
+    norm-4 census of the P1 Leech model then visits 62 529 nodes (N23:
+    50 817), against 86 262 (69 281) at levels 6, 9, 12, ...; every level
+    from 4 visits 46 733, in 7 % less time, but holds a third more memory
+    and takes twice the Smith forms. Keyed by the class alone, levels 4, 6,
+    8, ... visit 98 083 (77 086). The Smith forms skip V, which the memo
+    never reads.
     """
     n = len(G)
     levels = [None] * n
@@ -153,12 +175,17 @@ def _walk(G, bound, cap, coords):
 
     The memo. After MEMO_NODES nodes a norm-only walk keys each node at a
     memo level j with a nonzero top and a nonempty child range by E_j and
-    its class, in one int; the class sums are as lazy as sigma, ctop[j]
-    being raised to top[j] on each descent to level j. A miss descends, and
-    when the walk climbs back past level j the key maps to the offsets of
-    the subtree's leaves out[start:stop], in one int: out only grows, so no
-    leaf is copied. A hit appends out[start:stop] and walks on as a node
-    with an empty range.
+    its class up to sign, in one int: key and mirror read the class
+    coordinates a and -a mod m, and flip says that mirror, the smaller,
+    is the key. The class sums are as lazy as sigma, ctop[j] being raised
+    to top[j] on each descent to level j. A miss descends, and when the
+    walk climbs back past level j the key maps to the offsets of the
+    subtree's leaves out[start:stop] and the miss's flip, in one int
+    ((start << shift | stop) << 1 | flip): out only grows, so no leaf is
+    copied. A hit appends out[start:stop], or
+    its reverse when its flip differs from the recorded one (the module
+    docstring proves that B's leaves are A's reversed), and walks on as a
+    node with an empty range.
     """
     n = len(G)
     d, lam = linalg.integral_gram_schmidt(G)
@@ -231,17 +258,24 @@ def _walk(G, bound, cap, coords):
                     lo = 0
             elif levels and lo <= hi and levels[j] is not None:
                 rows, table = levels[j]
-                key = e
+                key = mirror = e
                 for r, m, s in rows:
                     for k in range(ctop[j], i, -1):
                         s[k] = s[k + 1] + r[k] * x[k]
-                    key = key * m + s[j] % m
+                    a = s[j] % m
+                    key = key * m + a
+                    mirror = mirror * m + -a % m
                 ctop[j] = j
+                flip = mirror < key
+                if flip:
+                    key = mirror
                 span = table.get(key)
                 if span is None:
-                    pending[j] = key, len(out)
+                    pending[j] = key, len(out), flip
                 else:
-                    out += out[span >> shift:span & mask]
+                    start, end = span >> shift + 1, span >> 1 & mask
+                    out += (out[start:end] if span & 1 == flip
+                            else out[start:end][::-1])
                     if len(out) > cap:
                         raise EnumerationCap(cap)
                     hi = lo - 1
@@ -262,9 +296,10 @@ def _walk(G, bound, cap, coords):
             if j == n:
                 return out
             if levels and pending[j]:
-                key, start = pending[j]
+                key, start, flip = pending[j]
                 end = len(out)
-                levels[j][1][key] = start << shift | end if end > start else 0
+                levels[j][1][key] = ((start << shift | end) << 1 | flip
+                                     if end > start else 0)
                 pending[j] = None
             xj = x[j] + 1
         x[j] = xj

@@ -6,6 +6,7 @@ the tests of inputs that once never finished."""
 import contextlib
 import copy
 import functools
+import math
 import os
 import signal
 
@@ -60,20 +61,35 @@ def split(monkeypatch):
 @pytest.fixture
 def memo_hits(monkeypatch):
     """A list that gains one entry for each subtree a norm-only walk
-    replays from its memo."""
+    replays from its memo: True where it replays a nonempty subtree
+    reversed, False otherwise.
+
+    A level's key ends in its class coordinates, which the walk has just
+    left in the rows' partial sums at the level j: the lookup is mirrored
+    when they are not the key's, and the replay is reversed when that
+    differs from the orientation bit of the stored span."""
     hits = []
     build = enumeration._memo_levels
 
     class Counted(dict):
+        def __init__(self, rows, j):
+            super().__init__()
+            self.rows, self.j = rows, j
+            self.classes = math.prod(m for _, m, _ in rows)
+
         def get(self, key):
             span = super().get(key)
             if span is not None:
-                hits.append(key)
+                coords = 0
+                for _, m, s in self.rows:
+                    coords = coords * m + s[self.j] % m
+                mirrored = key % self.classes != coords
+                hits.append(span > 1 and mirrored != span & 1)
             return span
 
     monkeypatch.setattr(enumeration, "_memo_levels", lambda G: [
-        None if level is None else (level[0], Counted())
-        for level in build(G)])
+        None if level is None else (level[0], Counted(level[0], j))
+        for j, level in enumerate(build(G))])
     return hits
 
 

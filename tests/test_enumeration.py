@@ -217,6 +217,18 @@ def test_output_order_after_base_change():
         [2, -1, -5, 0], [2, 0, -10, -3], [3, -1, -14, -3], [3, -1, -9, -1]]
 
 
+def elementary_product(draw, n, most):
+    """A unimodular n x n matrix: the product of up to most drawn row
+    additions row_i += +-row_j."""
+    P = linalg.identity(n)
+    for _ in range(draw(st.integers(0, most))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from([-1, 1]))
+        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    return P
+
+
 @st.composite
 def definite_in_new_basis(draw):
     """(G, P, sign): G strictly diagonally dominant, P unimodular.
@@ -232,12 +244,7 @@ def definite_in_new_basis(draw):
             G[i][j] = G[j][i] = draw(st.integers(-2, 2))
     for i in range(n):
         G[i][i] = sum(abs(a) for a in G[i]) + draw(st.integers(1, 3))
-    P = linalg.identity(n)
-    for _ in range(draw(st.integers(0, 3 * n))):
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
-                             unique=True))
-        s = draw(st.sampled_from([-1, 1]))
-        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    P = elementary_product(draw, n, 3 * n)
     return G, P, draw(st.sampled_from([-1, 1]))
 
 
@@ -285,8 +292,8 @@ def test_enumeration_matches_box_scan(data):
 # A norm-only walk replays the leaves of subtrees whose key it has seen
 # before. It must return the list of the frozen plain walk in
 # `walk_reference`, element for element, and make the same cap cuts.
-# The `memo_hits` fixture (conftest) counts the replays, so that no check
-# passes without one.
+# The `memo_hits` fixture (conftest) records the replays, forward and
+# reversed, so that no check passes without both.
 
 
 def leech_base_change(gram, rng):
@@ -331,6 +338,10 @@ def norm_walk(G, bound, cap=en.DEFAULT_CAP):
         return en.EnumerationCap
 
 
+# the hits a walk must record: forward and reversed replays, or none
+BOTH_WAYS = {True: {False, True}, False: set()}
+
+
 def cut(full, cap):
     """What the plain walk returns under cap, given its uncut list: it
     raises EnumerationCap at leaf cap + 1."""
@@ -346,15 +357,16 @@ def test_memo_walk_matches_plain_walk(memo_hits, monkeypatch, name):
     if bound == 4:  # a Leech model: 98 280 pairs of norm 4, no roots
         assert Counter(full) == {4: 98280}
     assert norm_walk(G, bound) == full
-    assert bool(memo_hits) == replays[0]
+    assert set(memo_hits) == BOTH_WAYS[replays[0]]
     # caps before, inside and at the end of the list, with the memo built
     # from the first node on
+    memo_hits.clear()
     monkeypatch.setattr(en, "MEMO_NODES", 1)
     k = len(full)
     assert norm_walk(G, bound) == full
     for cap in (k // 100, k // 3, k - 1, k):
         assert norm_walk(G, bound, cap) == cut(full, cap)
-    assert bool(memo_hits) == replays[1]
+    assert set(memo_hits) == BOTH_WAYS[replays[1]]
 
 
 def test_memo_cuts_match_plain_walk_on_e8(memo_hits, monkeypatch):
@@ -369,7 +381,7 @@ def test_memo_cuts_match_plain_walk_on_e8(memo_hits, monkeypatch):
             except en.EnumerationCap:
                 expect = en.EnumerationCap
             assert norm_walk(G, bound, cap) == expect
-    assert memo_hits
+    assert set(memo_hits) == BOTH_WAYS[True]
 
 
 @st.composite
@@ -390,12 +402,7 @@ def root_lattice_sums(draw):
         for i, row in enumerate(part):
             B[at + i][at:at + len(part)] = row
         at += len(part)
-    P = linalg.identity(n)
-    for _ in range(draw(st.integers(0, 2 * n))):
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
-                             unique=True))
-        s = draw(st.sampled_from([-1, 1]))
-        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    P = elementary_product(draw, n, 2 * n)
     return linalg.mat_mul(linalg.mat_mul(P, B), linalg.transpose(P))
 
 
@@ -417,7 +424,48 @@ def test_memo_matches_plain_walk_on_root_lattice_sums(memo_hits,
             assert norm_walk(M, bound, cap) == expect
 
     check()
-    assert memo_hits
+    assert set(memo_hits) == BOTH_WAYS[True]
+
+
+# (gram, bound) of the norm-only walks checked under base change: root
+# lattices with many repeated keys, one without roots and one of rank 4,
+# which has no memo level
+BASE_CHANGE_INPUTS = {
+    "E8": (lambda: E8, 6),
+    "D4+A2": (lambda: Lattice(gram_D(4)).direct_sum(Lattice(A2)).gram, 6),
+    "BW16(-1)": (lambda: catalog.exceptional("BW16(-1)").gram, 6),
+    "A2+A2(3)": (lambda: Lattice(A2).direct_sum(Lattice(A2).rescale(3))
+                 .gram, 8),
+}
+
+
+def test_norm_only_walks_agree_under_base_change(memo_hits, monkeypatch):
+    # the memo keys depend on the reduced basis, the answers must not
+    monkeypatch.setattr(en, "MEMO_NODES", 1)
+    answers = {}
+    for name, (gram, bound) in BASE_CHANGE_INPUTS.items():
+        L = Lattice(gram())
+        answers[name] = (en.norm_census(L, bound).counts, en.has_roots(L),
+                         en.min_norm(L))
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(list(BASE_CHANGE_INPUTS)), data=st.data())
+    def check(name, data):
+        gram, bound = BASE_CHANGE_INPUTS[name]
+        G = gram()
+        n = len(G)
+        perm = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n,
+                                   max_size=n))
+        P = elementary_product(data.draw, n, 2 * n)
+        P = [[signs[i] * row[perm[i]] for i in range(n)] for row in P]
+        L = Lattice(linalg.mat_mul(linalg.mat_mul(P, G),
+                                   linalg.transpose(P)))
+        assert (en.norm_census(L, bound).counts, en.has_roots(L),
+                en.min_norm(L)) == answers[name]
+
+    check()
+    assert set(memo_hits) == BOTH_WAYS[True]
 
 
 def test_memo_never_reaches_a_walk_that_reads_coordinates(monkeypatch):
@@ -440,9 +488,12 @@ def test_memo_never_reaches_a_walk_that_reads_coordinates(monkeypatch):
 
 def test_memo_keeps_the_leech_census_tree_small(monkeypatch):
     # the walk takes one integer square root per node, and one more for
-    # the root's range: the P1 census visits 98 083 nodes with memo levels
-    # 4, 6, 8, ..., and 137 171 with levels 6, 9, 12, ... alone
-    G, _, _ = en._reduced_gram(MEMO_INPUTS["P1"][0]())
+    # the root's range: with memo levels 4, 6, 8, ... keyed up to sign the
+    # censuses visit 62 529 (P1), 50 817 (N23) and 48 805 nodes
+    # (P1-base-change); keyed by the class alone, 98 083, 77 086 and 72 627
+    bounds = {"P1": 64_000, "N23": 52_000, "P1-base-change": 50_000}
+    grams = {name: en._reduced_gram(MEMO_INPUTS[name][0]())[0]
+             for name in bounds}
     roots, isqrt = [0], math.isqrt
 
     def counting_isqrt(a):
@@ -450,14 +501,16 @@ def test_memo_keeps_the_leech_census_tree_small(monkeypatch):
         return isqrt(a)
 
     monkeypatch.setattr(math, "isqrt", counting_isqrt)
-    assert Counter(norm_walk(G, 4)) == {4: 98280}
-    assert roots[0] < 100_000
+    for name, nodes in bounds.items():
+        roots[0] = 0
+        assert Counter(norm_walk(grams[name], 4)) == {4: 98280}
+        assert roots[0] < nodes, name
 
 
 def test_leech_census_memory_peak():
     # one census of a base change of the P1 model holds its 98 280 norms
-    # and the memo: 1.58 MB traced (1.37 MB with memo levels 6, 9, 12, ...;
-    # the model as built, whose tree is larger, reaches 1.93 MB)
+    # and the memo: 1.32 MB traced (1.16 MB with memo levels 6, 9, 12, ...;
+    # the model as built, whose tree is larger, reaches 1.51 MB)
     L = Lattice(MEMO_INPUTS["P1-base-change"][0]())
     tracemalloc.start()
     try:
