@@ -49,10 +49,17 @@ node by the smaller of the keys of c and -c (each Smith coordinate a of
 -c is -a mod m, and E_j is the same) and stores with each span whether
 it was recorded under -c; a hit of the other sign appends the leaves
 reversed. A self-inverse class, c = -c mod L_j, has one key, and its
-leaves are a palindrome, so its forward replay is exact. This cuts the
-norm-4 census of the P1(Z/23) Leech model from 2.2 M nodes to 62 529
-(98 083 keyed by the class alone), and that of the N23 model from 1.8 M
-to 50 817 (77 086).
+leaves are a palindrome, so its forward replay is exact.
+
+The memo is exact from whichever node it starts at, as a subtree
+already open then is just never recorded. A walk builds it on the node
+after its first batch of leaves, or after MEMO_NODES nodes if it has
+found none: a walk with leaves is one whose subtrees repeat, and a
+leafless root check is cheaper without the Smith forms. This cuts the
+norm-4 census of the P1(Z/23) Leech model from 2.2 M nodes to 46 672
+(62 529 with the memo built after MEMO_NODES nodes, 98 083 keyed by the
+class alone), and that of the N23 model from 1.8 M to 34 778 (50 817,
+77 086).
 """
 
 import math
@@ -77,10 +84,12 @@ class EnumerationCap(RuntimeError):
 
 DEFAULT_CAP = 10_000_000
 
-# Nodes a norm-only walk visits before it builds its memo: 13-15 ms of
-# walking, against about 4 ms for the ten Smith forms at rank 24. A
-# rank-24 root check of 15 762 nodes saves 6 584 of them with the memo
-# built at 4 096, and took a third longer (17 ms against 13 ms).
+# Nodes a norm-only walk without leaves visits before it builds its memo
+# (one with leaves builds it after its first): 13-15 ms of walking,
+# against about 4 ms for the ten Smith forms at rank 24. A rank-24 root
+# check of 15 762 nodes saves 6 584 of them with the memo built at 4 096,
+# and took a third longer (17 ms against 13 ms). Of the bound-2 walks of
+# the census models, which find no root, only P1's passes 2^14 nodes.
 MEMO_NODES = 1 << 14
 
 
@@ -140,23 +149,24 @@ def _memo_levels(G):
     With (D, U) = snf_left(G_j), G_j the leading j x j block, a top's class
     has one coordinate sum_{i>=j} r[i] x_i mod m per factor m = D_kk > 1,
     r[i] entry (k, i) of U G[:j] mod m; its row is (r, m, s), s for the
-    partial sums.
+    partial sums. Only the rows of U with D_kk > 1 are multiplied, and the
+    Smith forms skip V: the memo reads neither the rest nor V.
     Memo levels 4, 6, 8, ...: any level is exact, as a key fixes the budget
-    and the class up to sign (the mirror fact of the module docstring). The
-    norm-4 census of the P1 Leech model then visits 62 529 nodes (N23:
-    50 817), against 86 262 (69 281) at levels 6, 9, 12, ...; every level
-    from 4 visits 46 733, in 7 % less time, but holds a third more memory
-    and takes twice the Smith forms. Keyed by the class alone, levels 4, 6,
-    8, ... visit 98 083 (77 086). The Smith forms skip V, which the memo
-    never reads.
+    and the class up to sign (the mirror fact of the module docstring). With
+    the memo built after the first leaf, the norm-4 census of the P1 Leech
+    model then visits 46 672 nodes (N23: 34 778), against 70 781 (53 408)
+    at levels 6, 9, 12, ...; every level from 4 visits 30 660 (22 871),
+    in 5-14 % less time, but holds a third more memory and takes twice the
+    Smith forms.
     """
     n = len(G)
     levels = [None] * n
     for j in range(4, n, 2):
         D, U = linalg.snf_left([r[:j] for r in G[:j]])
-        UG = linalg.mat_mul(U, [r[j:] for r in G[:j]])
-        levels[j] = ([([0] * j + [a % D[k][k] for a in UG[k]], D[k][k],
-                       [0] * (n + 1)) for k in range(j) if D[k][k] > 1], {})
+        ks = [k for k in range(j) if D[k][k] > 1]
+        UG = linalg.mat_mul([U[k] for k in ks], [r[j:] for r in G[:j]])
+        levels[j] = ([([0] * j + [a % D[k][k] for a in row], D[k][k],
+                       [0] * (n + 1)) for k, row in zip(ks, UG)], {})
     return levels
 
 
@@ -173,19 +183,21 @@ def _walk(G, bound, cap, coords):
     needs neither x_0 nor the prefix tuple: its norm is
     bound - E_0 = bound - (F[0] - u_0^2) / d[1], with u_0 stepping by d[1].
 
-    The memo. After MEMO_NODES nodes a norm-only walk keys each node at a
-    memo level j with a nonzero top and a nonempty child range by E_j and
-    its class up to sign, in one int: key and mirror read the class
-    coordinates a and -a mod m, and flip says that mirror, the smaller,
-    is the key. The class sums are as lazy as sigma, ctop[j] being raised
-    to top[j] on each descent to level j. A miss descends, and when the
-    walk climbs back past level j the key maps to the offsets of the
-    subtree's leaves out[start:stop] and the miss's flip, in one int
+    The memo. From the node after its first level-1 batch of leaves (the
+    countdown drops to 1 there), or after MEMO_NODES nodes if it has none
+    by then, a norm-only walk keys each node at a memo level j with a
+    nonzero top and a nonempty child range by E_j and its class up to
+    sign, in one int: key and mirror read the class coordinates a and -a
+    mod m, and flip says that mirror, the smaller, is the key. The class
+    sums are as lazy as sigma, ctop[j] being raised to top[j] on each
+    descent to level j. A miss descends, and when the walk climbs back
+    past level j the key maps to the offsets of the subtree's leaves
+    out[start:stop] and the miss's flip, in one int
     ((start << shift | stop) << 1 | flip): out only grows, so no leaf is
-    copied. A hit appends out[start:stop], or
-    its reverse when its flip differs from the recorded one (the module
-    docstring proves that B's leaves are A's reversed), and walks on as a
-    node with an empty range.
+    copied. A hit appends out[start:stop], or its reverse when its flip
+    differs from the recorded one (the module docstring proves that B's
+    leaves are A's reversed), and walks on as a node with an empty range.
+    The nodes open when the memo is built are never recorded.
     """
     n = len(G)
     d, lam = linalg.integral_gram_schmidt(G)
@@ -250,6 +262,8 @@ def _walk(G, bound, cap, coords):
                 else:
                     out += [bound - (f - v * v) // dj
                             for v in range(dj * lo + c, dj * hi + c + 1, dj)]
+                    if countdown:  # leaves: the memo from the next node
+                        countdown = 1
                 if len(out) > cap:
                     raise EnumerationCap(cap)
         else:

@@ -1,7 +1,7 @@
 """Session-wide test set-up: one classification table per session, the
-`split` fixture of the tests that fork, the `memo_hits` fixture of the
-tests of the memoized Fincke-Pohst walk, and the `time_limit` fixture of
-the tests of inputs that once never finished."""
+`split` fixture of the tests that fork, the `memo_hits` and `walk_log`
+fixtures of the tests of the memoized Fincke-Pohst walk, and the
+`time_limit` fixture of the tests of inputs that once never finished."""
 
 import contextlib
 import copy
@@ -91,6 +91,37 @@ def memo_hits(monkeypatch):
         None if level is None else (level[0], Counted(level[0], j))
         for j, level in enumerate(build(G))])
     return hits
+
+
+@pytest.fixture
+def walk_log(monkeypatch):
+    """A list that gains one entry [roots, memo] for each walk of the
+    tree: the integer square roots it takes, one for the root's range and
+    one per node, and the node at which it builds its memo, or None.
+
+    A node builds the memo before it takes its own root, so the node's
+    number is the count of roots the walk has taken until then."""
+    log = []
+    isqrt, walk = math.isqrt, enumeration._walk
+    build = enumeration._memo_levels
+
+    def counted_isqrt(a):
+        log[-1][0] += 1
+        return isqrt(a)
+
+    def logged_walk(*args):
+        log.append([0, None])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(math, "isqrt", counted_isqrt)
+            return walk(*args)
+
+    def logged_build(G):
+        log[-1][1] = log[-1][0]
+        return build(G)
+
+    monkeypatch.setattr(enumeration, "_walk", logged_walk)
+    monkeypatch.setattr(enumeration, "_memo_levels", logged_build)
+    return log
 
 
 @pytest.fixture

@@ -19,6 +19,18 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_python(args, timeout):
+    """A fresh interpreter run on args with this checkout's src first on
+    its path."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable] + args, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env, text=True,
+                          timeout=timeout)
+
+
 def test_construct_u():
     code, out, _ = run_cli(["construct", "U"])
     assert code == 0
@@ -34,6 +46,14 @@ def test_construct_verify_fields():
     assert obj["checks"]["min_norm"] == -2
     assert obj["checks"]["roots"] == 240
     assert obj["checks"]["milgram_consistent"] is True
+
+
+def test_python_m_k3lat_runs_the_cli():
+    argv = ["construct", "E8", "--verify"]
+    proc = run_python(["-m", "k3lat"] + argv, 60)
+    code, out, _ = run_cli(argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out and json.loads(out)["checks"]["roots"] == 240
 
 
 def test_construct_unknown_exits_2():
@@ -394,13 +414,7 @@ sys.exit(code)
 
 
 def test_split_table_writes_stdout_once(split):
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", SPLIT_TABLE],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env, text=True, timeout=300)
+    proc = run_python(["-c", SPLIT_TABLE], 300)
     split[1](1)
     code, serial, _ = run_cli(["classify", "table"])
     assert proc.returncode == 0 and code == 0

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from k3lat import catalog, discforms as df
 from k3lat import isometries as iso
 from k3lat import linalg, walls
-from k3lat.gram_data import A2, E8, S_LATTICE_2_9_3_6, U
+from k3lat.gram_data import A2, E8, S_LATTICE_2_9_3_6, U, gram_D
 from k3lat.lattice import Lattice
 
 import glue_reference
@@ -714,6 +714,29 @@ def test_integer_form_matches_gram(gram):
        .flatmap(lambda name: base_changes(catalog.named(name).gram)))
 def test_integer_form_matches_gram_on_catalog_lattices(gram):
     _check_integer_form(Lattice(gram))
+
+
+# (factors, Milgram signature) of lattices in their catalog basis; the
+# signature is the lattice's own mod 8
+FORM_INVARIANTS = {
+    "E8": (lambda: E8, [], 0),
+    "D4+A2": (lambda: L(gram_D(4)).direct_sum(L(A2)).gram, [2, 6], 6),
+    "A2+A2(3)": (lambda: L(A2).direct_sum(L(A2, 3)).gram, [3, 3, 9], 4),
+    "BW16(-1)": (lambda: catalog.exceptional("BW16(-1)").gram, [2] * 8, 0),
+    "S_3exo": (lambda: catalog.exceptional("S_3exo").gram, [3] * 8, 0),
+    "D12+(-2)": (lambda: catalog.exceptional("D12+(-2)").gram, [2] * 12, 4),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(FORM_INVARIANTS)).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           base_changes(FORM_INVARIANTS[name][0]()))))
+def test_form_invariants_do_not_depend_on_the_basis(case):
+    name, gram = case
+    _, factors, sigma = FORM_INVARIANTS[name]
+    q = df.discriminant_form(Lattice(gram))
+    assert (q.factors, df.milgram_signature(q)) == (factors, sigma)
 
 
 def test_discriminant_forms_pinned():

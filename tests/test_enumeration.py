@@ -312,9 +312,9 @@ def leech_base_change(gram, rng):
 
 
 # (gram, bound, replays): whether a subtree is replayed with the memo built
-# after MEMO_NODES nodes, then with it built from the first node. The Leech
-# models are the census inputs; rank 4 has no memo level, and the rank-6
-# walk of 279 nodes builds no memo by default.
+# as by default (at the node after the first leaf), then with it built from
+# the first node. The Leech models are the census inputs; rank 4 has no
+# memo level.
 MEMO_INPUTS = {
     "P1": (lambda: catalog.leech().gram, 4, (True, True)),
     "P1-base-change": (lambda: leech_base_change(catalog.leech().gram,
@@ -327,7 +327,7 @@ MEMO_INPUTS = {
     "E8": (lambda: E8, 16, (True, True)),
     "2^5-3^10": (lambda: S_LATTICE_2_5_3_10, 12, (False, False)),
     "W(-1)-orthogonal": (lambda: catalog.exceptional("W(-1)")
-                         .orthogonal_complement().gram, 10, (False, True)),
+                         .orthogonal_complement().gram, 10, (True, True)),
 }
 
 
@@ -486,31 +486,45 @@ def test_memo_never_reaches_a_walk_that_reads_coordinates(monkeypatch):
     assert built
 
 
-def test_memo_keeps_the_leech_census_tree_small(monkeypatch):
+def census_gram(name):
+    return en._reduced_gram(MEMO_INPUTS[name][0]())[0]
+
+
+def test_a_walk_with_leaves_builds_its_memo_after_its_first_leaf(walk_log):
+    # the walk descends along x = 0 to b_0, whose norm is within the bound:
+    # its first leaf is at node n - 1, and the memo is built at node n
+    G = linalg.lll_reduce(E8)[0]
+    assert norm_walk(G, 2) == walk_reference.enumerate_reduced(
+        G, 2, en.DEFAULT_CAP, coords=False)
+    assert Counter(norm_walk(census_gram("N23"), 4)) == {4: 98280}
+    assert [memo for _, memo in walk_log] == [8, 24]
+
+
+def test_a_walk_without_leaves_builds_its_memo_after_memo_nodes(walk_log):
+    # the root checks of the census models find no root: only the first
+    # walk passes MEMO_NODES = 2^14 nodes, so only it builds the memo
+    for name in ("P1", "N23", "P1-base-change"):
+        assert norm_walk(census_gram(name), 2) == []
+    assert walk_log == [[16_692, 16_384], [14_148, None], [15_417, None]]
+
+
+def test_memo_keeps_the_leech_census_tree_small(walk_log):
     # the walk takes one integer square root per node, and one more for
-    # the root's range: with memo levels 4, 6, 8, ... keyed up to sign the
-    # censuses visit 62 529 (P1), 50 817 (N23) and 48 805 nodes
-    # (P1-base-change); keyed by the class alone, 98 083, 77 086 and 72 627
-    bounds = {"P1": 64_000, "N23": 52_000, "P1-base-change": 50_000}
-    grams = {name: en._reduced_gram(MEMO_INPUTS[name][0]())[0]
-             for name in bounds}
-    roots, isqrt = [0], math.isqrt
-
-    def counting_isqrt(a):
-        roots[0] += 1
-        return isqrt(a)
-
-    monkeypatch.setattr(math, "isqrt", counting_isqrt)
-    for name, nodes in bounds.items():
-        roots[0] = 0
-        assert Counter(norm_walk(grams[name], 4)) == {4: 98280}
-        assert roots[0] < nodes, name
+    # the root's range: with memo levels 4, 6, 8, ... keyed up to sign and
+    # built after the first leaf, the censuses visit 46 672 (P1), 34 778
+    # (N23) and 32 726 nodes (P1-base-change); built after MEMO_NODES
+    # nodes, 62 529, 50 817 and 48 805; keyed by the class alone, 98 083,
+    # 77 086 and 72 627
+    roots = {"P1": 46_673, "N23": 34_779, "P1-base-change": 32_727}
+    for name, most in roots.items():
+        assert Counter(norm_walk(census_gram(name), 4)) == {4: 98280}
+        assert walk_log[-1][0] <= most, name
 
 
 def test_leech_census_memory_peak():
     # one census of a base change of the P1 model holds its 98 280 norms
-    # and the memo: 1.32 MB traced (1.16 MB with memo levels 6, 9, 12, ...;
-    # the model as built, whose tree is larger, reaches 1.51 MB)
+    # and the memo: 1.33 MB traced (1.18 MB with memo levels 6, 9, 12, ...;
+    # the model as built, whose tree is larger, reaches 1.56 MB)
     L = Lattice(MEMO_INPUTS["P1-base-change"][0]())
     tracemalloc.start()
     try:

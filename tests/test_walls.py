@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -200,16 +201,66 @@ def _perp_vector(n, row):
         [(0, a), (1, (1 - n) * a)] if i == 0 else [(i, a)])])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6), _perp_rows)
-def test_random_sublattices_match_the_frozen_search(n, rows):
+@st.composite
+def _definite_sublattices(draw):
+    """(S, ctx): S negative definite in v-perp at a level n from 2 to 6,
+    spanned by one or two drawn rows."""
+    n = draw(st.integers(2, 6))
     ctx = walls.wall_context(n)
-    coords = [_perp_vector(n, row) for row in rows]
+    coords = [_perp_vector(n, row) for row in draw(_perp_rows)]
     assume(linalg.row_rank(coords) == len(coords))
     S = ctx.mukai.sublattice(coords)
     assume(not S.degenerate and S.signature() == (0, S.rank))
+    return S, ctx
+
+
+@settings(max_examples=40, deadline=None)
+@given(_definite_sublattices())
+def test_random_sublattices_match_the_frozen_search(case):
+    S, ctx = case
     assert (_as_json(walls.numerical_wall_in(S, ctx))
             == _as_json(wall_reference.numerical_wall_in(S, ctx)))
+
+
+def _spans_primitive(v, r):
+    """True iff {v, r} spans a primitive rank-2 sublattice of Z^24: the
+    2 x 2 minors of the rows v and r have gcd 1."""
+    return math.gcd(*(a * d - b * c for (a, b), (c, d) in
+                      itertools.combinations(zip(v, r), 2))) == 1
+
+
+def test_primitive_slice_candidates_lie_on_their_layer(monkeypatch):
+    """The layer fact of the layered wall search: a candidate r with
+    (v, r) = s and r^2 = rho whose span with v is primitive in the Mukai
+    lattice has |t^2| = vv (s^2 - vv rho) / gcd(vv, s)^2."""
+    candidates = []
+    divisor_from_r = walls._divisor_from_r
+
+    def recorded(ctx, r, s, rho):
+        found = divisor_from_r(ctx, r, s, rho)
+        candidates.append((r, s, rho, found))
+        return found
+
+    monkeypatch.setattr(walls, "_divisor_from_r", recorded)
+    primitive = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(_definite_sublattices())
+    def check(case):
+        S, ctx = case
+        candidates.clear()
+        walls.numerical_wall_in(S, ctx)
+        vv = ctx.v_sq
+        for r, s, rho, found in candidates:
+            if _spans_primitive(ctx.v, r):
+                t_sq = linalg.dot(found[0], found[0], ctx.mukai.gram)
+                g = math.gcd(vv, s)
+                assert abs(t_sq) * g * g == vv * (s * s - vv * rho)
+                assert found[1] == t_sq
+                primitive.append(r)
+
+    check()
+    assert primitive
 
 
 @pytest.mark.parametrize("n, rows, gell", [
