@@ -9,16 +9,18 @@ reduced Gram every value fits in one machine word. LLL's Lovasz constant
 99/100 gives a smaller tree than 3/4 (a third fewer nodes for the norm-4
 Leech census). A node refreshes one row of partial sums, lazily, never
 descends into an empty range, and a level-1 node emits its leaves as one
-batch of (norm, tuple) pairs, or of norms alone where only norms are read.
+batch of (norm, tuple) pairs, or counts their norms where only norms are
+read.
 
 The tree runs on the LLL-reduced Gram G2 = T^t G T, T unimodular.
-`norm_census`, `has_roots` and `min_norm` read norms only: their leaves
-are norms alone, one small int per +-pair (the norm-4 Leech census holds
-98 280 ints, not as many 24-tuples), and no vector is converted. This is
-exact: norms do not depend on the basis, and T maps +-pairs to +-pairs.
+`norm_census`, `has_roots` and `min_norm` read only the multiset of
+norms: their walk returns {norm: +-pairs of that norm}, one entry per
+distinct norm, and no vector is converted. This is exact: norms do not
+depend on the basis, and T maps +-pairs to +-pairs.
 `min_norm` is one such walk, below the least diagonal entry of G2.
-Every walk ends the same way: it returns all its leaves, or raises
-EnumerationCap once it has more than cap of them.
+Every walk ends the same way: it returns all its leaves (counted by norm
+in a norm-only walk), or raises EnumerationCap once it has more than cap
+of them.
 `short_pairs` returns T, the sign and the leaves as the tree emits them,
 one (norm, y) per +-pair in reduced coordinates, unsorted: a caller that
 carries the vectors on into its own basis folds T into that one product.
@@ -30,26 +32,17 @@ A norm-only walk replays repeated subtrees (Fincke-Pohst, Math. Comp. 44
 top y = sum_{i>=j} x_i b_i walks w + y over w in L_j = span(b_0..b_{j-1});
 y projects onto L_j (x) R at c in the dual L_j^*, and the node's budget is
 E_j = d[j] (bound - ||y - c||^2). Nodes with equal E_j whose c agree mod
-L_j walk translated subtrees, with the same leaf norms in the same order,
-so `_walk` records the leaves of each key once, at every second level
-from 4.
+L_j walk translated subtrees, with the same leaf norms, so `_walk` counts
+the leaves of each key once, by norm, at every second level from 4.
 
 The memo keys up to sign. A node's subtree reads its top only through
-E_j and c: it walks the w in L_j with ||w + c||^2 <= E_j / d[j], each
-level's range being the integers t at which the projection of w + c
-orthogonal to the levels below still fits. Let nodes A and B have equal
-E_j and c_A = -c_B + lam with lam in L_j. Then w -> -w - lam maps L_j
-onto itself with -w - lam + c_B = -(w + c_A): it maps A's subtree onto
-B's, norm for norm, and every projection to its negative, so at each
-level k < j it maps A's range onto {-t - lam_k : t in that range} with
-lam_k the k-th coordinate of lam, and B walks that in the opposite
-order. A subtree's leaves are its children's, child by child, so B's
-leaves are A's reversed at every level, and so in all. `_walk` keys a
-node by the smaller of the keys of c and -c (each Smith coordinate a of
--c is -a mod m, and E_j is the same) and stores with each span whether
-it was recorded under -c; a hit of the other sign appends the leaves
-reversed. A self-inverse class, c = -c mod L_j, has one key, and its
-leaves are a palindrome, so its forward replay is exact.
+E_j and c: its leaves are the w in L_j with ||w + c||^2 <= E_j / d[j],
+of norm bound - (E_j / d[j] - ||w + c||^2). Let nodes A and B have
+equal E_j and c_A = -c_B + lam with lam in L_j. Then w -> -w - lam maps
+L_j onto itself with -w - lam + c_B = -(w + c_A): it maps A's leaves
+onto B's, norm for norm, so both have the same multiset of norms.
+`_walk` keys a node by the smaller of the keys of c and -c (each Smith
+coordinate a of -c is -a mod m, and E_j is the same).
 
 The memo is exact from whichever node it starts at, as a subtree
 already open then is just never recorded. A walk builds it on the node
@@ -63,7 +56,6 @@ class alone), and that of the N23 model from 1.8 M to 34 778 (50 817,
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -114,8 +106,8 @@ def _enumerate_reduced(G, bound, cap, coords=True):
     G must be positive definite. x is a tuple; the representative of each
     pair has its highest-index nonzero coordinate positive. Leaves come
     with x_0 fastest and each coordinate increasing, and more than cap
-    leaves raise EnumerationCap. With coords=False each leaf is its norm
-    alone, in the same order.
+    leaves raise EnumerationCap; a negative cap is a ValueError. With
+    coords=False the walk returns {norm: +-pairs of that norm} instead.
 
     Budgets. With (d, lam) = linalg.integral_gram_schmidt(G), x's
     coordinate along the j-th Gram-Schmidt vector is u_j / d[j+1], where
@@ -132,20 +124,23 @@ def _enumerate_reduced(G, bound, cap, coords=True):
     are small: below 2^25 in the norm-4 census of the P^1(Z/23) and N23
     Leech models, so one machine word each.
     """
+    if cap < 0:
+        raise ValueError(f"the enumeration cap must be at least 0, not {cap}")
     if bound <= 0:
-        return []
+        return [] if coords else {}
     if len(G) == 1:
         a = G[0][0]
         xs = range(1, math.isqrt(bound // a) + 1)
         if len(xs) > cap:
             raise EnumerationCap(cap)
         return ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
-                else [a * x0 * x0 for x0 in xs])
+                else {a * x0 * x0: 1 for x0 in xs})
     return _walk(G, bound, cap, coords)
 
 
 def _memo_levels(G):
-    """Per level j, None or (rows, table): table maps keys to subtrees.
+    """Per level j, None or (rows, table): table maps a key to the nonzero
+    (norm, count) pairs of the leaves of its subtree.
     With (D, U) = snf_left(G_j), G_j the leading j x j block, a top's class
     has one coordinate sum_{i>=j} r[i] x_i mod m per factor m = D_kk > 1,
     r[i] entry (k, i) of U G[:j] mod m; its row is (r, m, s), s for the
@@ -155,9 +150,9 @@ def _memo_levels(G):
     and the class up to sign (the mirror fact of the module docstring). With
     the memo built after the first leaf, the norm-4 census of the P1 Leech
     model then visits 46 672 nodes (N23: 34 778), against 70 781 (53 408)
-    at levels 6, 9, 12, ...; every level from 4 visits 30 660 (22 871),
-    in 5-14 % less time, but holds a third more memory and takes twice the
-    Smith forms.
+    at levels 6, 9, 12, ...; every level from 4 visits 30 660 (22 871)
+    and takes twice the Smith forms, for a mixed change in time (slower at
+    norm 4, faster on N23 at norm 6) and twice the traced memory.
     """
     n = len(G)
     levels = [None] * n
@@ -179,30 +174,30 @@ def _walk(G, bound, cap, coords):
     row j - 1 was last refreshed, so a node at level j rewrites only row
     j - 1, at columns top[j] down to j. A node computes its child's range
     and steps to its next sibling when that range is empty; a level-1 node
-    appends every x_0 of its range as a leaf at once. A norm-only leaf
-    needs neither x_0 nor the prefix tuple: its norm is
-    bound - E_0 = bound - (F[0] - u_0^2) / d[1], with u_0 stepping by d[1].
+    takes every x_0 of its range as a leaf at once. A norm-only leaf needs
+    neither x_0 nor the prefix tuple: its norm is
+    bound - E_0 = bound - (F[0] - u_0^2) / d[1], with u_0 stepping by d[1],
+    and it only raises hist[norm]. total counts the leaves either way.
 
     The memo. From the node after its first level-1 batch of leaves (the
     countdown drops to 1 there), or after MEMO_NODES nodes if it has none
     by then, a norm-only walk keys each node at a memo level j with a
     nonzero top and a nonempty child range by E_j and its class up to
-    sign, in one int: key and mirror read the class coordinates a and -a
-    mod m, and flip says that mirror, the smaller, is the key. The class
-    sums are as lazy as sigma, ctop[j] being raised to top[j] on each
-    descent to level j. A miss descends, and when the walk climbs back
-    past level j the key maps to the offsets of the subtree's leaves
-    out[start:stop] and the miss's flip, in one int
-    ((start << shift | stop) << 1 | flip): out only grows, so no leaf is
-    copied. A hit appends out[start:stop], or its reverse when its flip
-    differs from the recorded one (the module docstring proves that B's
-    leaves are A's reversed), and walks on as a node with an empty range.
+    sign, in one int: the smaller of the keys read off the class
+    coordinates a and -a mod m. The class sums are as lazy as sigma,
+    ctop[j] being raised to top[j] on each descent to level j. A miss
+    descends with a copy of hist, one entry per distinct norm; when the
+    walk climbs back past level j the key maps to the nonzero differences
+    (norm, count) of hist since then, the subtree's leaves. A hit adds
+    them to hist and total and walks on as a node with an empty range.
     The nodes open when the memo is built are never recorded.
     """
     n = len(G)
     d, lam = linalg.integral_gram_schmidt(G)
     lamc = [[lam[i][l] for i in range(n)] for l in range(n)]
     out = []
+    hist = {}
+    total = 0
     isqrt = math.isqrt
     sigma = [[0] * (n + 1) for _ in range(n)]
     top = list(range(n))
@@ -211,10 +206,8 @@ def _walk(G, bound, cap, coords):
     xmax = [0] * n
     zero_above = [False] * n
     levels = None
-    pending = [None] * n  # (key, start) of the subtree being recorded
+    pending = [None] * n  # (key, hist then) of the subtree being recorded
     ctop = [n - 1] * n  # like top, for the partial sums of the class rows
-    shift = cap.bit_length()  # no offset exceeds cap
-    mask = (1 << shift) - 1
     countdown = 0 if coords else MEMO_NODES
     j, xj = n - 1, 0
     F[j] = d[j] * d[n] * bound
@@ -260,11 +253,13 @@ def _walk(G, bound, cap, coords):
                         out.append((bound - (f - v * v) // dj,
                                     (x0,) + prefix))
                 else:
-                    out += [bound - (f - v * v) // dj
-                            for v in range(dj * lo + c, dj * hi + c + 1, dj)]
+                    for v in range(dj * lo + c, dj * hi + c + 1, dj):
+                        q = bound - (f - v * v) // dj
+                        hist[q] = hist.get(q, 0) + 1
                     if countdown:  # leaves: the memo from the next node
                         countdown = 1
-                if len(out) > cap:
+                total += hi - lo + 1
+                if total > cap:
                     raise EnumerationCap(cap)
         else:
             if za:
@@ -280,17 +275,15 @@ def _walk(G, bound, cap, coords):
                     key = key * m + a
                     mirror = mirror * m + -a % m
                 ctop[j] = j
-                flip = mirror < key
-                if flip:
-                    key = mirror
-                span = table.get(key)
-                if span is None:
-                    pending[j] = key, len(out), flip
+                key = min(key, mirror)
+                leaves = table.get(key)
+                if leaves is None:
+                    pending[j] = key, hist.copy()
                 else:
-                    start, end = span >> shift + 1, span >> 1 & mask
-                    out += (out[start:end] if span & 1 == flip
-                            else out[start:end][::-1])
-                    if len(out) > cap:
+                    for q, k in leaves:
+                        hist[q] = hist.get(q, 0) + k
+                        total += k
+                    if total > cap:
                         raise EnumerationCap(cap)
                     hi = lo - 1
             if lo <= hi:
@@ -303,17 +296,17 @@ def _walk(G, bound, cap, coords):
                 zero_above[j] = za
                 continue
         # next sibling, climbing past exhausted levels, which ends the
-        # subtrees being recorded there (an empty one is 0, no new object)
+        # subtrees being recorded there
         xj += 1
         while xj > xmax[j]:
             j += 1
             if j == n:
-                return out
+                return out if coords else hist
             if levels and pending[j]:
-                key, start, flip = pending[j]
-                end = len(out)
-                levels[j][1][key] = ((start << shift | end) << 1 | flip
-                                     if end > start else 0)
+                key, then = pending[j]
+                levels[j][1][key] = tuple(
+                    (q, k - then.get(q, 0)) for q, k in hist.items()
+                    if k != then.get(q, 0))
                 pending[j] = None
             xj = x[j] + 1
         x[j] = xj
@@ -399,7 +392,7 @@ class NormCensus:
 def norm_census(L, bound, up_to_sign=True, cap=DEFAULT_CAP):
     """Censuses of vector counts by norm up to the bound."""
     G2, _, sign = _reduced_gram(L.gram)
-    pairs = Counter(_enumerate_reduced(G2, bound, cap, coords=False))
+    pairs = _enumerate_reduced(G2, bound, cap, coords=False)
     k = 1 if up_to_sign else 2
     counts = {sign * q: k * c for q, c in pairs.items()}
     return NormCensus(counts)

@@ -61,13 +61,12 @@ def split(monkeypatch):
 @pytest.fixture
 def memo_hits(monkeypatch):
     """A list that gains one entry for each subtree a norm-only walk
-    replays from its memo: True where it replays a nonempty subtree
-    reversed, False otherwise.
+    replays from its memo: True where its lookup was mirrored, False where
+    it was direct.
 
     A level's key ends in its class coordinates, which the walk has just
     left in the rows' partial sums at the level j: the lookup is mirrored
-    when they are not the key's, and the replay is reversed when that
-    differs from the orientation bit of the stored span."""
+    when they are not the key's."""
     hits = []
     build = enumeration._memo_levels
 
@@ -78,14 +77,13 @@ def memo_hits(monkeypatch):
             self.classes = math.prod(m for _, m, _ in rows)
 
         def get(self, key):
-            span = super().get(key)
-            if span is not None:
+            leaves = super().get(key)
+            if leaves is not None:
                 coords = 0
                 for _, m, s in self.rows:
                     coords = coords * m + s[self.j] % m
-                mirrored = key % self.classes != coords
-                hits.append(span > 1 and mirrored != span & 1)
-            return span
+                hits.append(key % self.classes != coords)
+            return leaves
 
     monkeypatch.setattr(enumeration, "_memo_levels", lambda G: [
         None if level is None else (level[0], Counted(level[0], j))

@@ -6,8 +6,8 @@ budgets per level: it scales every level to one common denominator
 (`rational_reference.integer_cholesky`), each descent from level j
 rewrites column j of every row l < j of `sigma`, every node is one pass
 of the loop, and leaves are lists. The property tests check that the
-current loop visits the same leaves in the same order, the order that a
-`stop_after` cut keeps; nothing in `src/` imports this module.
+current loop visits the same leaves in the same order, and that its
+norm-only walk counts their norms; nothing in `src/` imports this module.
 """
 
 import math
@@ -16,7 +16,7 @@ from k3lat.enumeration import EnumerationCap
 from rational_reference import integer_cholesky
 
 
-def enumerate_reduced(G, bound, cap, stop_after=None):
+def enumerate_reduced(G, bound, cap):
     """All (norm, x) with 0 < x G x^T <= bound, one per +-pair.
 
     G must be positive definite. The representative of each pair has its
@@ -60,8 +60,6 @@ def enumerate_reduced(G, bound, cap, stop_after=None):
             rem = R[0] - spent
             if rem >= 0 and (x[0] or not zero_above[0]):
                 out.append(((total - rem) // scale, x[:]))
-                if stop_after is not None and len(out) >= stop_after:
-                    return out
                 if len(out) > cap:
                     raise EnumerationCap(cap)
             x[0] += 1

@@ -127,6 +127,18 @@ def test_analyze_min_norm_of_a_huge_rank_one_lattice(tmp_path, time_limit):
     assert code == 0 and json.loads(out) == {"min_norm": -2 * 10 ** 30}
 
 
+@pytest.mark.parametrize("name", ["leech", "holy:N23"])
+def test_analyze_refuses_a_negative_cap(tmp_path, name):
+    # two Grams of the Leech lattice, whose root checks reach the cap test
+    # at different nodes: a negative cap is bad input on both
+    path = tmp_path / "leech.json"
+    assert run_cli(["construct", name, "--output", str(path)])[0] == 0
+    code, out, err = run_cli(["analyze", "--input", str(path), "--census",
+                              "2", "--cap", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap must be at least 0" in err
+
+
 def test_analyze_missing_file_exits_2():
     code, _, err = run_cli(["analyze", "--input", "/nonexistent.json",
                             "--signature"])

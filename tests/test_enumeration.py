@@ -7,11 +7,12 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import theta_reference
 import walk_reference
 from k3lat import catalog, linalg
 from k3lat import enumeration as en
-from k3lat.gram_data import (A2, E8, U, S_LATTICE_2_5_3_10, S_LATTICE_2_9_3_6,
-                             gram_A, gram_D)
+from k3lat.gram_data import (A2, E8, NIEMEIER_ROWS, U, S_LATTICE_2_5_3_10,
+                             S_LATTICE_2_9_3_6, gram_A, gram_D)
 from k3lat.lattice import Lattice
 
 
@@ -165,6 +166,10 @@ def test_cap_raises():
     # 120 pairs of roots: the test must not stop at the first one
     with pytest.raises(en.EnumerationCap):
         en.has_roots(Lattice(E8).rescale(-1), cap=10)
+    # a negative cap is refused, also by a walk that finds nothing
+    for walk in (en.has_roots, en.min_norm):
+        with pytest.raises(ValueError):
+            walk(Lattice(E8).rescale(-2), cap=-1)
 
 
 def test_cap_counts_pairs_everywhere():
@@ -180,8 +185,8 @@ def test_cap_counts_pairs_everywhere():
 
 
 def test_census_holds_norms_not_vectors():
-    # one 8-byte list slot per counted +-pair; a (norm, 8-tuple) leaf
-    # would take about 166 bytes
+    # a census counts its +-pairs by norm; a (norm, 8-tuple) leaf would
+    # take about 166 bytes
     tracemalloc.start()
     try:
         census = en.norm_census(Lattice(E8), 8)
@@ -289,11 +294,11 @@ def test_enumeration_matches_box_scan(data):
 
 
 # -- the memoized walk -------------------------------------------------------
-# A norm-only walk replays the leaves of subtrees whose key it has seen
-# before. It must return the list of the frozen plain walk in
-# `walk_reference`, element for element, and make the same cap cuts.
-# The `memo_hits` fixture (conftest) records the replays, forward and
-# reversed, so that no check passes without both.
+# A norm-only walk replays the leaf norms of subtrees whose key it has
+# seen before. It must count the norms of the frozen plain walk in
+# `walk_reference`, norm for norm, and make the same cap cuts.
+# The `memo_hits` fixture (conftest) records the replays, direct and
+# mirrored, so that no check passes without both.
 
 
 def leech_base_change(gram, rng):
@@ -338,14 +343,19 @@ def norm_walk(G, bound, cap=en.DEFAULT_CAP):
         return en.EnumerationCap
 
 
-# the hits a walk must record: forward and reversed replays, or none
+# the hits a walk must record: direct and mirrored lookups, or none
 BOTH_WAYS = {True: {False, True}, False: set()}
 
 
+def counted(norms):
+    """The norm-only walk's answer for the frozen walk's list of norms."""
+    return dict(Counter(norms))
+
+
 def cut(full, cap):
-    """What the plain walk returns under cap, given its uncut list: it
-    raises EnumerationCap at leaf cap + 1."""
-    return en.EnumerationCap if len(full) > cap else full
+    """What the norm-only walk returns under cap, given the frozen walk's
+    uncut list: that walk raises EnumerationCap at leaf cap + 1."""
+    return en.EnumerationCap if len(full) > cap else counted(full)
 
 
 @pytest.mark.parametrize("name", list(MEMO_INPUTS))
@@ -354,16 +364,17 @@ def test_memo_walk_matches_plain_walk(memo_hits, monkeypatch, name):
     G, _, _ = en._reduced_gram(gram())
     full = walk_reference.enumerate_reduced(G, bound, en.DEFAULT_CAP,
                                             coords=False)
+    expect = counted(full)
     if bound == 4:  # a Leech model: 98 280 pairs of norm 4, no roots
-        assert Counter(full) == {4: 98280}
-    assert norm_walk(G, bound) == full
+        assert expect == {4: 98280}
+    assert norm_walk(G, bound) == expect
     assert set(memo_hits) == BOTH_WAYS[replays[0]]
     # caps before, inside and at the end of the list, with the memo built
     # from the first node on
     memo_hits.clear()
     monkeypatch.setattr(en, "MEMO_NODES", 1)
     k = len(full)
-    assert norm_walk(G, bound) == full
+    assert norm_walk(G, bound) == expect
     for cap in (k // 100, k // 3, k - 1, k):
         assert norm_walk(G, bound, cap) == cut(full, cap)
     assert set(memo_hits) == BOTH_WAYS[replays[1]]
@@ -376,8 +387,8 @@ def test_memo_cuts_match_plain_walk_on_e8(memo_hits, monkeypatch):
     for bound in range(2, 13, 2):
         for cap in (0, 100, 1000, en.DEFAULT_CAP):
             try:
-                expect = walk_reference.enumerate_reduced(
-                    G, bound, cap, coords=False)
+                expect = counted(walk_reference.enumerate_reduced(
+                    G, bound, cap, coords=False))
             except en.EnumerationCap:
                 expect = en.EnumerationCap
             assert norm_walk(G, bound, cap) == expect
@@ -417,8 +428,8 @@ def test_memo_matches_plain_walk_on_root_lattice_sums(memo_hits,
     def check(G, bound, cap):
         for M in (G, linalg.lll_reduce(G)[0]):
             try:
-                expect = walk_reference.enumerate_reduced(
-                    M, bound, cap, coords=False)
+                expect = counted(walk_reference.enumerate_reduced(
+                    M, bound, cap, coords=False))
             except en.EnumerationCap:
                 expect = en.EnumerationCap
             assert norm_walk(M, bound, cap) == expect
@@ -494,9 +505,9 @@ def test_a_walk_with_leaves_builds_its_memo_after_its_first_leaf(walk_log):
     # the walk descends along x = 0 to b_0, whose norm is within the bound:
     # its first leaf is at node n - 1, and the memo is built at node n
     G = linalg.lll_reduce(E8)[0]
-    assert norm_walk(G, 2) == walk_reference.enumerate_reduced(
-        G, 2, en.DEFAULT_CAP, coords=False)
-    assert Counter(norm_walk(census_gram("N23"), 4)) == {4: 98280}
+    assert norm_walk(G, 2) == counted(walk_reference.enumerate_reduced(
+        G, 2, en.DEFAULT_CAP, coords=False))
+    assert norm_walk(census_gram("N23"), 4) == {4: 98280}
     assert [memo for _, memo in walk_log] == [8, 24]
 
 
@@ -504,7 +515,7 @@ def test_a_walk_without_leaves_builds_its_memo_after_memo_nodes(walk_log):
     # the root checks of the census models find no root: only the first
     # walk passes MEMO_NODES = 2^14 nodes, so only it builds the memo
     for name in ("P1", "N23", "P1-base-change"):
-        assert norm_walk(census_gram(name), 2) == []
+        assert norm_walk(census_gram(name), 2) == {}
     assert walk_log == [[16_692, 16_384], [14_148, None], [15_417, None]]
 
 
@@ -517,20 +528,73 @@ def test_memo_keeps_the_leech_census_tree_small(walk_log):
     # 77 086 and 72 627
     roots = {"P1": 46_673, "N23": 34_779, "P1-base-change": 32_727}
     for name, most in roots.items():
-        assert Counter(norm_walk(census_gram(name), 4)) == {4: 98280}
+        assert norm_walk(census_gram(name), 4) == {4: 98280}
         assert walk_log[-1][0] <= most, name
 
 
-def test_leech_census_memory_peak():
-    # one census of a base change of the P1 model holds its 98 280 norms
-    # and the memo: 1.33 MB traced (1.18 MB with memo levels 6, 9, 12, ...;
-    # the model as built, whose tree is larger, reaches 1.56 MB)
-    L = Lattice(MEMO_INPUTS["P1-base-change"][0]())
+@pytest.mark.parametrize("name, bound, counts, most", [
+    pytest.param("P1-base-change", 4, {-4: 98280}, 2_000_000,
+                 id="P1-base-change"),
+    pytest.param("N23", 6, {-4: 98280, -6: 8386560}, 8_000_000,
+                 id="N23-norm-6")])
+def test_leech_census_memory_peak(name, bound, counts, most):
+    # a census holds its counts by norm and the memo, which maps each key
+    # to its subtree's (norm, count) pairs: 0.58 MB traced for the base
+    # change of the P1 model at norm 4 and 1.46 MB for N23 at norm 6, which
+    # took 1.32 MB and 78 MB while the walk kept one int per +-pair
+    L = Lattice(MEMO_INPUTS[name][0]())
     tracemalloc.start()
     try:
-        census = en.norm_census(L, 4)
+        census = en.norm_census(L, bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert census.counts == {-4: 98280}
-    assert peak < 2_000_000
+    assert census.counts == counts
+    assert peak < most
+
+
+# -- theta series --------------------------------------------------------------
+# The census of an even unimodular lattice of rank 24 is fixed by its
+# number of roots, and that of E8 outright: `theta_reference` checks the
+# memoized walk against mathematics, up to norm 8, where a list of its
+# leaves would hold 199 M norms on the Leech lattice.
+
+
+def niemeier_gram(name):
+    return lambda: catalog.niemeier(name).gram
+
+
+# (gram, bound, roots): the nine Niemeier lattices (a Niemeier lattice of
+# Coxeter number h has 24 h roots), the Leech models of the census and
+# seeded base changes, at norm 4; three of them at norm 8
+THETA_INPUTS = {
+    **{name: (niemeier_gram(name), 4, 24 * row[2])
+       for name, row in NIEMEIER_ROWS.items()},
+    **{"Leech-" + name: (MEMO_INPUTS[name][0], 4, 0)
+       for name in ("P1", "P1-base-change", "N23")},
+    "Leech-P1-base-change-2": (lambda: leech_base_change(
+        catalog.leech().gram, random.Random(2)), 4, 0),
+    "N3-base-change": (lambda: leech_base_change(
+        niemeier_gram("N3")(), random.Random(1)), 4, 720),
+    "N23-base-change": (lambda: leech_base_change(
+        niemeier_gram("N23")(), random.Random(1)), 4, 48),
+    "N23-norm-8": (niemeier_gram("N23"), 8, 48),
+    "N3-norm-8": (niemeier_gram("N3"), 8, 720),
+    "Leech-P1-norm-8": (MEMO_INPUTS["P1"][0], 8, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(THETA_INPUTS))
+def test_census_matches_theta_series(name):
+    gram, bound, roots = THETA_INPUTS[name]
+    census = en.norm_census(Lattice(gram()), bound, up_to_sign=False,
+                            cap=10 ** 9)
+    expect = {-2 * k: theta_reference.rank_24(k, roots)
+              for k in range(1, bound // 2 + 1)}
+    assert census.counts == {q: c for q, c in expect.items() if c}
+
+
+def test_e8_census_matches_theta_series():
+    census = en.norm_census(Lattice(E8), 8, up_to_sign=False)
+    assert census.counts == {2 * k: theta_reference.e8(k)
+                             for k in range(1, 5)}

@@ -8,13 +8,13 @@ The integer budgets of the Fincke-Pohst tree must equal
 d_j (bound - ||pi_j(x)||^2) computed in `Fraction`, with every division
 exact. `enumeration._enumerate_reduced` must return the leaves of the
 eager loop in `eager_reference` in the same order, so every enumeration
-downstream is unchanged, and its norm-only leaves must be those leaves'
-norms, with the same cuts and in the same order, also where the walk
-replays memoized subtrees. LLL's output is also checked against the
-definition of a reduced basis.
+downstream is unchanged, and its norm-only walk must count those leaves'
+norms, with the same cuts, also where the walk replays memoized subtrees.
+LLL's output is also checked against the definition of a reduced basis.
 """
 
 import functools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -234,8 +234,8 @@ def norm_leaves(G, bound, cap):
 def test_norm_leaves_are_pair_norms(memo_hits, monkeypatch, min_rank,
                                     max_rank):
     # with the memo built from the first node on, every norm-only walk of
-    # rank 7 and up keys its nodes at level 6 (and 9), and must still give
-    # the eager loop's norms in its order; Z^n is drawn first, so that some
+    # rank 5 and up keys its nodes at levels 4, 6, 8, ..., and must still
+    # count the eager loop's norms; Z^n is drawn first, so that some
     # subtree is replayed
     monkeypatch.setattr(en, "MEMO_NODES", 1)
 
@@ -249,7 +249,7 @@ def test_norm_leaves_are_pair_norms(memo_hits, monkeypatch, min_rank,
         for M in (W, linalg.lll_reduce(W)[0]):
             pairs = leaves(eager_reference.enumerate_reduced, M, bound, cap)
             if pairs is not en.EnumerationCap:
-                pairs = [q for q, _ in pairs]
+                pairs = dict(Counter(q for q, _ in pairs))
             assert norm_leaves(M, bound, cap) == pairs
 
     check()

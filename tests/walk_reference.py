@@ -3,10 +3,10 @@
 `enumerate_reduced` is `enumeration._enumerate_reduced` as it was before
 norm-only walks replayed the leaves of repeated subtrees, on its serial
 path: every node of the tree is one pass of the loop, a level-1 node
-appends its leaves as one batch, and the cap and stop_after are checked
-after each batch. The property tests check that the memoized walk returns
-the same list, raises EnumerationCap at the same cap and makes the same
-stop_after cut; nothing in `src/` imports this module.
+appends its leaves as one batch, and the cap is checked after each batch.
+The property tests check that the memoized walk counts the norms of this
+list and raises EnumerationCap at the same cap; nothing in `src/` imports
+this module.
 """
 
 import math
@@ -15,30 +15,20 @@ from k3lat import linalg
 from k3lat.enumeration import EnumerationCap
 
 
-def _cut(out, before, stop_after, cap):
-    if stop_after is not None:
-        m = max(stop_after, before + 1)
-        if m <= min(cap + 1, len(out)):
-            del out[m:]
-            return out
-    raise EnumerationCap(cap)
-
-
-def enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
+def enumerate_reduced(G, bound, cap, coords=True):
     """All (norm, x) with 0 < x G x^T <= bound, one per +-pair, or their
     norms alone with coords=False; G must be positive definite."""
     n = len(G)
     if bound <= 0:
         return []
     d, lam = linalg.integral_gram_schmidt(G)
-    limit = cap + 1 if stop_after is None else min(stop_after, cap + 1)
     if n == 1:
         a = d[1]
         xs = range(1, math.isqrt(bound // a) + 1)
         out = ([(a * x0 * x0, (x0,)) for x0 in xs] if coords
                else [a * x0 * x0 for x0 in xs])
-        if out and len(out) >= limit:
-            return _cut(out, 0, stop_after, cap)
+        if out and len(out) > cap:
+            raise EnumerationCap(cap)
         return out
     lamc = [[lam[i][l] for i in range(n)] for l in range(n)]
     out = []
@@ -81,7 +71,6 @@ def enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
             if za and lo < 1:
                 lo = 1
             if lo <= hi:
-                before = len(out)
                 if coords:
                     prefix = tuple(x[1:])
                     for x0 in range(lo, hi + 1):
@@ -91,8 +80,8 @@ def enumerate_reduced(G, bound, cap, stop_after=None, coords=True):
                 else:
                     out += [bound - (f - v * v) // dj
                             for v in range(dj * lo + c, dj * hi + c + 1, dj)]
-                if len(out) >= limit:
-                    return _cut(out, before, stop_after, cap)
+                if len(out) > cap:
+                    raise EnumerationCap(cap)
         else:
             if za and lo < 0:
                 lo = 0
